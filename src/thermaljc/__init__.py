@@ -13,8 +13,6 @@ from .core import (
     DEFAULT_EPSILON_TAIL,
     TRACE_TOL,
     AtomicDensityMatrix,
-    DressedParams,
-    EffectiveCoupling,
     SystemParams,
     ThermalDistribution,
     TruncationError,
@@ -23,12 +21,9 @@ from .core import (
     truncation_index,
 )
 from .dynamics import (
-    SumFactorCache,
-    build_factor_cache,
     density_matrix,
-    density_matrix_resonant,
-    dressed_params,
     effective_coupling,
+    states,
 )
 from .observables import EpePoint, concurrence, energy, epe_point, purity
 from .oracle import (
@@ -64,12 +59,9 @@ __all__ = [
     "AtomicDensityMatrix",
     "DEAD_THRESHOLD",
     "DEFAULT_EPSILON_TAIL",
-    "DressedParams",
-    "EffectiveCoupling",
     "EpePoint",
     "JointDensity",
     "ORACLE_TOL",
-    "SumFactorCache",
     "SweepReport",
     "SystemParams",
     "ThermalDistribution",
@@ -77,12 +69,9 @@ __all__ = [
     "TRACE_TOL",
     "TruncationError",
     "ValidationResult",
-    "build_factor_cache",
     "concurrence",
     "dead_intervals",
     "density_matrix",
-    "density_matrix_resonant",
-    "dressed_params",
     "effective_coupling",
     "energy",
     "epe_point",
@@ -99,6 +88,7 @@ __all__ = [
     "purity",
     "scan",
     "sector_propagator",
+    "states",
     "thermal_probability",
     "time_series",
     "truncation_index",

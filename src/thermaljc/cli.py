@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -253,8 +253,27 @@ def _json_text(metadata: dict[str, object], payload: dict[str, object]) -> str:
     return json.dumps({"metadata": metadata, **payload}, indent=2) + "\n"
 
 
-def _csv_text(header: str, rows: Sequence[Sequence[str]]) -> str:
+def _csv_text(header: str, rows: Iterable[Iterable[str]]) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+def _write_columns(
+    output: str,
+    resolved: dict[str, object],
+    subcommand: str,
+    header: str,
+    columns: dict[str, np.ndarray],
+) -> None:
+    """Write equal-length float columns as CSV rows or as JSON lists.
+
+    ``tolist`` yields Python floats, whose repr is the shortest round-trip
+    text and matches what ``json`` writes for the same value."""
+    if resolved["format"] == "csv":
+        rows = zip(*(column.tolist() for column in columns.values()))
+        _write_text(output, _csv_text(header, (map(repr, row) for row in rows)))
+    else:
+        payload = {"columns": {k: column.tolist() for k, column in columns.items()}}
+        _write_text(output, _json_text(_metadata(subcommand, resolved), payload))
 
 
 def _require_output(resolved: dict[str, object]) -> str:
@@ -292,20 +311,7 @@ def _run_timeseries(args: argparse.Namespace) -> int:
         "purity": series.purity,
         "energy": series.energy,
     }
-    if resolved["format"] == "csv":
-        rows = [
-            [_format_value(columns[name][i]) for name in columns]
-            for i in range(len(series))
-        ]
-        _write_text(output, _csv_text(TIMESERIES_HEADER, rows))
-    else:
-        _write_text(
-            output,
-            _json_text(
-                _metadata("timeseries", resolved),
-                {"columns": {k: [float(v) for v in vals] for k, vals in columns.items()}},
-            ),
-        )
+    _write_columns(output, resolved, "timeseries", TIMESERIES_HEADER, columns)
     return EXIT_OK
 
 
@@ -330,20 +336,7 @@ def _run_epe(args: argparse.Namespace) -> int:
         "purity": series.purity,
         "energy": series.energy,
     }
-    if resolved["format"] == "csv":
-        rows = [
-            [_format_value(columns[name][i]) for name in columns]
-            for i in range(len(series))
-        ]
-        _write_text(output, _csv_text(EPE_HEADER, rows))
-    else:
-        _write_text(
-            output,
-            _json_text(
-                _metadata("epe", resolved),
-                {"columns": {k: [float(v) for v in vals] for k, vals in columns.items()}},
-            ),
-        )
+    _write_columns(output, resolved, "epe", EPE_HEADER, columns)
     return EXIT_OK
 
 

@@ -37,8 +37,11 @@ class SystemParams:
     omega_0: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.g > 0.0:
-            raise ValueError(f"coupling strength g must be positive, got {self.g}")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError(f"coupling strength g must be positive and finite, got {self.g}")
+        for name in ("delta", "omega_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
             raise ValueError(f"mode parameter p must be an integer, got {self.p!r}")
         if self.p < 1:
@@ -48,8 +51,8 @@ class SystemParams:
 
 def truncation_index(mean: float, epsilon: float) -> int:
     """Smallest cutoff N whose geometric tail (mean/(mean+1))**(N+1) is <= epsilon."""
-    if mean < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mean}")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mean}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"tail tolerance must lie in (0, 1), got {epsilon}")
     if mean == 0.0:
@@ -77,8 +80,10 @@ class ThermalDistribution:
     epsilon_tail: float = DEFAULT_EPSILON_TAIL
 
     def __post_init__(self) -> None:
-        if self.mean_photons < 0.0:
-            raise ValueError(f"mean photon number must be >= 0, got {self.mean_photons}")
+        if not 0.0 <= self.mean_photons < math.inf:
+            raise ValueError(
+                f"mean photon number must be finite and >= 0, got {self.mean_photons}"
+            )
         if not 0.0 < self.epsilon_tail < 1.0:
             raise ValueError(f"epsilon_tail must lie in (0, 1), got {self.epsilon_tail}")
         if self.n_max < 0:
@@ -129,25 +134,33 @@ def mean_photons_from_temperature(omega_c: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-@dataclass(frozen=True)
-class DressedParams:
-    """Rabi frequency and mixing angle of one excitation sector.
+def check_x_states(x1, x2, x3, x5, x6, tol: float = TRACE_TOL) -> None:
+    """Raise ValueError at the first entry that is not a two-atom X state.
 
-    ``lambda_n = sqrt(delta**2 + 4*g_eff**2*n)``.  The angle enters the
-    dynamics only through ``sin(2*theta) in [-1, 0]`` and ``cos(2*theta)``;
-    the n = 0 sector is one dimensional and carries no Rabi mixing.
+    Takes scalars or equal-length arrays of the X elements and checks, to
+    ``tol``, populations in [0, 1], unit trace and a positive semidefinite
+    inner block [[x2, x3], [x4, x5]].  Every comparison is written so that a
+    NaN entry fails it.
     """
-
-    lambda_n: float
-    sin2theta: float
-    cos2theta: float
-
-
-@dataclass(frozen=True)
-class EffectiveCoupling:
-    """Motion-averaged coupling g' = g*[1 - cos(p*g*t)]/(p*g*t)."""
-
-    g_eff: float
+    x1, x2, x5, x6 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, x2, x5, x6))
+    x3 = np.atleast_1d(np.asarray(x3, dtype=complex))
+    populations = np.stack((x1, x2, x5, x6))
+    bad = ~np.all((populations >= -tol) & (populations <= 1.0 + tol), axis=0)
+    if bad.any():
+        values = tuple(populations[:, bad.argmax()].tolist())
+        raise ValueError(f"populations outside [0, 1]: {values}")
+    trace = x1 + x2 + x5 + x6
+    bad = ~(np.abs(trace - 1.0) <= tol)
+    if bad.any():
+        raise ValueError(f"trace deviates from 1 by {trace[bad.argmax()] - 1.0:.3e}")
+    inner = 0.5 * (x2 + x5) - np.hypot(0.5 * (x2 - x5), np.abs(x3))
+    bad = ~(inner >= -tol)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(
+            f"coherence too large for the populations: |x3|={abs(x3[i]):.6g}, "
+            f"x2={x2[i]:.6g}, x5={x5[i]:.6g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -183,16 +196,7 @@ class AtomicDensityMatrix:
         return centre - radius
 
     def validate(self, tol: float = TRACE_TOL) -> None:
-        populations = (self.x1, self.x2, self.x5, self.x6)
-        if any(v < -tol or v > 1.0 + tol for v in populations):
-            raise ValueError(f"populations outside [0, 1]: {populations}")
-        if abs(self.trace - 1.0) > tol:
-            raise ValueError(f"trace deviates from 1 by {self.trace - 1.0:.3e}")
-        if self.inner_block_min_eigenvalue() < -tol:
-            raise ValueError(
-                f"coherence too large for the populations: |x3|={abs(self.x3):.6g}, "
-                f"x2={self.x2:.6g}, x5={self.x5:.6g}"
-            )
+        check_x_states(self.x1, self.x2, self.x3, self.x5, self.x6, tol)
 
     def to_matrix(self) -> np.ndarray:
         """Dense 4x4 complex matrix."""

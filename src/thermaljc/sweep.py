@@ -10,8 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AtomicDensityMatrix, SystemParams, ThermalDistribution
-from .dynamics import density_matrix, density_matrix_resonant, effective_coupling
+from .core import SystemParams, ThermalDistribution
+from .dynamics import states
 from .observables import EpePoint, concurrence, energy, purity
 
 DEAD_THRESHOLD = 1e-6
@@ -43,17 +43,6 @@ class TimeSeries:
         return int(self.gt.size)
 
 
-def _state_at(
-    params: SystemParams,
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
-    t: float,
-) -> AtomicDensityMatrix:
-    if params.delta == 0.0:
-        return density_matrix_resonant(params, dist_a, dist_b, t)
-    return density_matrix(params, dist_a, dist_b, t)
-
-
 def time_series(
     params: SystemParams,
     dist_a: ThermalDistribution,
@@ -63,37 +52,16 @@ def time_series(
 ) -> TimeSeries:
     """Evaluate the closed form on steps+1 uniform points over [0, gt_max].
 
-    The resonant fast path is taken automatically when delta = 0.  Points are
-    evaluated in grid order, so repeated runs are bit-identical.
+    The whole grid goes through one :func:`~thermaljc.dynamics.states` call,
+    whose rows do not depend on the grid, so repeated runs are bit-identical.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not gt_max > 0.0:
         raise ValueError(f"gt_max must be positive, got {gt_max}")
     gt = np.linspace(0.0, gt_max, steps + 1)
-    count = gt.size
-    g_eff = np.empty(count)
-    x1 = np.empty(count)
-    x2 = np.empty(count)
-    x3 = np.empty(count, dtype=complex)
-    x5 = np.empty(count)
-    x6 = np.empty(count)
-    conc = np.empty(count)
-    pur = np.empty(count)
-    en = np.empty(count)
-    for i in range(count):
-        t = float(gt[i]) / params.g
-        rho = _state_at(params, dist_a, dist_b, t)
-        g_eff[i] = effective_coupling(params, t).g_eff
-        x1[i] = rho.x1
-        x2[i] = rho.x2
-        x3[i] = rho.x3
-        x5[i] = rho.x5
-        x6[i] = rho.x6
-        conc[i] = concurrence(rho)
-        pur[i] = purity(rho)
-        en[i] = energy(rho)
-    return TimeSeries(gt, g_eff, x1, x2, x3, x5, x6, conc, pur, en)
+    grid = states(params, dist_a, dist_b, gt / params.g)
+    return TimeSeries(gt, *grid, concurrence(grid), purity(grid), energy(grid))
 
 
 def epe_trajectory(
@@ -148,7 +116,7 @@ def verified_period(
     resonance the sector phases carry a non-periodic delta*t contribution), so
     other settings return None without probing.  At resonance the candidate
     period is confirmed by comparing all five state elements at probe times
-    tau and tau + 2*pi/p.
+    tau and tau + 2*pi/p, all evaluated in one grid.
     """
     if params.delta != 0.0 or not params.motion_enabled:
         return None
@@ -156,21 +124,12 @@ def verified_period(
     if gt_max < period:
         return None  # the window cannot exhibit one full period
     base = np.linspace(0.0, min(gt_max - period, gt_max), probes)
-    for tau in base:
-        r0 = density_matrix_resonant(params, dist_a, dist_b, float(tau) / params.g)
-        r1 = density_matrix_resonant(
-            params, dist_a, dist_b, (float(tau) + period) / params.g
-        )
-        deviation = max(
-            abs(r0.x1 - r1.x1),
-            abs(r0.x2 - r1.x2),
-            abs(r0.x3 - r1.x3),
-            abs(r0.x5 - r1.x5),
-            abs(r0.x6 - r1.x6),
-        )
-        if deviation > tol:
-            return None
-    return period
+    grid = states(params, dist_a, dist_b, np.concatenate((base, base + period)) / params.g)
+    deviation = max(
+        float(np.max(np.abs(column[probes:] - column[:probes])))
+        for column in (grid.x1, grid.x2, grid.x3, grid.x5, grid.x6)
+    )
+    return None if deviation > tol else period
 
 
 @dataclass(frozen=True)

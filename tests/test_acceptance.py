@@ -24,12 +24,12 @@ from thermaljc import (
     concurrence,
     dead_intervals,
     density_matrix,
-    density_matrix_resonant,
     effective_coupling,
     energy,
     oracle_density_matrix,
     oracle_joint_density,
     purity,
+    states,
     time_series,
     validation_grid,
     verified_period,
@@ -134,27 +134,24 @@ def test_criterion_02_state_invariants(announce):
 def test_criterion_03_vacuum_closed_forms(announce):
     params = SystemParams()
     vacuum = _dist(0.0)
-    worst = 0.0
-    worst_oracle = 0.0
     times = np.linspace(0.0, 25.0, 1000)
-    for i, gt in enumerate(times):
-        rho = density_matrix_resonant(params, vacuum, vacuum, float(gt))
-        phase = effective_coupling(params, float(gt)).g_eff * float(gt)
-        s2, c2 = math.sin(phase) ** 2, math.cos(phase) ** 2
-        worst = max(
-            worst,
-            abs(concurrence(rho) - c2),
-            abs(purity(rho) - (s2**2 + c2**2)),
-            abs(energy(rho) + s2),
+    grid = states(params, vacuum, vacuum, times)
+    phase = effective_coupling(params, times) * times
+    s2, c2 = np.sin(phase) ** 2, np.cos(phase) ** 2
+    worst = float(max(
+        np.max(np.abs(concurrence(grid) - c2)),
+        np.max(np.abs(purity(grid) - (s2**2 + c2**2))),
+        np.max(np.abs(energy(grid) + s2)),
+    ))
+    worst_oracle = 0.0
+    for i in range(0, times.size, 20):
+        brute = oracle_density_matrix(params, vacuum, vacuum, float(times[i]))
+        worst_oracle = max(
+            worst_oracle,
+            abs(concurrence(brute) - c2[i]),
+            abs(purity(brute) - (s2[i] ** 2 + c2[i] ** 2)),
+            abs(energy(brute) + s2[i]),
         )
-        if i % 20 == 0:
-            brute = oracle_density_matrix(params, vacuum, vacuum, float(gt))
-            worst_oracle = max(
-                worst_oracle,
-                abs(concurrence(brute) - c2),
-                abs(purity(brute) - (s2**2 + c2**2)),
-                abs(energy(brute) + s2),
-            )
     ok = worst <= 1e-12 and worst_oracle <= 1e-12
     announce(3, ok, f"closed-form deviation = {worst:.2e} over 1000 times "
                     f"(oracle cross-check {worst_oracle:.2e}), tolerance 1e-12")
@@ -168,15 +165,15 @@ def test_criterion_04_periodicity(announce):
     for p in (1, 2, 4):
         params = SystemParams(p=p)
         period = 2.0 * math.pi / p
-        for tau in np.linspace(0.0, 25.0 - period, 12):
-            r0 = density_matrix_resonant(params, dist, dist, float(tau))
-            r1 = density_matrix_resonant(params, dist, dist, float(tau) + period)
-            worst = max(
-                worst,
-                abs(concurrence(r0) - concurrence(r1)),
-                abs(purity(r0) - purity(r1)),
-                abs(energy(r0) - energy(r1)),
-            )
+        tau = np.linspace(0.0, 25.0 - period, 12)
+        r0 = states(params, dist, dist, tau)
+        r1 = states(params, dist, dist, tau + period)
+        worst = float(max(
+            worst,
+            np.max(np.abs(concurrence(r0) - concurrence(r1))),
+            np.max(np.abs(purity(r0) - purity(r1))),
+            np.max(np.abs(energy(r0) - energy(r1))),
+        ))
         periods[p] = verified_period(params, dist, dist, 25.0)
     ok = (
         worst <= 1e-10

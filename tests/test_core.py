@@ -17,6 +17,7 @@ from thermaljc import (
     thermal_probability,
     truncation_index,
 )
+from thermaljc.core import check_x_states
 
 
 class TestSystemParams:
@@ -41,6 +42,11 @@ class TestSystemParams:
             {"p": -2},
             {"p": 1.5},
             {"p": True},
+            {"g": math.nan},
+            {"g": math.inf},
+            {"delta": math.nan},
+            {"delta": -math.inf},
+            {"omega_c": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -63,7 +69,10 @@ class TestTruncationIndex:
     def test_coarser_tolerance_gives_smaller_cutoff(self):
         assert truncation_index(5.0, 1e-2) < truncation_index(5.0, 1e-12)
 
-    @pytest.mark.parametrize("mean, eps", [(-0.1, 1e-12), (0.5, 0.0), (0.5, 1.0)])
+    @pytest.mark.parametrize(
+        "mean, eps",
+        [(-0.1, 1e-12), (0.5, 0.0), (0.5, 1.0), (math.nan, 1e-12), (math.inf, 1e-12)],
+    )
     def test_rejects_bad_arguments(self, mean, eps):
         with pytest.raises(ValueError):
             truncation_index(mean, eps)
@@ -108,11 +117,19 @@ class TestThermalDistribution:
             {"mean_photons": 0.1, "n_max": -1},
             {"mean_photons": 0.1, "n_max": 20, "epsilon_tail": 0.0},
             {"mean_photons": 0.1, "n_max": 20, "epsilon_tail": 1.5},
+            {"mean_photons": math.nan, "n_max": 5},
+            {"mean_photons": math.inf, "n_max": 5},
+            {"mean_photons": 0.1, "n_max": 20, "epsilon_tail": math.nan},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             ThermalDistribution(**kwargs)
+
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_from_mean_names_a_non_finite_mean(self, mean):
+        with pytest.raises(ValueError, match="mean photon number must be finite"):
+            ThermalDistribution.from_mean(mean)
 
     def test_default_epsilon_tail(self):
         assert ThermalDistribution.from_mean(0.1).epsilon_tail == DEFAULT_EPSILON_TAIL
@@ -193,3 +210,18 @@ class TestAtomicDensityMatrix:
         rho = AtomicDensityMatrix(0.5, 0.25, 0.0j, 0.25, 5e-10)
         with pytest.raises(ValueError):
             rho.validate(tol=1e-12)
+
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_elements(self, index, bad):
+        elements = [0.0, 0.5, 0.5 + 0j, 0.5, 0.0]
+        elements[index] = bad if index != 2 else complex(0.5, bad)
+        with pytest.raises(ValueError):
+            AtomicDensityMatrix(*elements)
+
+    def test_array_check_names_the_first_failing_row(self):
+        x1 = np.array([0.0, 0.0, math.nan])
+        half = np.full(3, 0.5)
+        check_x_states(np.zeros(3), half, half.astype(complex), half, np.zeros(3))
+        with pytest.raises(ValueError, match="nan"):
+            check_x_states(x1, half, half.astype(complex), half, np.zeros(3))

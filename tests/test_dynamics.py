@@ -3,7 +3,10 @@
 The heaviest test here re-evaluates every matrix element as a literal double
 sum over both photon numbers, with the mixing angle taken through its arctan
 definition, and checks the production code (factorized single sums, algebraic
-angle forms, vectorized reductions) against that plain-loop reference.
+angle forms, grid-vectorized reductions) against that plain-loop reference.
+The dressed-sector factors are checked through the states they produce: two
+vacuum cavities only reach sectors 0 and 1, and sector n at coupling g' is
+sector 1 at coupling g'*sqrt(n).
 """
 
 import math
@@ -17,12 +20,11 @@ from thermaljc import (
     SystemParams,
     ThermalDistribution,
     TruncationError,
-    build_factor_cache,
     density_matrix,
-    density_matrix_resonant,
-    dressed_params,
+    dynamics,
     effective_coupling,
     oracle_density_matrix,
+    states,
 )
 
 
@@ -30,14 +32,45 @@ def _dist(mean):
     return ThermalDistribution.from_mean(mean)
 
 
+def _vacuum_elements(sector0, sector1, t):
+    """X elements (x1, x2, x3, x5, x6) of two vacuum cavities, built from the
+    (lambda, sin 2theta, cos 2theta) of sectors 0 and 1, the only sectors a
+    vacuum pair reaches."""
+
+    def factors(lam, sin2t, cos2t):
+        c, s = math.cos(0.5 * lam * t), math.sin(0.5 * lam * t)
+        return c * c + (s * cos2t) ** 2, (s * sin2t) ** 2, complex(c, s * cos2t)
+
+    stay0, swap0, amp0 = factors(*sector0)
+    stay1, swap1, amp1 = factors(*sector1)
+    return (
+        swap1 * stay0,
+        0.5 * (swap1 * swap0 + stay0 * stay1),
+        0.5 * abs(amp0 * amp1) ** 2,
+        0.5 * (stay1 * stay0 + swap0 * swap1),
+        stay1 * swap0,
+    )
+
+
+def _sector_one(g, delta):
+    lam = math.hypot(delta, 2.0 * g)
+    return lam, -2.0 * g / lam, delta / lam
+
+
+# the float 2*pi + 1e-7 and its exact distance e from the revival at 2*pi;
+# 2.449e-16 is 2*pi - fl(2*pi)
+_NEAR_REVIVAL = 2.0 * math.pi + 1e-7
+_E = (_NEAR_REVIVAL - 2.0 * math.pi) - 2.4492935982947064e-16
+
+
 class TestEffectiveCoupling:
     def test_zero_at_start(self):
-        assert effective_coupling(SystemParams(), 0.0).g_eff == 0.0
+        assert effective_coupling(SystemParams(), 0.0) == 0.0
 
     def test_motion_disabled_returns_bare_coupling(self):
         params = SystemParams(g=0.7, motion_enabled=False)
         for t in (0.0, 1.0, 13.7):
-            assert effective_coupling(params, t).g_eff == 0.7
+            assert effective_coupling(params, t) == 0.7
 
     @pytest.mark.parametrize(
         "p, g, t, expected",
@@ -49,18 +82,44 @@ class TestEffectiveCoupling:
     )
     def test_frozen_values(self, p, g, t, expected):
         params = SystemParams(g=g, p=p)
-        assert effective_coupling(params, t).g_eff == pytest.approx(expected, abs=1e-15)
+        assert effective_coupling(params, t) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_vanishes_at_revivals(self, p):
         params = SystemParams(p=p)
         for k in (1, 2, 3):
             t = 2.0 * math.pi * k / p
-            assert effective_coupling(params, t).g_eff == pytest.approx(0.0, abs=1e-15)
+            assert effective_coupling(params, t) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             effective_coupling(SystemParams(), -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.5, math.nan])])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            effective_coupling(SystemParams(), t)
+
+    @pytest.mark.parametrize(
+        "t, series",
+        [
+            # g' = 2*sin(t/2)**2/t = t/2 - t**3/24 + ... at p = g = 1
+            (1e-9, 1e-9 / 2.0 - 1e-27 / 24.0),
+            (1e-6, 1e-6 / 2.0 - 1e-18 / 24.0),
+            # t = 2*pi + e: g' = 2*sin(e/2)**2/t = (e**2/2)*(1 - e**2/12)/t
+            (_NEAR_REVIVAL, 0.5 * _E * _E * (1.0 - _E * _E / 12.0) / _NEAR_REVIVAL),
+        ],
+    )
+    def test_no_cancellation_near_start_and_revival(self, t, series):
+        # [1 - cos(p*g*t)]/(p*t) has relative error 1.0, 9e-5 and 8e-4 here
+        assert effective_coupling(SystemParams(), t) == pytest.approx(series, rel=1e-14)
+
+    def test_array_input_matches_scalar_calls(self):
+        params = SystemParams(p=3, g=1.3)
+        t = np.array([0.0, 1e-8, 0.4, 2.0 * math.pi / 3.9, 7.25])
+        grid = effective_coupling(params, t)
+        assert isinstance(grid, np.ndarray) and grid.shape == t.shape
+        assert grid.tolist() == [effective_coupling(params, float(x)) for x in t]
 
     @given(
         t=st.floats(min_value=1e-6, max_value=100.0),
@@ -68,7 +127,7 @@ class TestEffectiveCoupling:
     )
     def test_accumulated_phase_is_bounded(self, t, p):
         # g'(t)*t = [1 - cos(p*g*t)]/p can never exceed 2/p
-        g_eff = effective_coupling(SystemParams(p=p), t).g_eff
+        g_eff = effective_coupling(SystemParams(p=p), t)
         assert 0.0 <= g_eff * t <= 2.0 / p + 1e-15
 
 
@@ -84,19 +143,42 @@ class TestDressedParams:
         ],
     )
     def test_frozen_values(self, g_eff, delta, n, expected):
-        dp = dressed_params(g_eff, delta, n)
-        assert dp.lambda_n == pytest.approx(expected[0], abs=1e-15)
-        assert dp.sin2theta == pytest.approx(expected[1], abs=1e-15)
-        assert dp.cos2theta == pytest.approx(expected[2], abs=1e-15)
+        # expected = (lambda_n, sin 2theta_n, cos 2theta_n) of sector n
+        t = 0.7
+        vacuum = _dist(0.0)
+        if n == 0:
+            g = g_eff
+            sector0, sector1 = expected, _sector_one(g_eff, delta)
+        else:
+            g = g_eff * math.sqrt(n)
+            sector0, sector1 = (abs(delta), 0.0, math.copysign(1.0, delta)), expected
+        params = SystemParams(g=g, delta=delta, motion_enabled=False)
+        rho = density_matrix(params, vacuum, vacuum, t)
+        want = _vacuum_elements(sector0, sector1, t)
+        for got, value in zip((rho.x1, rho.x2, rho.x3, rho.x5, rho.x6), want):
+            assert got == pytest.approx(value, abs=1e-14)
+        if n == 0:
+            # the pure phase exp(i*delta*t/2) of sector 0 only shows against the
+            # other sectors, in the coherence of unequal cavities
+            warm = _dist(0.3)
+            closed = density_matrix(params, vacuum, warm, t)
+            brute = oracle_density_matrix(params, vacuum, warm, t)
+            assert abs(closed.x3 - brute.x3) < 1e-12
 
     def test_degenerate_sector_is_inert(self):
-        dp = dressed_params(0.0, 0.0, 3)
-        assert (dp.lambda_n, dp.sin2theta, dp.cos2theta) == (0.0, -1.0, 0.0)
+        # at t = 0 a moving atom has g' = 0, so at resonance every sector has
+        # lambda = 0: the state must be the initial Bell mixture, exactly
+        dist = _dist(0.5)
+        rho = density_matrix(SystemParams(), dist, dist, 0.0)
+        assert (rho.x1, rho.x6) == (0.0, 0.0)
+        assert rho.x2 == rho.x5 == rho.x3
 
     @pytest.mark.parametrize("g_eff, n", [(-0.1, 1), (1.0, -1)])
     def test_rejects_bad_arguments(self, g_eff, n):
+        # neither a negative coupling nor a negative sector reaches the kernel
         with pytest.raises(ValueError):
-            dressed_params(g_eff, n=n, delta=0.0)
+            dist = ThermalDistribution(0.0, n)
+            states(SystemParams(g=g_eff), dist, dist, np.array([1.0]))
 
     @given(
         g_eff=st.floats(min_value=1e-3, max_value=10.0),
@@ -104,14 +186,19 @@ class TestDressedParams:
         n=st.integers(min_value=1, max_value=40),
     )
     def test_matches_arctan_angle_definition(self, g_eff, delta, n):
-        dp = dressed_params(g_eff, delta, n)
         root = g_eff * math.sqrt(n)
         theta = -math.atan(
             (math.sqrt(0.25 * delta**2 + root**2) - 0.5 * delta) / root
         )
-        assert dp.sin2theta == pytest.approx(math.sin(2.0 * theta), abs=1e-12)
-        assert dp.cos2theta == pytest.approx(math.cos(2.0 * theta), abs=1e-12)
-        assert dp.lambda_n == pytest.approx(math.hypot(delta, 2.0 * root), rel=1e-14)
+        sector1 = (math.hypot(delta, 2.0 * root), math.sin(2.0 * theta), math.cos(2.0 * theta))
+        sector0 = (abs(delta), 0.0, math.copysign(1.0, delta))
+        t = 0.9
+        vacuum = _dist(0.0)
+        params = SystemParams(g=root, delta=delta, motion_enabled=False)
+        rho = density_matrix(params, vacuum, vacuum, t)
+        want = _vacuum_elements(sector0, sector1, t)
+        for got, value in zip((rho.x1, rho.x2, rho.x3, rho.x5, rho.x6), want):
+            assert got == pytest.approx(value, abs=1e-12)
 
     @given(
         # subnormal magnitudes lose significand bits in the quotient and break
@@ -123,31 +210,43 @@ class TestDressedParams:
         n=st.integers(min_value=0, max_value=60),
     )
     def test_angle_functions_stay_on_unit_circle(self, g_eff, delta, n):
-        dp = dressed_params(g_eff, delta, n)
-        assert dp.sin2theta**2 + dp.cos2theta**2 == pytest.approx(1.0, abs=1e-14)
-        assert dp.sin2theta <= 0.0
+        # sin^2 + cos^2 = 1 in every sector is what keeps a vacuum pair's trace at 1
+        coupling = g_eff * math.sqrt(n)
+        if coupling > 0.0:
+            params, t = SystemParams(g=coupling, delta=delta, motion_enabled=False), 0.9
+        else:  # g' = 0: the start of a moving atom's transit
+            params, t = SystemParams(delta=delta), 0.0
+        vacuum = _dist(0.0)
+        rho = density_matrix(params, vacuum, vacuum, t)
+        assert rho.trace == pytest.approx(1.0, abs=1e-14)
 
 
 class TestFactorCache:
     @pytest.mark.parametrize("delta", [0.0, 1.0, -2.5])
     def test_stay_and_swap_partition_unity(self, delta):
-        g_eff = effective_coupling(SystemParams(delta=delta), 1.3).g_eff
-        cache = build_factor_cache(_dist(0.5), g_eff, delta, 1.3)
-        np.testing.assert_allclose(cache.stay + cache.swap, 1.0, atol=1e-14)
+        # with stay + swap = 1 in every sector the trace is the product of the
+        # retained thermal weights of the two cavities
+        dist = _dist(0.5)
+        rho = density_matrix(SystemParams(delta=delta), dist, dist, 1.3)
+        kept = float(np.sum(dist.probabilities()))
+        assert rho.trace == pytest.approx(kept * kept, abs=1e-14)
 
     def test_amp_magnitude_squared_equals_stay(self):
-        cache = build_factor_cache(_dist(0.5), 0.8, 1.0, 2.1)
-        np.testing.assert_allclose(np.abs(cache.amp) ** 2, cache.stay, atol=1e-14)
+        # for a vacuum pair x3 = |amp_0 amp_1|^2 / 2 and x2 = stay_0 stay_1 / 2;
+        # coupling 0.8*sqrt(n) stands in for sector n
+        vacuum = _dist(0.0)
+        for n in (1, 2, 5, 20):
+            params = SystemParams(g=0.8 * math.sqrt(n), delta=1.0, motion_enabled=False)
+            rho = density_matrix(params, vacuum, vacuum, 2.1)
+            assert rho.x3 == pytest.approx(rho.x2, abs=1e-14)
 
     def test_arrays_run_one_sector_past_cutoff(self):
-        dist = _dist(0.1)
-        cache = build_factor_cache(dist, 0.8, 0.0, 1.0)
-        assert cache.probs.size == dist.n_max + 1
-        assert cache.stay.size == dist.n_max + 2
-
-    def test_resonant_cache_requires_zero_detuning(self):
-        with pytest.raises(ValueError):
-            build_factor_cache(_dist(0.1), 0.8, 1.0, 1.0, resonant=True)
+        # the excited branch of the top retained photon number lives one sector
+        # above the cutoff: a vacuum pair (cutoff 0) still transfers via sector 1
+        vacuum = _dist(0.0)
+        params = SystemParams(g=0.8, motion_enabled=False)
+        rho = density_matrix(params, vacuum, vacuum, 1.0)
+        assert rho.x1 == pytest.approx(math.sin(0.8) ** 2, abs=1e-15)
 
 
 def _reference_elements(params, dist_a, dist_b, t):
@@ -156,7 +255,7 @@ def _reference_elements(params, dist_a, dist_b, t):
     Only valid for delta >= 0 and g_eff > 0 (the arctan expression is singular
     otherwise); the production code handles those edges separately.
     """
-    g_eff = effective_coupling(params, t).g_eff
+    g_eff = effective_coupling(params, t)
     delta = params.delta
     assert g_eff > 0.0 and delta >= 0.0
 
@@ -222,22 +321,19 @@ class TestDensityMatrix:
     @pytest.mark.parametrize("mean", [0.1, 0.5])
     @pytest.mark.parametrize("gt", [0.3, 1.1, 2.7, 5.9])
     def test_resonant_path_matches_general_path(self, p, mean, gt):
+        # delta = 0, once a separate fast path, runs through the one kernel
         params = SystemParams(p=p)
         dist = _dist(mean)
-        general = density_matrix(params, dist, dist, gt)
-        fast = density_matrix_resonant(params, dist, dist, gt)
-        for name in ("x1", "x2", "x3", "x5", "x6"):
-            assert abs(getattr(general, name) - getattr(fast, name)) < 1e-12
-
-    def test_resonant_path_rejects_detuning(self):
-        with pytest.raises(ValueError):
-            density_matrix_resonant(SystemParams(delta=0.5), _dist(0.1), _dist(0.1), 1.0)
+        rho = density_matrix(params, dist, dist, gt)
+        reference = _reference_elements(params, dist, dist, gt)
+        for name, value in zip(("x1", "x2", "x3", "x5", "x6"), reference):
+            assert abs(getattr(rho, name) - value) < 1e-12
 
     @pytest.mark.parametrize("gt", np.linspace(0.1, 6.2, 13).tolist())
     def test_vacuum_elements_close_in_one_trig_function(self, gt):
         params = SystemParams()
-        rho = density_matrix_resonant(params, _dist(0.0), _dist(0.0), gt)
-        phase = effective_coupling(params, gt).g_eff * gt
+        rho = density_matrix(params, _dist(0.0), _dist(0.0), gt)
+        phase = effective_coupling(params, gt) * gt
         s2, c2 = math.sin(phase) ** 2, math.cos(phase) ** 2
         assert rho.x1 == pytest.approx(s2, abs=1e-12)
         assert rho.x2 == pytest.approx(0.5 * c2, abs=1e-12)
@@ -269,3 +365,122 @@ class TestDensityMatrix:
         analytic = density_matrix(params, dist, dist, gt).to_matrix()
         brute = oracle_density_matrix(params, dist, dist, gt).to_matrix()
         assert np.max(np.abs(analytic - brute)) < 1e-9
+
+
+_FIELDS = ("g_eff", "x1", "x2", "x3", "x5", "x6")
+_means = st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5])
+_times = st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=12)
+
+
+class TestStates:
+    @given(
+        p=st.integers(min_value=1, max_value=8),
+        kbar=_means,
+        lbar=_means,
+        delta=st.floats(min_value=-5.0, max_value=5.0),
+        motion=st.booleans(),
+        gt=_times,
+    )
+    def test_every_row_is_a_valid_state(self, p, kbar, lbar, delta, motion, gt):
+        grid = states(SystemParams(delta=delta, p=p, motion_enabled=motion),
+                      _dist(kbar), _dist(lbar), np.array(gt))
+        trace = grid.x1 + grid.x2 + grid.x5 + grid.x6
+        assert np.all(np.abs(trace - 1.0) <= 1e-11)
+        populations = np.stack((grid.x1, grid.x2, grid.x5, grid.x6))
+        assert np.all(populations >= -1e-15)
+        inner = 0.5 * (grid.x2 + grid.x5) - np.hypot(0.5 * (grid.x2 - grid.x5), np.abs(grid.x3))
+        assert np.all(inner >= -1e-12)
+
+    @given(
+        p=st.integers(min_value=1, max_value=8),
+        kbar=_means,
+        lbar=_means,
+        delta=st.floats(min_value=-5.0, max_value=5.0),
+        gt=_times,
+    )
+    def test_x_structure_under_exchange_of_the_cavities(self, p, kbar, lbar, delta, gt):
+        # relabelling the atoms swaps |ge> and |eg>: x2 <-> x5, x3 -> conj(x3);
+        # equal cavities are their own image, so x2 = x5 and x3 is real
+        params = SystemParams(delta=delta, p=p)
+        t = np.array(gt)
+        ab = states(params, _dist(kbar), _dist(lbar), t)
+        ba = states(params, _dist(lbar), _dist(kbar), t)
+        assert np.array_equal(ab.x1, ba.x1) and np.array_equal(ab.x6, ba.x6)
+        assert np.array_equal(ab.x2, ba.x5) and np.array_equal(ab.x5, ba.x2)
+        assert np.array_equal(ab.x3, np.conj(ba.x3))
+        if kbar == lbar:
+            assert np.array_equal(ab.x2, ab.x5) and np.all(ab.x3.imag == 0.0)
+
+    @given(p=st.integers(min_value=1, max_value=8), kbar=_means, lbar=_means, gt=_times)
+    def test_resonant_period_is_two_pi_over_p(self, p, kbar, lbar, gt):
+        params = SystemParams(p=p)
+        a, b = _dist(kbar), _dist(lbar)
+        t = np.array(gt)
+        now = states(params, a, b, t)
+        later = states(params, a, b, t + 2.0 * math.pi / p)
+        for name in _FIELDS[1:]:
+            assert np.max(np.abs(getattr(now, name) - getattr(later, name))) <= 1e-10
+
+    @given(
+        g=st.floats(min_value=0.05, max_value=20.0),
+        p=st.integers(min_value=1, max_value=8),
+        kbar=_means,
+        delta=st.floats(min_value=-5.0, max_value=5.0),
+        motion=st.booleans(),
+        gt=_times,
+    )
+    def test_g_only_rescales_the_clock(self, g, p, kbar, delta, motion, gt):
+        # at fixed delta/g the state depends on gt alone
+        dist = _dist(kbar)
+        gt = np.array(gt)
+        unit = states(SystemParams(delta=delta, p=p, motion_enabled=motion), dist, dist, gt)
+        scaled = states(SystemParams(g=g, delta=delta * g, p=p, motion_enabled=motion),
+                        dist, dist, gt / g)
+        assert np.allclose(scaled.g_eff, g * unit.g_eff, rtol=1e-12, atol=1e-15)
+        for name in _FIELDS[1:]:
+            assert np.max(np.abs(getattr(scaled, name) - getattr(unit, name))) <= 1e-12
+
+    def test_a_time_is_bit_identical_alone_in_a_grid_and_in_any_block(self, monkeypatch):
+        params = SystemParams(p=2, delta=0.7)
+        a, b = _dist(0.3), _dist(1.5)
+        count = b.n_max + 2
+        grid = np.linspace(0.0, 12.0, 2001)
+        reference = states(params, a, b, grid)
+        assert count * grid.size > dynamics._BLOCK_ELEMENTS  # several blocks
+        step = dynamics._BLOCK_ELEMENTS // count
+        picks = (0, 1, step - 1, step, 1000, 2000)
+        for budget in (1, 7 * count, dynamics._BLOCK_ELEMENTS):
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+            blocked = states(params, a, b, grid)
+            for name in _FIELDS:
+                assert np.array_equal(getattr(blocked, name), getattr(reference, name))
+            for i in picks:
+                alone = states(params, a, b, grid[i : i + 1])
+                for name in _FIELDS:
+                    assert getattr(alone, name)[0] == getattr(reference, name)[i]
+
+    def test_density_matrix_is_the_one_point_view(self):
+        params = SystemParams(delta=-0.4, p=3)
+        a, b = _dist(0.2), _dist(0.9)
+        grid = states(params, a, b, np.array([0.5, 2.25]))
+        assert density_matrix(params, a, b, 2.25) == grid.at(1)
+
+    def test_empty_grid(self):
+        grid = states(SystemParams(), _dist(0.1), _dist(0.1), np.array([]))
+        assert all(getattr(grid, name).size == 0 for name in _FIELDS)
+
+    @pytest.mark.parametrize("t", [[0.5, math.nan], [math.inf], [-1.0]])
+    def test_rejects_bad_times(self, t):
+        with pytest.raises(ValueError):
+            states(SystemParams(), _dist(0.1), _dist(0.1), np.array(t))
+        with pytest.raises(ValueError):
+            density_matrix(SystemParams(), _dist(0.1), _dist(0.1), t[-1])
+
+    def test_rejects_a_two_dimensional_grid(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            states(SystemParams(), _dist(0.1), _dist(0.1), np.zeros((2, 2)))
+
+    def test_trace_gate_names_the_first_failing_row(self):
+        coarse = ThermalDistribution(5.0, 3, 0.5)
+        with pytest.raises(TruncationError, match="trace is"):
+            states(SystemParams(), coarse, coarse, np.array([0.0, 1.0, 2.0]))

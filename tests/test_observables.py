@@ -14,7 +14,7 @@ from thermaljc import (
     SystemParams,
     ThermalDistribution,
     concurrence,
-    density_matrix_resonant,
+    density_matrix,
     effective_coupling,
     energy,
     epe_point,
@@ -130,7 +130,7 @@ class TestEpePoint:
         # motion off makes the accumulated phase exactly g*t
         params = SystemParams(motion_enabled=False)
         dist = ThermalDistribution.from_mean(0.0)
-        point = epe_point(density_matrix_resonant(params, dist, dist, gt), gt)
+        point = epe_point(density_matrix(params, dist, dist, gt), gt)
         assert point.concurrence == pytest.approx(expected[0], abs=1e-12)
         assert point.purity == pytest.approx(expected[1], abs=1e-12)
         assert point.energy == pytest.approx(expected[2], abs=1e-12)
@@ -141,8 +141,8 @@ class TestVacuumClosedForms:
     def test_observables_follow_the_accumulated_phase(self, gt):
         params = SystemParams()
         dist = ThermalDistribution.from_mean(0.0)
-        rho = density_matrix_resonant(params, dist, dist, gt)
-        phase = effective_coupling(params, gt).g_eff * gt
+        rho = density_matrix(params, dist, dist, gt)
+        phase = effective_coupling(params, gt) * gt
         s2, c2 = math.sin(phase) ** 2, math.cos(phase) ** 2
         assert concurrence(rho) == pytest.approx(c2, abs=1e-12)
         assert purity(rho) == pytest.approx(s2**2 + c2**2, abs=1e-12)

@@ -10,7 +10,7 @@ from thermaljc import (
     ThermalDistribution,
     TimeSeries,
     dead_intervals,
-    density_matrix_resonant,
+    density_matrix,
     epe_trajectory,
     scan,
     time_series,
@@ -60,9 +60,7 @@ class TestTimeSeries:
     def test_rows_match_single_point_evaluation(self, reference_series):
         s = reference_series
         i = 733
-        rho = density_matrix_resonant(
-            SystemParams(), _dist(0.1), _dist(0.1), float(s.gt[i])
-        )
+        rho = density_matrix(SystemParams(), _dist(0.1), _dist(0.1), float(s.gt[i]))
         assert s.x1[i] == rho.x1
         assert s.x3[i] == rho.x3
         assert s.x6[i] == rho.x6
