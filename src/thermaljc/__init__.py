@@ -25,7 +25,7 @@ from .dynamics import (
     effective_coupling,
     states,
 )
-from .observables import EpePoint, concurrence, energy, epe_point, purity
+from .observables import concurrence, energy, purity
 from .oracle import (
     ORACLE_TOL,
     JointDensity,
@@ -47,7 +47,6 @@ from .sweep import (
     SweepReport,
     TimeSeries,
     dead_intervals,
-    epe_trajectory,
     scan,
     time_series,
     verified_period,
@@ -59,7 +58,6 @@ __all__ = [
     "AtomicDensityMatrix",
     "DEAD_THRESHOLD",
     "DEFAULT_EPSILON_TAIL",
-    "EpePoint",
     "JointDensity",
     "ORACLE_TOL",
     "SweepReport",
@@ -74,8 +72,6 @@ __all__ = [
     "density_matrix",
     "effective_coupling",
     "energy",
-    "epe_point",
-    "epe_trajectory",
     "evolve_bell_branch",
     "evolve_branch",
     "evolve_product_branch",

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,9 +25,9 @@ from .core import (
     ThermalDistribution,
     TruncationError,
 )
-from .oracle import ORACLE_TOL, max_route_deviation, validation_grid
+from .oracle import ORACLE_TOL, ValidationResult, max_route_deviation, validation_grid
 from .svgplot import render_plot
-from .sweep import SweepReport, scan, time_series
+from .sweep import scan, time_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,18 +95,22 @@ def _parse_format(text: str) -> str:
     return value
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = tuple(_parse_int(part) for part in text.split(",") if part.strip())
-    if not items:
-        raise ValueError(f"expected a comma-separated list, got {text!r}")
-    return items
+def _parse_projection(text: str) -> str:
+    if text not in PROJECTIONS:
+        raise ValueError(
+            f"unknown projection {text!r}; choose from {', '.join(sorted(PROJECTIONS))}"
+        )
+    return text
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = tuple(_parse_float(part) for part in text.split(",") if part.strip())
-    if not items:
-        raise ValueError(f"expected a comma-separated list, got {text!r}")
-    return items
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse_list(text: str) -> tuple:
+        items = tuple(parse(part) for part in text.split(",") if part.strip())
+        if not items:
+            raise ValueError(f"expected a comma-separated list, got {text!r}")
+        return items
+
+    return parse_list
 
 
 def _parse_columns(text: str) -> tuple[str, ...]:
@@ -143,63 +147,94 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-# key -> (parser for config-file strings, default or callable default)
-KeyTable = dict[str, tuple[Callable[[str], object], object]]
+# The one declaration of every setting of a subcommand: its flag (the key with
+# hyphens), its config-file key, and the parser both share.
+# key -> (parser of flag and config-file text, default or callable default, help)
+KeyTable = dict[str, tuple[Callable[[str], object], object, str]]
 
 _SINGLE_RUN_KEYS: KeyTable = {
-    "p": (_parse_int, 1),
-    "kbar": (_parse_float, 0.1),
-    "lbar": (_parse_float, None),
-    "delta": (_parse_float, 0.0),
-    "g": (_parse_float, 1.0),
-    "motion": (_parse_bool, True),
-    "gt_max": (_parse_float, 25.0),
-    "steps": (_parse_int, 2000),
-    "epsilon_tail": (_parse_float, _default_epsilon),
-    "format": (_parse_format, "csv"),
-    "output": (str, None),
-    "timestamp": (_parse_bool, True),
+    "p": (_parse_int, 1, "field-mode half-wavelength count"),
+    "kbar": (_parse_float, 0.1, "mean photons, cavity a"),
+    "lbar": (_parse_float, None, "mean photons, cavity b (default: kbar)"),
+    "delta": (_parse_float, 0.0, "atom-cavity detuning"),
+    "g": (_parse_float, 1.0, "coupling strength (time scale)"),
+    "motion": (_parse_bool, True, "atomic motion on/off (default: on)"),
+    "gt_max": (_parse_float, 25.0, "grid end in gt units"),
+    "steps": (_parse_int, 2000, "grid intervals (points = steps + 1)"),
+    "epsilon_tail": (_parse_float, _default_epsilon, "thermal tail tolerance"),
+    "format": (_parse_format, "csv", "csv or json"),
+    "output": (str, None, "output file path"),
+    "timestamp": (_parse_bool, True, "omit the timestamp from JSON metadata"),
 }
 
 _SCAN_KEYS: KeyTable = {
     **_SINGLE_RUN_KEYS,
-    "p": (_parse_int_list, (1,)),
-    "kbar": (_parse_float_list, (0.1,)),
-    "lbar": (_parse_float_list, None),
-    "delta": (_parse_float_list, (0.0,)),
-    "window_lo": (_parse_float, 0.0),
+    "p": (_list_of(_parse_int), (1,), "comma list of p values"),
+    "kbar": (_list_of(_parse_float), (0.1,), "comma list of means, cavity a"),
+    "lbar": (_list_of(_parse_float), None, "comma list of means, cavity b"),
+    "delta": (_list_of(_parse_float), (0.0,), "comma list of detunings"),
+    "window_lo": (_parse_float, 0.0, "report extrema over gt >= this value only"),
 }
 
 _VALIDATE_KEYS: KeyTable = {
-    "p": (_parse_int, None),
-    "kbar": (_parse_float, None),
-    "lbar": (_parse_float, None),
-    "delta": (_parse_float, None),
-    "g": (_parse_float, 1.0),
-    "motion": (_parse_bool, True),
-    "gt_max": (_parse_float, 25.0),
-    "times": (_parse_int, 50),
-    "epsilon_tail": (_parse_float, _default_epsilon),
+    "p": (_parse_int, None, "field-mode half-wavelength count (default: 1)"),
+    "kbar": (_parse_float, None, "mean photons, cavity a (default: 0.1)"),
+    "lbar": (_parse_float, None, "mean photons, cavity b (default: kbar)"),
+    "delta": (_parse_float, None, "atom-cavity detuning (default: 0)"),
+    **{key: _SINGLE_RUN_KEYS[key] for key in ("g", "motion", "gt_max")},
+    "times": (_parse_int, 50, "number of sampled time points"),
+    "epsilon_tail": _SINGLE_RUN_KEYS["epsilon_tail"],
 }
 
 _PLOT_KEYS: KeyTable = {
-    "input": (str, None),
-    "output": (str, None),
-    "columns": (_parse_columns, None),
-    "projection": (str, None),
-    "title": (str, ""),
+    "input": (str, None, "CSV file to read"),
+    "output": (str, None, "SVG file to write"),
+    "columns": (_parse_columns, None, "comma list of columns to draw against gt "
+                "(default: concurrence,purity,energy)"),
+    "projection": (_parse_projection, None, "draw one planar trajectory "
+                   f"projection instead: {' or '.join(sorted(PROJECTIONS))}"),
+    "title": (str, "", "plot title"),
 }
+
+
+def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """Let a flag report the same reason a config-file value gets."""
+
+    def flag_type(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_type
+
+
+def _add_flags(parser: argparse.ArgumentParser, keys: KeyTable) -> None:
+    for key, (parse, _, help_text) in keys.items():
+        if key == "timestamp":
+            parser.add_argument("--no-timestamp", action="store_const", const=False,
+                                dest=key, help=help_text)
+        elif parse is _parse_bool:
+            parser.add_argument(f"--{key}", action=argparse.BooleanOptionalAction,
+                                help=help_text)
+        else:
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                                type=_flag_type(parse), help=help_text)
+    parser.add_argument(
+        "--config", metavar="FILE",
+        help="key=value file supplying any flag of this subcommand",
+    )
 
 
 def _resolve(args: argparse.Namespace, keys: KeyTable) -> dict[str, object]:
     """Merge flag > config-file > default (env feeds the epsilon default)."""
-    config = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    config = _parse_config_file(args.config) if args.config else {}
     unknown = sorted(set(config) - set(keys))
     if unknown:
         raise UsageError(f"config keys not accepted here: {', '.join(unknown)}")
     resolved: dict[str, object] = {}
-    for key, (parse, default) in keys.items():
-        flag_value = getattr(args, key, None)
+    for key, (parse, default, _) in keys.items():
+        flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
@@ -213,11 +248,14 @@ def _resolve(args: argparse.Namespace, keys: KeyTable) -> dict[str, object]:
 
 
 def _build_problem(
-    p: int, kbar: float, lbar: float, delta: float, g: float, motion: bool,
-    epsilon_tail: float,
+    resolved: dict[str, object], p: int, kbar: float, lbar: float, delta: float
 ) -> tuple[SystemParams, ThermalDistribution, ThermalDistribution]:
+    """One configuration; g, motion and the tail tolerance come from ``resolved``."""
+    epsilon_tail = resolved["epsilon_tail"]
     try:
-        params = SystemParams(g=g, delta=delta, p=p, motion_enabled=motion)
+        params = SystemParams(
+            g=resolved["g"], delta=delta, p=p, motion_enabled=resolved["motion"]
+        )
         dist_a = ThermalDistribution.from_mean(kbar, epsilon_tail)
         dist_b = (
             dist_a if lbar == kbar else ThermalDistribution.from_mean(lbar, epsilon_tail)
@@ -225,10 +263,6 @@ def _build_problem(
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return params, dist_a, dist_b
-
-
-def _format_value(value: float) -> str:
-    return repr(float(value))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -239,11 +273,8 @@ def _write_text(path: str, text: str) -> None:
 def _metadata(subcommand: str, resolved: dict[str, object]) -> dict[str, object]:
     meta: dict[str, object] = {"subcommand": subcommand}
     for key, value in resolved.items():
-        if key in ("output", "format", "timestamp"):
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        meta[key] = value
+        if key not in ("output", "format", "timestamp"):
+            meta[key] = value
     if resolved.get("timestamp", True):
         meta["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
@@ -283,14 +314,16 @@ def _require_output(resolved: dict[str, object]) -> str:
     return str(output)
 
 
-def _run_timeseries(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _SINGLE_RUN_KEYS)
+_SERIES_HEADERS = {"timeseries": TIMESERIES_HEADER, "epe": EPE_HEADER}
+
+
+def _run_series(command: str, resolved: dict[str, object]) -> int:
+    """timeseries and epe: one grid run, written as the columns of the header."""
     if resolved["lbar"] is None:
         resolved["lbar"] = resolved["kbar"]
     output = _require_output(resolved)
     params, dist_a, dist_b = _build_problem(
-        resolved["p"], resolved["kbar"], resolved["lbar"], resolved["delta"],
-        resolved["g"], resolved["motion"], resolved["epsilon_tail"],
+        resolved, resolved["p"], resolved["kbar"], resolved["lbar"], resolved["delta"]
     )
     try:
         series = time_series(
@@ -298,45 +331,13 @@ def _run_timeseries(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    header = _SERIES_HEADERS[command]
+    x3_parts = {"x3_re": series.x3.real, "x3_im": series.x3.imag}
     columns = {
-        "gt": series.gt,
-        "g_eff": series.g_eff,
-        "x1": series.x1,
-        "x2": series.x2,
-        "x3_re": series.x3.real,
-        "x3_im": series.x3.imag,
-        "x5": series.x5,
-        "x6": series.x6,
-        "concurrence": series.concurrence,
-        "purity": series.purity,
-        "energy": series.energy,
+        name: x3_parts[name] if name in x3_parts else getattr(series, name)
+        for name in header.split(",")
     }
-    _write_columns(output, resolved, "timeseries", TIMESERIES_HEADER, columns)
-    return EXIT_OK
-
-
-def _run_epe(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _SINGLE_RUN_KEYS)
-    if resolved["lbar"] is None:
-        resolved["lbar"] = resolved["kbar"]
-    output = _require_output(resolved)
-    params, dist_a, dist_b = _build_problem(
-        resolved["p"], resolved["kbar"], resolved["lbar"], resolved["delta"],
-        resolved["g"], resolved["motion"], resolved["epsilon_tail"],
-    )
-    try:
-        series = time_series(
-            params, dist_a, dist_b, resolved["gt_max"], resolved["steps"]
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    columns = {
-        "gt": series.gt,
-        "concurrence": series.concurrence,
-        "purity": series.purity,
-        "energy": series.energy,
-    }
-    _write_columns(output, resolved, "epe", EPE_HEADER, columns)
+    _write_columns(output, resolved, command, header, columns)
     return EXIT_OK
 
 
@@ -349,38 +350,22 @@ def _scan_configs(
         pairs = [(k, k) for k in kbars]
     else:
         pairs = [(k, l) for k in kbars for l in lbars]
-    configs = []
-    for p in resolved["p"]:
-        for kbar, lbar in pairs:
-            for delta in resolved["delta"]:
-                configs.append(
-                    _build_problem(
-                        p, kbar, lbar, delta, resolved["g"], resolved["motion"],
-                        resolved["epsilon_tail"],
-                    )
-                )
-    return configs
-
-
-def _report_row(report: SweepReport) -> list[str]:
     return [
-        repr(report.p),
-        _format_value(report.mean_a),
-        _format_value(report.mean_b),
-        _format_value(report.delta),
-        _format_value(report.max_concurrence),
-        _format_value(report.min_concurrence),
-        _format_value(report.max_purity),
-        _format_value(report.min_purity),
-        _format_value(report.max_energy),
-        _format_value(report.min_energy),
-        repr(len(report.dead_intervals)),
-        "" if report.period is None else _format_value(report.period),
+        _build_problem(resolved, p, kbar, lbar, delta)
+        for p in resolved["p"]
+        for kbar, lbar in pairs
+        for delta in resolved["delta"]
     ]
 
 
-def _run_scan(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _SCAN_KEYS)
+def _scan_cell(value: object) -> str:
+    """A scan CSV cell: dead intervals as their count, a missing period blank."""
+    if value is None:
+        return ""
+    return repr(len(value)) if isinstance(value, tuple) else repr(value)
+
+
+def _run_scan(command: str, resolved: dict[str, object]) -> int:
     output = _require_output(resolved)
     configs = _scan_configs(resolved)
     try:
@@ -389,76 +374,59 @@ def _run_scan(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    rows = [asdict(report) for report in reports]
     if resolved["format"] == "csv":
-        _write_text(
-            output, _csv_text(SCAN_HEADER, [_report_row(r) for r in reports])
-        )
+        text = _csv_text(SCAN_HEADER, (map(_scan_cell, row.values()) for row in rows))
     else:
-        payload = {
-            "reports": [
-                {
-                    "p": r.p,
-                    "kbar": r.mean_a,
-                    "lbar": r.mean_b,
-                    "delta": r.delta,
-                    "max_concurrence": r.max_concurrence,
-                    "min_concurrence": r.min_concurrence,
-                    "max_purity": r.max_purity,
-                    "min_purity": r.min_purity,
-                    "max_energy": r.max_energy,
-                    "min_energy": r.min_energy,
-                    "dead_intervals": [list(iv) for iv in r.dead_intervals],
-                    "period": r.period,
-                }
-                for r in reports
-            ]
-        }
-        _write_text(output, _json_text(_metadata("scan", resolved), payload))
+        text = _json_text(_metadata(command, resolved), {"reports": rows})
+    _write_text(output, text)
     return EXIT_OK
 
 
-def _run_validate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _VALIDATE_KEYS)
+def _validation_line(result: ValidationResult) -> str:
+    if result.failure is not None:
+        status = f"FAILED ({result.failure})"
+    else:
+        verdict = "ok" if result.ok() else "FAILED"
+        status = f"max_deviation={result.max_deviation:.3e} {verdict}"
+    return (
+        f"p={result.p} kbar={result.mean_a} lbar={result.mean_b} "
+        f"delta={result.delta} {status}"
+    )
+
+
+def _run_validate(command: str, resolved: dict[str, object]) -> int:
+    if resolved["times"] < 1:
+        raise UsageError(f"times must be >= 1, got {resolved['times']}")
+    if resolved["gt_max"] < 0.0:
+        raise UsageError(f"gt_max must be >= 0, got {resolved['gt_max']}")
     single = any(resolved[key] is not None for key in ("p", "kbar", "lbar", "delta"))
     if single:
         p = resolved["p"] if resolved["p"] is not None else 1
         kbar = resolved["kbar"] if resolved["kbar"] is not None else 0.1
         lbar = resolved["lbar"] if resolved["lbar"] is not None else kbar
         delta = resolved["delta"] if resolved["delta"] is not None else 0.0
-        params, dist_a, dist_b = _build_problem(
-            p, kbar, lbar, delta, resolved["g"], resolved["motion"],
-            resolved["epsilon_tail"],
-        )
+        params, dist_a, dist_b = _build_problem(resolved, p, kbar, lbar, delta)
         times = np.linspace(0.0, resolved["gt_max"], resolved["times"]) / resolved["g"]
         deviation = max_route_deviation(params, dist_a, dist_b, times)
-        ok = deviation <= ORACLE_TOL
-        print(
-            f"p={p} kbar={kbar} lbar={lbar} delta={delta} "
-            f"max_deviation={deviation:.3e} {'ok' if ok else 'FAILED'}"
-        )
-        return EXIT_OK if ok else EXIT_VALIDATION
-    results = validation_grid(
-        gt_max=resolved["gt_max"],
-        times=resolved["times"],
-        epsilon_tail=resolved["epsilon_tail"],
-        g=resolved["g"],
-        motion_enabled=resolved["motion"],
-    )
-    all_ok = True
+        results = [ValidationResult(p, kbar, lbar, delta, deviation)]
+    else:
+        try:
+            results = validation_grid(
+                gt_max=resolved["gt_max"],
+                times=resolved["times"],
+                epsilon_tail=resolved["epsilon_tail"],
+                g=resolved["g"],
+                motion_enabled=resolved["motion"],
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     for result in results:
-        if result.failure is not None:
-            line = f"FAILED ({result.failure})"
-        elif result.ok():
-            line = f"max_deviation={result.max_deviation:.3e} ok"
-        else:
-            line = f"max_deviation={result.max_deviation:.3e} FAILED"
-        print(
-            f"p={result.p} kbar={result.mean_a} lbar={result.mean_b} "
-            f"delta={result.delta} {line}"
-        )
-        all_ok = all_ok and result.ok()
-    print(f"validate: {'all configurations ok' if all_ok else 'FAILURES above'} "
-          f"(tolerance {ORACLE_TOL:g})")
+        print(_validation_line(result))
+    all_ok = all(result.ok() for result in results)
+    if not single:
+        print(f"validate: {'all configurations ok' if all_ok else 'FAILURES above'} "
+              f"(tolerance {ORACLE_TOL:g})")
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
@@ -491,152 +459,67 @@ def _read_csv(path: str) -> dict[str, np.ndarray]:
     return {name: np.asarray(values) for name, values in columns.items()}
 
 
-def _run_plot(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _PLOT_KEYS)
+def _run_plot(command: str, resolved: dict[str, object]) -> int:
     if not resolved["input"]:
         raise UsageError("--input is required")
     output = _require_output(resolved)
-    if resolved["projection"] is not None and resolved["columns"] is not None:
+    projection = resolved["projection"]
+    if projection is not None and resolved["columns"] is not None:
         raise UsageError("--projection and --columns are mutually exclusive")
-    data = _read_csv(str(resolved["input"]))
-    title = str(resolved["title"])
-    if resolved["projection"] is not None:
-        projection = str(resolved["projection"])
-        if projection not in PROJECTIONS:
-            raise UsageError(
-                f"unknown projection {projection!r}; choose from "
-                f"{', '.join(sorted(PROJECTIONS))}"
-            )
+    data = _read_csv(resolved["input"])
+    if projection is not None:
         x_name, y_name = PROJECTIONS[projection]
-        for name in (x_name, y_name):
-            if name not in data:
-                raise UsageError(f"input has no column {name!r}")
-        curves = [(y_name, data[x_name], data[y_name])]
-        svg = render_plot(curves, x_name, y_name, title)
+        names: tuple[str, ...] = (y_name,)
     else:
-        columns = resolved["columns"] or ("concurrence", "purity", "energy")
-        if "gt" not in data:
-            raise UsageError("input has no column 'gt'")
-        missing = [name for name in columns if name not in data]
-        if missing:
-            raise UsageError(f"input has no column {missing[0]!r}")
-        curves = [(name, data["gt"], data[name]) for name in columns]
-        svg = render_plot(curves, "gt", " / ".join(columns), title)
-    _write_text(output, svg)
+        x_name, names = "gt", resolved["columns"] or ("concurrence", "purity", "energy")
+    missing = [name for name in (x_name, *names) if name not in data]
+    if missing:
+        raise UsageError(f"input has no column {missing[0]!r}")
+    curves = [(name, data[x_name], data[name]) for name in names]
+    _write_text(output, render_plot(curves, x_name, " / ".join(names), resolved["title"]))
     return EXIT_OK
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config", metavar="FILE",
-        help="key=value file supplying any flag of this subcommand",
-    )
-
-
-def _add_single_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=_parse_int, help="field-mode half-wavelength count")
-    parser.add_argument("--kbar", type=_parse_float, help="mean photons, cavity a")
-    parser.add_argument("--lbar", type=_parse_float, help="mean photons, cavity b (default: kbar)")
-    parser.add_argument("--delta", type=_parse_float, help="atom-cavity detuning")
-    parser.add_argument("--g", type=_parse_float, help="coupling strength (time scale)")
-    parser.add_argument("--motion", action=argparse.BooleanOptionalAction, default=None,
-                        help="atomic motion on/off (default: on)")
-    parser.add_argument("--gt-max", type=_parse_float, dest="gt_max", help="grid end in gt units")
-    parser.add_argument("--steps", type=_parse_int, help="grid intervals (points = steps + 1)")
-    parser.add_argument("--epsilon-tail", type=_parse_float, dest="epsilon_tail",
-                        help="thermal tail tolerance")
-    parser.add_argument("--format", type=_parse_format, help="csv or json")
-    parser.add_argument("--output", help="output file path")
-    parser.add_argument("--no-timestamp", action="store_const", const=False,
-                        dest="timestamp", default=None,
-                        help="omit the timestamp from JSON metadata")
-    _add_config_flag(parser)
+# subcommand -> (runner, key table, help)
+_SUBCOMMANDS: dict[str, tuple[Callable[[str, dict], int], KeyTable, str]] = {
+    "timeseries": (
+        _run_series, _SINGLE_RUN_KEYS,
+        "state elements and observables on a uniform gt grid",
+    ),
+    "epe": (
+        _run_series, _SINGLE_RUN_KEYS,
+        "concurrence-purity-energy trajectory on a uniform gt grid",
+    ),
+    "scan": (
+        _run_scan, _SCAN_KEYS,
+        "summaries over a grid of configurations (comma lists crossed; "
+        "omitted --lbar mirrors each --kbar value)",
+    ),
+    "validate": (
+        _run_validate, _VALIDATE_KEYS,
+        "compare the closed form against the brute-force route "
+        "(default grid, or one configuration if any of --p/--kbar/--lbar/--delta is given)",
+    ),
+    "plot": (
+        _run_plot, _PLOT_KEYS,
+        "render an SVG from a CSV produced by this tool",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    ts = commands.add_parser(
-        "timeseries", allow_abbrev=False,
-        help="state elements and observables on a uniform gt grid",
-    )
-    _add_single_run_flags(ts)
-
-    epe = commands.add_parser(
-        "epe", allow_abbrev=False,
-        help="concurrence-purity-energy trajectory on a uniform gt grid",
-    )
-    _add_single_run_flags(epe)
-
-    sc = commands.add_parser(
-        "scan", allow_abbrev=False,
-        help="summaries over a grid of configurations (comma lists crossed; "
-        "omitted --lbar mirrors each --kbar value)",
-    )
-    sc.add_argument("--p", type=_parse_int_list, help="comma list of p values")
-    sc.add_argument("--kbar", type=_parse_float_list, help="comma list of means, cavity a")
-    sc.add_argument("--lbar", type=_parse_float_list, help="comma list of means, cavity b")
-    sc.add_argument("--delta", type=_parse_float_list, help="comma list of detunings")
-    sc.add_argument("--g", type=_parse_float)
-    sc.add_argument("--motion", action=argparse.BooleanOptionalAction, default=None)
-    sc.add_argument("--gt-max", type=_parse_float, dest="gt_max")
-    sc.add_argument("--steps", type=_parse_int)
-    sc.add_argument("--epsilon-tail", type=_parse_float, dest="epsilon_tail")
-    sc.add_argument("--window-lo", type=_parse_float, dest="window_lo",
-                    help="report extrema over gt >= this value only")
-    sc.add_argument("--format", type=_parse_format)
-    sc.add_argument("--output")
-    sc.add_argument("--no-timestamp", action="store_const", const=False,
-                    dest="timestamp", default=None)
-    _add_config_flag(sc)
-
-    va = commands.add_parser(
-        "validate", allow_abbrev=False,
-        help="compare the closed form against the brute-force route "
-        "(default grid, or one configuration if any of --p/--kbar/--lbar/--delta is given)",
-    )
-    va.add_argument("--p", type=_parse_int)
-    va.add_argument("--kbar", type=_parse_float)
-    va.add_argument("--lbar", type=_parse_float)
-    va.add_argument("--delta", type=_parse_float)
-    va.add_argument("--g", type=_parse_float)
-    va.add_argument("--motion", action=argparse.BooleanOptionalAction, default=None)
-    va.add_argument("--gt-max", type=_parse_float, dest="gt_max")
-    va.add_argument("--times", type=_parse_int, help="number of sampled time points")
-    va.add_argument("--epsilon-tail", type=_parse_float, dest="epsilon_tail")
-    _add_config_flag(va)
-
-    pl = commands.add_parser(
-        "plot", allow_abbrev=False,
-        help="render an SVG from a CSV produced by this tool",
-    )
-    pl.add_argument("--input", help="CSV file to read")
-    pl.add_argument("--output", help="SVG file to write")
-    pl.add_argument("--columns", type=_parse_columns,
-                    help="comma list of columns to draw against gt "
-                    "(default: concurrence,purity,energy)")
-    pl.add_argument("--projection", choices=sorted(PROJECTIONS),
-                    help="draw one planar trajectory projection instead")
-    pl.add_argument("--title", help="plot title")
-    _add_config_flag(pl)
-
+    for name, (_, keys, help_text) in _SUBCOMMANDS.items():
+        _add_flags(commands.add_parser(name, allow_abbrev=False, help=help_text), keys)
     return parser
-
-
-_RUNNERS = {
-    "timeseries": _run_timeseries,
-    "epe": _run_epe,
-    "scan": _run_scan,
-    "validate": _run_validate,
-    "plot": _run_plot,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _RUNNERS[args.command](args)
+        runner, keys, _ = _SUBCOMMANDS[args.command]
+        return runner(args.command, _resolve(args, keys))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,9 @@ import numpy as np
 
 TRACE_TOL = 1e-9
 DEFAULT_EPSILON_TAIL = 1e-12
+# Largest number of photon sectors (n_max + 1) per cavity: 34 MB per float
+# array, enough for mean photon numbers up to about 1.5e5 at the default tail.
+MAX_SECTORS = 1 << 22
 
 
 class TruncationError(RuntimeError):
@@ -50,7 +53,9 @@ class SystemParams:
 
 
 def truncation_index(mean: float, epsilon: float) -> int:
-    """Smallest cutoff N whose geometric tail (mean/(mean+1))**(N+1) is <= epsilon."""
+    """Smallest cutoff N whose geometric tail (mean/(mean+1))**(N+1) is <= epsilon.
+
+    Raises ValueError when N + 1 would exceed ``MAX_SECTORS``."""
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"mean photon number must be finite and >= 0, got {mean}")
     if not 0.0 < epsilon < 1.0:
@@ -58,8 +63,15 @@ def truncation_index(mean: float, epsilon: float) -> int:
     if mean == 0.0:
         return 0
     ratio = mean / (mean + 1.0)
-    # log estimate, then exact discrete adjustment so boundary cases round right
-    n = max(0, math.ceil(math.log(epsilon) / math.log(ratio)) - 1)
+    # log estimate, then exact discrete adjustment so boundary cases round right;
+    # log1p stays nonzero where ratio rounds to 1
+    estimate = math.log(epsilon) / math.log1p(-1.0 / (mean + 1.0))
+    if estimate > MAX_SECTORS:
+        raise ValueError(
+            f"mean photon number {mean} needs more than the limit of {MAX_SECTORS} "
+            f"sectors for tail tolerance {epsilon:.3e}"
+        )
+    n = max(0, math.ceil(estimate) - 1)
     while ratio ** (n + 1) > epsilon:
         n += 1
     while n > 0 and ratio ** n <= epsilon:
@@ -88,6 +100,11 @@ class ThermalDistribution:
             raise ValueError(f"epsilon_tail must lie in (0, 1), got {self.epsilon_tail}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        if self.n_max >= MAX_SECTORS:
+            raise ValueError(
+                f"cutoff n_max={self.n_max} needs more than the limit of "
+                f"{MAX_SECTORS} sectors"
+            )
         tail = (self.mean_photons / (self.mean_photons + 1.0)) ** (self.n_max + 1)
         if tail > self.epsilon_tail:
             raise TruncationError(

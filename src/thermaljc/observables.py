@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import AtomicDensityMatrix
@@ -39,18 +37,3 @@ def energy(rho: AtomicDensityMatrix | XStates) -> float | np.ndarray:
     splitting).  Zero for the initial one-excitation Bell state; -1 and +1 are
     reached only by |gg> and |ee>."""
     return rho.x6 - rho.x1
-
-
-@dataclass(frozen=True)
-class EpePoint:
-    """One sample of the entanglement-purity-energy trajectory."""
-
-    gt: float
-    concurrence: float
-    purity: float
-    energy: float
-
-
-def epe_point(rho: AtomicDensityMatrix, gt: float) -> EpePoint:
-    """Bundle the three observables of ``rho`` at dimensionless time ``gt``."""
-    return EpePoint(gt, concurrence(rho), purity(rho), energy(rho))

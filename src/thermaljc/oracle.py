@@ -11,7 +11,7 @@ algebra rather than restating it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -370,13 +370,19 @@ def validation_grid(
     g: float = 1.0,
     motion_enabled: bool = True,
 ) -> list[ValidationResult]:
-    """Run the default cross-validation grid and report one result per setting."""
+    """Run the default cross-validation grid and report one result per setting.
+
+    A bad ``times`` or ``g`` raises ValueError before any comparison runs; a
+    setting that fails on its own is reported as a failed result."""
+    if times < 1:
+        raise ValueError(f"times must be >= 1, got {times}")
+    base = SystemParams(g=g, motion_enabled=motion_enabled)
     sample_times = np.linspace(0.0, gt_max, times) / g
     results = []
     for p in DEFAULT_GRID_P:
         for mean in DEFAULT_GRID_MEANS:
             for delta in DEFAULT_GRID_DELTAS:
-                params = SystemParams(g=g, delta=delta, p=p, motion_enabled=motion_enabled)
+                params = replace(base, delta=delta, p=p)
                 try:
                     dist = ThermalDistribution.from_mean(mean, epsilon_tail)
                     deviation = max_route_deviation(params, dist, dist, sample_times)

@@ -1,6 +1,6 @@
-"""Time-series generation, parameter scans, and entanglement-purity-energy
-trajectories, with derived summaries: windowed extrema, zero-concurrence
-(sudden-death) intervals, and verified oscillation periods."""
+"""Time-series generation and parameter scans, with derived summaries:
+windowed extrema, zero-concurrence (sudden-death) intervals, and verified
+oscillation periods."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import SystemParams, ThermalDistribution
 from .dynamics import states
-from .observables import EpePoint, concurrence, energy, purity
+from .observables import concurrence, energy, purity
 
 DEAD_THRESHOLD = 1e-6
 PERIOD_TOL = 1e-10
@@ -62,23 +62,6 @@ def time_series(
     gt = np.linspace(0.0, gt_max, steps + 1)
     grid = states(params, dist_a, dist_b, gt / params.g)
     return TimeSeries(gt, *grid, concurrence(grid), purity(grid), energy(grid))
-
-
-def epe_trajectory(
-    params: SystemParams,
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
-    gt_max: float,
-    steps: int,
-) -> list[EpePoint]:
-    """Concurrence-purity-energy samples along the same grid as time_series."""
-    series = time_series(params, dist_a, dist_b, gt_max, steps)
-    return [
-        EpePoint(float(g), float(c), float(p), float(u))
-        for g, c, p, u in zip(
-            series.gt, series.concurrence, series.purity, series.energy
-        )
-    ]
 
 
 def dead_intervals(
@@ -138,8 +121,8 @@ class SweepReport:
     sudden-death episodes, and the verified period (None if not periodic)."""
 
     p: int
-    mean_a: float
-    mean_b: float
+    kbar: float
+    lbar: float
     delta: float
     max_concurrence: float
     min_concurrence: float
@@ -175,8 +158,8 @@ def scan(
         reports.append(
             SweepReport(
                 p=params.p,
-                mean_a=dist_a.mean_photons,
-                mean_b=dist_b.mean_photons,
+                kbar=dist_a.mean_photons,
+                lbar=dist_b.mean_photons,
                 delta=params.delta,
                 max_concurrence=float(np.max(series.concurrence[sel])),
                 min_concurrence=float(np.min(series.concurrence[sel])),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from thermaljc.cli import (
     TIMESERIES_HEADER,
     main,
 )
+from thermaljc.core import MAX_SECTORS
 
 TS_FLAGS = [
     "--p", "1", "--kbar", "0.1", "--lbar", "0.1", "--delta", "0",
@@ -192,6 +194,40 @@ class TestValidate:
         assert rc == 3
         assert "validation failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--times", "0"], "times must be >= 1, got 0"),  # compared nothing
+            (["--times", "-5"], "times must be >= 1, got -5"),
+            (["--kbar", "0.1", "--times", "0"], "times must be >= 1, got 0"),
+            (["--g", "0", "--times", "3"], "coupling strength g"),  # grid mode
+            (["--gt-max", "-1", "--times", "3"], "gt_max must be >= 0, got -1.0"),
+            (["--kbar", "0.1", "--gt-max", "-1"], "gt_max must be >= 0, got -1.0"),
+        ],
+    )
+    def test_vacuous_or_invalid_grid_is_a_usage_error(self, capsys, flags, reason):
+        assert main(["validate", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert reason in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("subcommand", ["validate", "timeseries"])
+    def test_huge_mean_photon_number_is_refused_before_allocating(
+        self, tmp_path, capsys, subcommand
+    ):
+        # kbar 1e9 would certify 2.8e10 sectors, hundreds of GiB per array
+        output = [] if subcommand == "validate" else ["--output", str(tmp_path / "x.csv")]
+        tracemalloc.start()
+        try:
+            rc = main([subcommand, "--kbar", "1e9", *output])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert f"limit of {MAX_SECTORS} sectors" in capsys.readouterr().err
+        assert peak < 16 * 2**20
+
 
 class TestConfigFileAndEnvironment:
     def test_environment_supplies_the_default_tail(self, monkeypatch, tmp_path):
@@ -259,6 +295,76 @@ class TestConfigFileAndEnvironment:
                      "--output", str(tmp_path / "x.csv")]) == 1
         assert "config key steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key, value, reason",
+        [
+            (["timeseries"], "kbar", "nan", "expected a finite number, got 'nan'"),
+            (["timeseries"], "steps", "abc", "expected an integer, got 'abc'"),
+            (["scan"], "p", "1,x", "expected an integer, got 'x'"),
+            (["scan"], "kbar", ",", "expected a comma-separated list, got ','"),
+            (["timeseries"], "format", "xml", "format must be csv or json, got 'xml'"),
+        ],
+    )
+    def test_flag_gives_the_config_file_reason(
+        self, tmp_path, capsys, argv, key, value, reason
+    ):
+        output = ["--output", str(tmp_path / "x.out")]
+        assert main([*argv, f"--{key}", value, *output]) == 1
+        assert capsys.readouterr().err == f"usage error: argument --{key}: {reason}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert main([*argv, "--config", str(cfg), *output]) == 1
+        assert capsys.readouterr().err == f"usage error: config key {key}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            pytest.param(
+                ["scan", "--p", "1,4", "--kbar", "0.1,0.5", "--lbar", "0.2",
+                 "--delta", "0,1", "--window-lo", "0.5", "--gt-max", "10",
+                 "--steps", "100", "--format", "json", "--no-timestamp"],
+                "p = 1,4\nkbar=0.1, 0.5\nlbar=0.2\ndelta=0,1\nwindow-lo=0.5\n"
+                "gt_max=10\nsteps=100\nformat=json\ntimestamp=false\n",
+                id="scan",
+            ),
+            pytest.param(
+                ["validate", "--kbar", "0.1", "--lbar", "0.2", "--delta", "1",
+                 "--times", "4", "--gt-max", "3"],
+                "kbar=0.1\nlbar=0.2\ndelta=1\ntimes=4\ngt-max=3\n",
+                id="validate-single",
+            ),
+            pytest.param(
+                ["validate", "--times", "3", "--gt-max", "2", "--no-motion"],
+                "times=3\ngt-max=2\nmotion=off\n",
+                id="validate-grid",
+            ),
+            pytest.param(
+                ["plot", "--projection", "c-vs-u", "--title", "C against U"],
+                "projection = c-vs-u\ntitle = C against U\n",
+                id="plot",
+            ),
+        ],
+    )
+    def test_config_file_matches_flags(
+        self, tmp_path, capsys, sample_csv, flags, config
+    ):
+        subcommand = flags[0]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        extra = ["--input", str(sample_csv)] if subcommand == "plot" else []
+        runs = []
+        for name, args in (("flags", flags[1:]), ("config", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.out"
+            output = [] if subcommand == "validate" else ["--output", str(out)]
+            rc = main([subcommand, *args, *extra, *output])
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out, captured.err,
+                         out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1]
+        rc, stdout, _, written = runs[0]
+        assert rc == 0
+        assert (stdout if subcommand == "validate" else written)
+
 
 @pytest.fixture()
 def sample_csv(tmp_path):
@@ -307,6 +413,16 @@ class TestPlot:
     def test_missing_input_file_is_an_io_error(self, tmp_path):
         assert main(["plot", "--input", str(tmp_path / "absent.csv"),
                      "--output", str(tmp_path / "x.svg")]) == 2
+
+    def test_unknown_projection_is_refused_before_reading_input(self, tmp_path, capsys):
+        missing = ["--input", str(tmp_path / "absent.csv"),
+                   "--output", str(tmp_path / "x.svg")]
+        assert main(["plot", "--projection", "bogus", *missing]) == 1
+        assert "unknown projection 'bogus'" in capsys.readouterr().err
+        cfg = tmp_path / "plot.cfg"
+        cfg.write_text("projection=bogus\n")
+        assert main(["plot", "--config", str(cfg), *missing]) == 1
+        assert "config key projection: unknown projection" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content, lineno",

@@ -17,7 +17,7 @@ from thermaljc import (
     thermal_probability,
     truncation_index,
 )
-from thermaljc.core import check_x_states
+from thermaljc.core import MAX_SECTORS, check_x_states
 
 
 class TestSystemParams:
@@ -77,6 +77,15 @@ class TestTruncationIndex:
         with pytest.raises(ValueError):
             truncation_index(mean, eps)
 
+    @pytest.mark.parametrize("mean", [1.6e5, 1e9, 1e17, 1e300])
+    def test_refuses_cutoffs_beyond_the_sector_limit(self, mean):
+        # 1e17 and above round mean/(mean+1) to 1, which once divided by log(1)
+        with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
+            truncation_index(mean, DEFAULT_EPSILON_TAIL)
+
+    def test_largest_documented_mean_fits_the_limit(self):
+        assert truncation_index(1.5e5, DEFAULT_EPSILON_TAIL) + 1 <= MAX_SECTORS
+
     @given(
         mean=st.floats(min_value=1e-6, max_value=50.0),
         eps=st.floats(min_value=1e-15, max_value=0.5),
@@ -130,6 +139,14 @@ class TestThermalDistribution:
     def test_from_mean_names_a_non_finite_mean(self, mean):
         with pytest.raises(ValueError, match="mean photon number must be finite"):
             ThermalDistribution.from_mean(mean)
+
+    def test_cutoff_beyond_the_sector_limit_is_rejected(self):
+        # construction allocates nothing; only probabilities() would
+        assert ThermalDistribution(0.5, MAX_SECTORS - 1).n_max == MAX_SECTORS - 1
+        with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
+            ThermalDistribution(0.5, MAX_SECTORS)
+        with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
+            ThermalDistribution.from_mean(1e9)
 
     def test_default_epsilon_tail(self):
         assert ThermalDistribution.from_mean(0.1).epsilon_tail == DEFAULT_EPSILON_TAIL

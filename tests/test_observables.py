@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from thermaljc import (
     AtomicDensityMatrix,
-    EpePoint,
     SystemParams,
     ThermalDistribution,
     concurrence,
     density_matrix,
     effective_coupling,
     energy,
-    epe_point,
     purity,
     time_series,
 )
@@ -113,11 +111,6 @@ class TestEnergy:
 
 
 class TestEpePoint:
-    def test_bundles_the_three_observables(self):
-        rho = _symmetric_state(0.01, 0.3 + 0j, 0.04)
-        point = epe_point(rho, 2.5)
-        assert point == EpePoint(2.5, concurrence(rho), purity(rho), energy(rho))
-
     @pytest.mark.parametrize(
         "gt, expected",
         [
@@ -130,10 +123,10 @@ class TestEpePoint:
         # motion off makes the accumulated phase exactly g*t
         params = SystemParams(motion_enabled=False)
         dist = ThermalDistribution.from_mean(0.0)
-        point = epe_point(density_matrix(params, dist, dist, gt), gt)
-        assert point.concurrence == pytest.approx(expected[0], abs=1e-12)
-        assert point.purity == pytest.approx(expected[1], abs=1e-12)
-        assert point.energy == pytest.approx(expected[2], abs=1e-12)
+        rho = density_matrix(params, dist, dist, gt)
+        assert concurrence(rho) == pytest.approx(expected[0], abs=1e-12)
+        assert purity(rho) == pytest.approx(expected[1], abs=1e-12)
+        assert energy(rho) == pytest.approx(expected[2], abs=1e-12)
 
 
 class TestVacuumClosedForms:

@@ -275,6 +275,11 @@ class TestRouteAgreement:
             for delta in (0.0, 1.0, 5.0)
         }
 
+    @pytest.mark.parametrize("kwargs", [{"times": 0}, {"times": -5}, {"g": 0.0}])
+    def test_validation_grid_rejects_a_vacuous_or_invalid_grid(self, kwargs):
+        with pytest.raises(ValueError):
+            validation_grid(gt_max=2.0, **{"times": 3, **kwargs})
+
     def test_validation_result_failure_handling(self):
         good = ValidationResult(1, 0.1, 0.1, 0.0, 1e-12)
         bad = ValidationResult(1, 0.1, 0.1, 0.0, 1e-6)

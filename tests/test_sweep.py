@@ -9,10 +9,13 @@ from thermaljc import (
     SystemParams,
     ThermalDistribution,
     TimeSeries,
+    concurrence,
     dead_intervals,
     density_matrix,
-    epe_trajectory,
+    energy,
+    purity,
     scan,
+    states,
     time_series,
     verified_period,
 )
@@ -87,14 +90,17 @@ class TestTimeSeries:
 class TestEpeTrajectory:
     def test_matches_time_series_columns(self):
         params = SystemParams()
-        points = epe_trajectory(params, _dist(0.1), _dist(0.1), 6.0, 120)
         series = time_series(params, _dist(0.1), _dist(0.1), 6.0, 120)
-        assert len(points) == 121
-        assert points[0].concurrence == pytest.approx(1.0, abs=1e-9)
-        assert points[0].purity == pytest.approx(1.0, abs=1e-9)
-        assert points[0].energy == pytest.approx(0.0, abs=1e-9)
-        assert [p.gt for p in points] == series.gt.tolist()
-        assert [p.energy for p in points] == series.energy.tolist()
+        assert len(series) == 121
+        assert series.concurrence[0] == pytest.approx(1.0, abs=1e-9)
+        assert series.purity[0] == pytest.approx(1.0, abs=1e-9)
+        assert series.energy[0] == pytest.approx(0.0, abs=1e-9)
+        assert series.gt.tolist() == np.linspace(0.0, 6.0, 121).tolist()
+        # the trajectory's columns are the observables of the one grid kernel
+        grid = states(params, _dist(0.1), _dist(0.1), series.gt / params.g)
+        assert series.concurrence.tolist() == concurrence(grid).tolist()
+        assert series.purity.tolist() == purity(grid).tolist()
+        assert series.energy.tolist() == energy(grid).tolist()
 
     def test_minimal_energy_along_reference_trajectory(self, reference_series):
         # frozen measured value; see the acceptance suite for the figure-level
@@ -188,7 +194,7 @@ class TestScan:
         ]
         reports = scan(configs, gt_max=10.0, steps=400)
         assert [r.p for r in reports] == [4, 1]
-        assert all(r.mean_a == 0.1 and r.mean_b == 0.1 for r in reports)
+        assert all(r.kbar == 0.1 and r.lbar == 0.1 for r in reports)
 
     def test_window_excludes_the_pinned_start(self):
         dist = _dist(0.1)
