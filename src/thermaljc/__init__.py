@@ -3,8 +3,9 @@ single-mode thermal cavity, with entanglement, purity, and energy tracking.
 
 The closed-form route (:mod:`thermaljc.dynamics`) evaluates the reduced
 two-atom X state through factorized thermal sums; the brute-force route
-(:mod:`thermaljc.oracle`) rebuilds the same state by explicit evolution and
-partial trace over a truncated Fock space, and exists to check the first.
+(:mod:`thermaljc.oracle`) rebuilds the same state by explicit evolution of each
+atom-cavity pair and a field trace over a truncated Fock space, and exists to
+check the first.
 :mod:`thermaljc.sweep` turns either into time series and parameter scans, and
 :mod:`thermaljc.cli` serializes results as CSV/JSON/SVG.
 """
@@ -30,15 +31,9 @@ from .oracle import (
     ORACLE_TOL,
     JointDensity,
     ValidationResult,
-    evolve_bell_branch,
-    evolve_branch,
-    evolve_product_branch,
-    evolve_sector,
-    evolve_subsystem,
     max_route_deviation,
     oracle_density_matrix,
     oracle_joint_density,
-    sector_propagator,
     validation_grid,
     wootters_concurrence_general,
 )
@@ -72,18 +67,12 @@ __all__ = [
     "density_matrix",
     "effective_coupling",
     "energy",
-    "evolve_bell_branch",
-    "evolve_branch",
-    "evolve_product_branch",
-    "evolve_sector",
-    "evolve_subsystem",
     "max_route_deviation",
     "mean_photons_from_temperature",
     "oracle_density_matrix",
     "oracle_joint_density",
     "purity",
     "scan",
-    "sector_propagator",
     "states",
     "thermal_probability",
     "time_series",

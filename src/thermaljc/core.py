@@ -13,6 +13,12 @@ DEFAULT_EPSILON_TAIL = 1e-12
 # Largest number of photon sectors (n_max + 1) per cavity: 34 MB per float
 # array, enough for mean photon numbers up to about 1.5e5 at the default tail.
 MAX_SECTORS = 1 << 22
+# Largest |delta| and the range of g accepted.  Sector frequencies are formed
+# as sqrt(delta**2 + (2*g'*sqrt(n))**2), whose squares underflow to 0 below
+# about 1e-154 and overflow above about 1e154.  Within these bounds the square
+# of the bare coupling stays normal and every sum stays finite for up to
+# MAX_SECTORS sectors.
+PARAM_LIMIT = 1e150
 
 
 class TruncationError(RuntimeError):
@@ -40,11 +46,18 @@ class SystemParams:
     omega_0: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.g < math.inf:
-            raise ValueError(f"coupling strength g must be positive and finite, got {self.g}")
-        for name in ("delta", "omega_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 1.0 / PARAM_LIMIT <= self.g <= PARAM_LIMIT:
+            raise ValueError(
+                f"coupling strength g must lie in [{1.0 / PARAM_LIMIT:g}, "
+                f"{PARAM_LIMIT:g}], got {self.g}"
+            )
+        if not abs(self.delta) <= PARAM_LIMIT:
+            raise ValueError(
+                f"detuning delta must lie in [-{PARAM_LIMIT:g}, {PARAM_LIMIT:g}], "
+                f"got {self.delta}"
+            )
+        if not math.isfinite(self.omega_c):
+            raise ValueError(f"omega_c must be finite, got {self.omega_c}")
         if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
             raise ValueError(f"mode parameter p must be an integer, got {self.p!r}")
         if self.p < 1:

@@ -212,6 +212,42 @@ class TestValidate:
         assert reason in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            # the original report: the routes disagreed (max_deviation 1.469e-01)
+            (["--g", "1e-300"], "coupling strength g must lie in [1e-150, 1e+150], got 1e-300"),
+            # a bogus "Fock truncation is too coarse"
+            (["--g", "1e-160"], "coupling strength g must lie in [1e-150, 1e+150], got 1e-160"),
+            # NaN populations
+            (["--g", "1e160"], "coupling strength g must lie in [1e-150, 1e+150], got 1e+160"),
+            (["--delta", "1e160"], "detuning delta must lie in [-1e+150, 1e+150], got 1e+160"),
+            (["--delta=-1e160"], "detuning delta must lie in [-1e+150, 1e+150], got -1e+160"),
+        ],
+    )
+    def test_g_and_delta_outside_their_range_are_usage_errors(self, capsys, flags, reason):
+        assert main(["validate", "--kbar", "0.1", "--times", "2", "--no-motion", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {reason}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags", [["--g", "1e-150"], ["--g", "1e150"], ["--delta", "1e150"], ["--delta=-1e150"]]
+    )
+    def test_range_ends_validate(self, capsys, flags):
+        assert main(["validate", "--kbar", "0.1", "--times", "5", "--no-motion", *flags]) == 0
+        assert capsys.readouterr().out.endswith(" ok\n")
+
+    def test_g_outside_its_range_is_a_usage_error_in_grid_mode_and_timeseries(
+        self, tmp_path, capsys
+    ):
+        assert main(["validate", "--g", "1e-300", "--times", "2"]) == 1
+        assert main(["timeseries", "--g", "1e160", "--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("usage error: coupling strength g must lie in") for line in err)
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("subcommand", ["validate", "timeseries"])
     def test_huge_mean_photon_number_is_refused_before_allocating(
         self, tmp_path, capsys, subcommand

@@ -53,6 +53,28 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, reason",
+        [
+            ({"g": 1e-300}, "coupling strength g must lie in [1e-150, 1e+150], got 1e-300"),
+            ({"g": 1e-151}, "coupling strength g must lie in [1e-150, 1e+150], got 1e-151"),
+            ({"g": 1e151}, "coupling strength g must lie in [1e-150, 1e+150], got 1e+151"),
+            ({"delta": 1e151}, "detuning delta must lie in [-1e+150, 1e+150], got 1e+151"),
+            ({"delta": -1e160}, "detuning delta must lie in [-1e+150, 1e+150], got -1e+160"),
+        ],
+    )
+    def test_rejects_g_and_delta_outside_their_range(self, kwargs, reason):
+        with pytest.raises(ValueError) as excinfo:
+            SystemParams(**kwargs)
+        assert str(excinfo.value) == reason
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"g": 1e-150}, {"g": 1e150}, {"delta": 1e150}, {"delta": -1e150}]
+    )
+    def test_accepts_the_ends_of_the_range(self, kwargs):
+        params = SystemParams(**kwargs)
+        assert getattr(params, next(iter(kwargs))) == next(iter(kwargs.values()))
+
     def test_accepts_numpy_integer_p(self):
         assert SystemParams(p=np.int64(3)).p == 3
 
