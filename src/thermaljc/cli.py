@@ -25,7 +25,13 @@ from .core import (
     ThermalDistribution,
     TruncationError,
 )
-from .oracle import ORACLE_TOL, ValidationResult, max_route_deviation, validation_grid
+from .oracle import (
+    ORACLE_TOL,
+    ValidationResult,
+    max_route_deviation,
+    validation_grid,
+    validation_times,
+)
 from .svgplot import render_plot
 from .sweep import scan, time_series
 
@@ -407,7 +413,10 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
         lbar = resolved["lbar"] if resolved["lbar"] is not None else kbar
         delta = resolved["delta"] if resolved["delta"] is not None else 0.0
         params, dist_a, dist_b = _build_problem(resolved, p, kbar, lbar, delta)
-        times = np.linspace(0.0, resolved["gt_max"], resolved["times"]) / resolved["g"]
+        try:
+            times = validation_times(resolved["gt_max"], resolved["times"], resolved["g"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         deviation = max_route_deviation(params, dist_a, dist_b, times)
         results = [ValidationResult(p, kbar, lbar, delta, deviation)]
     else:

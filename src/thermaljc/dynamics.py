@@ -4,12 +4,14 @@ factors, and factorized Fock sums for the two-atom X state.
 Each matrix element of the reduced state is a double thermal sum that
 factorizes into a product of one sum per cavity, so the cost per time point is
 linear in the Fock cutoff instead of quadratic.  A whole time grid is
-evaluated at once, as (times x sectors) arrays.
+evaluated at once, as (times x sectors) blocks spread over CPU threads.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import os
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,9 @@ from .core import (
 # for any grid length and cutoff while keeping numpy's per-call overhead small
 # next to the arithmetic.
 _BLOCK_ELEMENTS = 1 << 15
+# Widest slice of photon numbers in one block.  The slices depend on the cutoff
+# alone, so a time's sums accumulate in the same order in any grid.
+_SECTOR_BLOCK = 1 << 12
 
 
 def effective_coupling(
@@ -77,60 +82,62 @@ class XStates(NamedTuple):
         )
 
 
-def _sector_factors(
-    g_eff: np.ndarray, delta: float, t: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sector factors of sectors 0 .. count-1 at each time, as
-    (times x sectors) arrays.
+def _factors(ws: np.ndarray, g4: np.ndarray, half_t: np.ndarray, n: np.ndarray,
+             delta: float) -> None:
+    """Factors of the sectors ``n`` at each row's 4*g'^2 and t/2, written into
+    the workspace ``ws`` = (swap, s, w, c), each of shape (rows, n.size).
 
-    ``stay`` and ``swap`` partition the unit transition probability of a
-    sector: cos^2(l*t/2) + sin^2(l*t/2)*cos^2(2*theta) and
-    sin^2(l*t/2)*sin^2(2*theta), with l = lambda_n = sqrt(delta^2 + 4*g'^2*n).
-    ``amp`` = cos(l*t/2) + i*sin(l*t/2)*cos(2*theta) is the complex amplitude
-    of the non-transferring branch.  sin(2*theta) and cos(2*theta) are taken
-    through their exact algebraic forms -2*g'*sqrt(n)/l and delta/l, which
-    equal the arctan definition of the angle wherever it is finite and extend
-    it continuously to g' = 0.
+    With l = sqrt(delta^2 + 4*g'^2*n) and s, c = sin, cos(l*t/2), a sector
+    transfers with probability swap = s^2*sin^2(2*theta) and its other branch
+    has amplitude c + i*w, w = s*cos(2*theta).  The angle enters through its
+    exact forms sin^2(2*theta) = 4*g'^2*n/l^2 and cos(2*theta) = delta/l; at
+    n = 0, cos(2*theta) = sign(delta) gives the exact phase exp(i*delta*t/2).
+    When delta^2 is 0 every sector is resonant: sin^2(2*theta) = 1 where l > 0
+    (s = 0 where l = 0), and w, left unwritten, stands for 0.
     """
-    n = np.arange(count, dtype=float)
-    root = 2.0 * g_eff[:, None] * np.sqrt(n)
-    # sqrt of the sum of squares, not np.hypot, which costs as much as a cosine
-    lam = np.sqrt(delta * delta + root * root)
-    positive = lam > 0.0
-    inverse = 1.0 / np.where(positive, lam, 1.0)
-    # n = 0 is one dimensional: cos(2*theta) = sign(delta) reproduces its exact
-    # phase exp(i*delta*t/2).  Degenerate lam = 0 entries are inert and only
-    # need sin^2 + cos^2 = 1.
-    sin2t = np.where(positive, -root * inverse, np.where(n == 0, 0.0, -1.0))
-    cos2t = np.where(positive, delta * inverse, np.where(n == 0, 1.0, 0.0))
-    half = (0.5 * t)[:, None] * lam
-    c = np.cos(half)
-    s = np.sin(half)
-    swap = (s * sin2t) ** 2
-    stay = c * c + (s * cos2t) ** 2
-    amp = c + 1j * (s * cos2t)
-    return stay, swap, amp
+    swap, s, w, c = ws
+    np.multiply(g4[:, None], n, out=swap)
+    detuned = delta * delta > 0.0
+    if detuned:
+        np.add(swap, delta * delta, out=s)
+        np.divide(swap, s, out=swap)
+        np.sqrt(s, out=s)
+        np.divide(delta, s, out=w)
+    else:
+        np.sqrt(swap, out=s)
+        swap.fill(1.0)
+    np.multiply(s, half_t[:, None], out=s)
+    np.cos(s, out=c)
+    np.sin(s, out=s)
+    if detuned:
+        np.multiply(w, s, out=w)
+    np.multiply(s, s, out=s)
+    np.multiply(swap, s, out=swap)
 
 
-def _thermal_sums(
-    probs: np.ndarray, stay: np.ndarray, swap: np.ndarray, amp: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Thermal averages of the sector factors for one cavity, per time.
+def _spread(work: Callable[[int, int], None], blocks: int) -> None:
+    """Call ``work(k, workers)`` for each of min(CPUs in the affinity set,
+    blocks) workers: the caller is worker 0, the others run on threads.  A
+    worker's exception is raised here once all have ended."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = max(1, min(cpus, blocks))
+    errors: list[BaseException | None] = [None] * workers
 
-    Returns (stay_g, swap_g, stay_e, swap_e, coh): survival and transfer
-    weights of the ground and excited atomic branches plus the complex
-    coherence factor.  The excited branch of photon number n lives in sector
-    n + 1.  Each sum runs along the sector axis of one row, so its value does
-    not depend on how many rows the block holds.
-    """
-    k = probs.size
-    return (
-        np.sum(probs * stay[:, :k], axis=1),
-        np.sum(probs * swap[:, :k], axis=1),
-        np.sum(probs * stay[:, 1 : k + 1], axis=1),
-        np.sum(probs * swap[:, 1 : k + 1], axis=1),
-        np.sum(probs * amp[:, :k] * amp[:, 1 : k + 1], axis=1),
-    )
+    def run(k: int) -> None:
+        try:
+            work(k, workers)
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if any(errors):
+        raise next(exc for exc in errors if exc is not None)
 
 
 def states(
@@ -144,10 +151,15 @@ def states(
     The initial state is the symmetric Bell state of the atoms with each
     cavity in its own thermal mixture; the evolution uses the coupling frozen
     at its running average g'(t).  ``t`` holds times, not gt: divide gt by
-    ``params.g``.  The grid is evaluated in blocks of at most
-    ``_BLOCK_ELEMENTS`` sector factors, or of one time when a single time
-    needs more; a time's elements are bit-identical whichever grid or block
-    it is evaluated in.
+    ``params.g``.
+
+    Only ``swap`` and (c, w) of :func:`_factors` are formed per sector, and the
+    thermal sums are ``np.einsum`` reductions (survival = sum(P) - sum(P*swap)).
+    A block holds at most ``_BLOCK_ELEMENTS`` factors or, where one time needs
+    more, one time and ``_SECTOR_BLOCK`` photon numbers plus the sector after
+    them.  Block k goes to worker k mod W (see :func:`_spread`), each reusing
+    one workspace; ``taskset -c 0`` keeps the kernel to one thread.  A time's
+    elements are bit-identical in any grid, block or worker.
 
     Raises TruncationError when a trace misses 1 by more than TRACE_TOL (the
     Fock truncation is too coarse) and ValueError for any other row that is
@@ -157,26 +169,54 @@ def states(
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
     g_eff = effective_coupling(params, t)
-    same = dist_b == dist_a
-    probs_a = dist_a.probabilities()
-    probs_b = probs_a if same else dist_b.probabilities()
+    g4, half_t, delta = 4.0 * g_eff * g_eff, 0.5 * t, params.delta
+    probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
+    totals = [float(np.sum(p)) for p in probs]
     count = max(dist_a.n_max, dist_b.n_max) + 2
-    step = max(1, _BLOCK_ELEMENTS // count)
+    width = min(count - 1, _SECTOR_BLOCK)
+    step = max(1, min(t.size, _BLOCK_ELEMENTS // count)) if width == count - 1 else 1
+    starts = range(0, t.size, step)
     x1, x2, x5, x6 = (np.empty(t.size) for _ in range(4))
     x3 = np.empty(t.size, dtype=complex)
-    for lo in range(0, t.size, step):
-        rows = slice(lo, lo + step)
-        factors = _sector_factors(g_eff[rows], params.delta, t[rows], count)
-        ad, af, aa, ab, ac = _thermal_sums(probs_a, *factors)
-        bd, bf, ba, bb, bc = (ad, af, aa, ab, ac) if same else _thermal_sums(probs_b, *factors)
-        x1[rows] = 0.5 * (ab * bd + ad * bb)
-        x2[rows] = 0.5 * (ab * bf + ad * ba)
-        # x3 = ac * conj(bc) / 2 in real arithmetic, so that it is exactly real
-        # for equal cavities and exactly conjugated when the cavities swap
-        x3.real[rows] = 0.5 * (ac.real * bc.real + ac.imag * bc.imag)
-        x3.imag[rows] = 0.5 * (ac.imag * bc.real - ac.real * bc.imag)
-        x5[rows] = 0.5 * (aa * bd + af * bb)
-        x6[rows] = 0.5 * (aa * bf + af * ba)
+
+    def work(worker: int, workers: int) -> None:
+        ws = np.empty((4, step, width + 1))
+        # per cavity and row: sum(P*swap) over ground and excited sectors, then
+        # sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over sectors n, n + 1
+        sums, part = np.zeros((2, len(probs), 6, step))
+        for lo in starts[worker::workers]:
+            rows = slice(lo, min(lo + step, t.size))
+            r = rows.stop - lo
+            for k0 in range(0, count - 1, width):
+                cols = min(width, count - 1 - k0) + 1
+                swap, _, w, c = block = ws[:, :r, :cols]
+                n = np.arange(k0, k0 + cols, dtype=float)
+                _factors(block, g4[rows], half_t[rows], n, delta)
+                pairs = ((c, c), (w, w), (c, w), (w, c)) if delta * delta > 0.0 else ((c, c),)
+                for p, acc, new in zip(probs, sums[:, :, :r], part[:, :, :r]):
+                    m = max(0, min(p.size - k0, cols - 1))  # 0 past this cavity's cutoff
+                    out, pk = (new if k0 else acc), p[k0 : k0 + m]
+                    np.einsum("ij,j->i", swap[:, :m], pk, out=out[0])
+                    np.einsum("ij,j->i", swap[:, 1 : m + 1], pk, out=out[1])
+                    for total, (u, v) in zip(out[2:], pairs):
+                        np.einsum("ij,ij,j->i", u[:, :m], v[:, 1 : m + 1], pk, out=total)
+                    if k0:
+                        acc += new
+            sides = [
+                (total - sg, sg, total - se, se, cc - ww, cw + wc)
+                for total, (sg, se, cc, ww, cw, wc) in zip(totals, sums[:, :, :r])
+            ]
+            (ad, af, aa, ab, ar, ai), (bd, bf, ba, bb, br, bi) = sides[0], sides[-1]
+            x1[rows] = 0.5 * (ab * bd + ad * bb)
+            x2[rows] = 0.5 * (ab * bf + ad * ba)
+            # x3 = coh_a * conj(coh_b) / 2 in real arithmetic, so that it is exactly
+            # real for equal cavities and exactly conjugated when the cavities swap
+            x3.real[rows] = 0.5 * (ar * br + ai * bi)
+            x3.imag[rows] = 0.5 * (ai * br - ar * bi)
+            x5[rows] = 0.5 * (aa * bd + af * bb)
+            x6[rows] = 0.5 * (aa * bf + af * ba)
+
+    _spread(work, len(starts))
     trace = x1 + x2 + x5 + x6
     off = np.abs(trace - 1.0) > TRACE_TOL  # NaN passes here and fails check_x_states
     if off.any():

@@ -276,6 +276,19 @@ DEFAULT_GRID_MEANS = (0.0, 0.1, 0.5)
 DEFAULT_GRID_DELTAS = (0.0, 1.0, 5.0)
 
 
+def validation_times(gt_max: float, times: int, g: float) -> np.ndarray:
+    """``times`` equally spaced times t = gt/g with gt from 0 to ``gt_max``.
+
+    Raises ValueError when ``times`` < 1 or when gt_max/g overflows."""
+    if times < 1:
+        raise ValueError(f"times must be >= 1, got {times}")
+    with np.errstate(over="ignore"):
+        sample_times = np.linspace(0.0, gt_max, times) / g
+    if not np.isfinite(sample_times).all():
+        raise ValueError(f"gt_max/g = {gt_max:g}/{g:g} overflows to an infinite time")
+    return sample_times
+
+
 def validation_grid(
     gt_max: float = 25.0,
     times: int = 50,
@@ -285,12 +298,11 @@ def validation_grid(
 ) -> list[ValidationResult]:
     """Run the default cross-validation grid and report one result per setting.
 
-    A bad ``times`` or ``g`` raises ValueError before any comparison runs; a
-    setting that fails on its own is reported as a failed result."""
-    if times < 1:
-        raise ValueError(f"times must be >= 1, got {times}")
+    A bad ``times``, ``g`` or ``gt_max/g`` raises ValueError before any
+    comparison runs; a setting that fails on its own is reported as a failed
+    result."""
     base = SystemParams(g=g, motion_enabled=motion_enabled)
-    sample_times = np.linspace(0.0, gt_max, times) / g
+    sample_times = validation_times(gt_max, times, g)
     results = []
     for p in DEFAULT_GRID_P:
         for mean in DEFAULT_GRID_MEANS:

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import thermaljc
 from thermaljc.cli import (
     EPE_HEADER,
     SCAN_HEADER,
@@ -229,6 +233,14 @@ class TestValidate:
         assert main(["validate", "--kbar", "0.1", "--times", "2", "--no-motion", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"usage error: {reason}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", [["--kbar", "0.1"], []], ids=["single", "grid"])
+    def test_overflowing_time_grid_is_a_usage_error(self, capsys, mode):
+        # gt_max/g = 1e300/1e-150 overflows to inf; single mode used to crash
+        assert main(["validate", *mode, "--gt-max", "1e300", "--g", "1e-150", "--times", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: gt_max/g = 1e+300/1e-150 overflows to an infinite time\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -498,3 +510,19 @@ class TestExitCodes:
         rc = main(["timeseries", "--steps", "50", "--output", str(target)])
         assert rc == 2
         assert "io error" in capsys.readouterr().err
+
+
+def test_the_cli_imports_no_pool_module():
+    # the kernel's workers are plain threads: no executor or process pool adds
+    # its import time and memory to every run
+    code = (
+        "import sys, numpy, thermaljc.cli\n"
+        "thermaljc.states(thermaljc.SystemParams(delta=1.0), thermaljc.ThermalDistribution"
+        ".from_mean(5.0), thermaljc.ThermalDistribution.from_mean(0.5), numpy.linspace(0, 9, 999))\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    path = [os.path.dirname(os.path.dirname(thermaljc.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"

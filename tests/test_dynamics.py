@@ -10,6 +10,9 @@ sector 1 at coupling g'*sqrt(n).
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from thermaljc import (
     oracle_density_matrix,
     states,
 )
+from thermaljc.cli import main
 
 
 def _dist(mean):
@@ -484,3 +488,142 @@ class TestStates:
         coarse = ThermalDistribution(5.0, 3, 0.5)
         with pytest.raises(TruncationError, match="trace is"):
             states(SystemParams(), coarse, coarse, np.array([0.0, 1.0, 2.0]))
+
+
+def _wide_case():
+    # unequal cavities, detuned, n_max = 289 and 25: many 7-wide sector slices
+    return SystemParams(p=2, delta=0.8), _dist(10.0), _dist(0.5)
+
+
+def _fields(grid):
+    return [getattr(grid, name) for name in _FIELDS]
+
+
+def _set_cpus(monkeypatch, cpus):
+    # the kernel sizes its worker pool from the CPU affinity set
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+class _WorkerFailure(Exception):
+    pass
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, tmp_path, cpus):
+        params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
+        grid = np.linspace(0.0, 12.0, 2001)
+        reference = states(params, a, b, grid)
+        flags = ["--kbar", "5", "--lbar", "0.5", "--delta", "1", "--p", "2",
+                 "--gt-max", "20", "--steps", "2000", "--no-timestamp"]
+        outputs = {}
+        for fmt in ("csv", "json"):
+            outputs[fmt] = tmp_path / f"one.{fmt}"
+            assert main(["timeseries", *flags, "--format", fmt, "--output", str(outputs[fmt])]) == 0
+        blocks = -(-grid.size // (dynamics._BLOCK_ELEMENTS // (b.n_max + 2)))
+        workers = set()
+        factors = dynamics._factors
+
+        def recording(*args):
+            workers.add(threading.current_thread())
+            factors(*args)
+
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(dynamics, "_factors", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
+        try:
+            spread = states(params, a, b, grid)
+            assert len(workers) == min(cpus, blocks)
+            for fmt, path in outputs.items():
+                again = tmp_path / f"spread.{fmt}"
+                assert main(["timeseries", *flags, "--format", fmt, "--output", str(again)]) == 0
+                assert again.read_bytes() == path.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(_fields(spread), _fields(reference)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("in_caller", [False, True])
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, in_caller):
+        params, a, b = SystemParams(delta=0.7), _dist(0.3), _dist(1.5)
+        raised, workers, lock = [], set(), threading.Lock()
+        factors = dynamics._factors
+
+        def failing(*args):
+            thread = threading.current_thread()
+            with lock:
+                workers.add(thread)
+                fail = (thread is threading.main_thread()) == in_caller and not raised
+                if fail:
+                    raised.append(_WorkerFailure("block failed"))
+            if fail:
+                raise raised[0]
+            factors(*args)
+
+        _set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(dynamics, "_factors", failing)
+        with pytest.raises(_WorkerFailure) as excinfo:
+            states(params, a, b, np.linspace(0.0, 12.0, 2001))
+        assert excinfo.value is raised[0]
+        assert len(workers) == 3
+        assert not any(thread.is_alive() for thread in workers - {threading.main_thread()})
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_sector_blocks_match_one_block(self, monkeypatch, width):
+        params, a, b = _wide_case()
+        grid = np.linspace(0.0, 12.0, 31)
+        whole = states(params, a, b, grid)
+        monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", width)
+        sliced = states(params, a, b, grid)
+        for got, want in zip(_fields(sliced), _fields(whole)):
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_a_time_is_bit_identical_in_any_grid_block_and_worker(self, monkeypatch):
+        params, a, b = _wide_case()
+        monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", 7)
+        grid = np.linspace(0.0, 12.0, 40)
+        reference = states(params, a, b, grid)
+        count = a.n_max + 2
+        for budget, cpus in ((1, 1), (7 * count, 2), (dynamics._BLOCK_ELEMENTS, 3), (1, 64)):
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+            _set_cpus(monkeypatch, cpus)
+            for got, want in zip(_fields(states(params, a, b, grid)), _fields(reference)):
+                assert np.array_equal(got, want)
+            for i in (0, 1, 20, 39):
+                alone = states(params, a, b, grid[i : i + 1])
+                for got, want in zip(_fields(alone), _fields(reference)):
+                    assert got[0] == want[i]
+
+    @pytest.mark.parametrize("width", [1, 7])
+    @pytest.mark.parametrize("gt", [0.7, 2.9])
+    def test_coherence_pairs_sectors_across_a_block_boundary(self, monkeypatch, width, gt):
+        # with width 1 every pair (n, n + 1) straddles two slices
+        params, a, b = SystemParams(delta=0.8), _dist(2.0), _dist(0.3)
+        monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", width)
+        assert a.n_max > 8 * width
+        rho = density_matrix(params, a, b, gt)
+        x1, x2, x3, x5, x6 = _reference_elements(params, a, b, gt)
+        assert abs(rho.x3 - x3) < 1e-12 and abs(rho.x3.imag) > 1e-3
+        assert max(abs(rho.x1 - x1), abs(rho.x2 - x2), abs(rho.x5 - x5), abs(rho.x6 - x6)) < 1e-12
+
+    @pytest.mark.parametrize("times", [1, 8])
+    def test_memory_is_bounded_at_a_large_cutoff(self, monkeypatch, times):
+        # one time at kbar 1e4 (N = 276 324) used to peak at 33.6 MB, eight at 42.4 MB
+        dist = _dist(1e4)
+        params, grid = SystemParams(delta=1.0), np.linspace(0.3, 7.0, times)
+        peaks = {}
+        for cpus in (1, 2, 64):
+            _set_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                states(params, dist, dist, grid)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= 10_000_000
+        # the workspaces are small next to the O(N) probability vector
+        assert max(peaks.values()) - peaks[1] <= 1 << 20
