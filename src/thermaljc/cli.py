@@ -294,6 +294,13 @@ def _csv_text(header: str, rows: Iterable[Iterable[str]]) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
+# Rows per block of _write_columns: a CSV block of the 11 timeseries columns
+# holds about 0.4 MiB of Python floats and text, whatever the grid length.
+_WRITE_ROWS = 512
+# The C encoder with json.dumps' defaults, joining items as indent=2 does 3 deep.
+_JSON_ITEMS = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def _write_columns(
     output: str,
     resolved: dict[str, object],
@@ -301,16 +308,28 @@ def _write_columns(
     header: str,
     columns: dict[str, np.ndarray],
 ) -> None:
-    """Write equal-length float columns as CSV rows or as JSON lists.
+    """Write equal-length float columns as CSV rows or JSON lists, ``_WRITE_ROWS``
+    rows at a time, with the bytes ``_csv_text``/``_json_text`` give the whole.
 
     ``tolist`` yields Python floats, whose repr is the shortest round-trip
     text and matches what ``json`` writes for the same value."""
-    if resolved["format"] == "csv":
-        rows = zip(*(column.tolist() for column in columns.values()))
-        _write_text(output, _csv_text(header, (map(repr, row) for row in rows)))
-    else:
-        payload = {"columns": {k: column.tolist() for k, column in columns.items()}}
-        _write_text(output, _json_text(_metadata(subcommand, resolved), payload))
+    blocks = [slice(lo, lo + _WRITE_ROWS) for lo in range(0, len(columns["gt"]), _WRITE_ROWS)]
+    with open(output, "w", encoding="utf-8", newline="") as handle:
+        if resolved["format"] == "csv":
+            handle.write(header + "\n")
+            for block in blocks:
+                rows = zip(*(column[block].tolist() for column in columns.values()))
+                handle.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+            return
+        head = {"metadata": _metadata(subcommand, resolved), "columns": {}}
+        handle.write(json.dumps(head, indent=2).removesuffix("{}\n}") + "{")
+        for i, (name, column) in enumerate(columns.items()):
+            handle.write(f"{',' if i else ''}\n    {json.dumps(name)}: [")
+            for j, block in enumerate(blocks):
+                items = _JSON_ITEMS.encode(column[block].tolist())[1:-1]
+                handle.write(f"{',' if j else ''}\n      {items}")
+            handle.write("\n    ]")
+        handle.write("\n  }\n}\n")
 
 
 def _require_output(resolved: dict[str, object]) -> str:
@@ -414,7 +433,7 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
         delta = resolved["delta"] if resolved["delta"] is not None else 0.0
         params, dist_a, dist_b = _build_problem(resolved, p, kbar, lbar, delta)
         try:
-            times = validation_times(resolved["gt_max"], resolved["times"], resolved["g"])
+            times = validation_times(params, resolved["gt_max"], resolved["times"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         deviation = max_route_deviation(params, dist_a, dist_b, times)

@@ -64,6 +64,16 @@ class SystemParams:
             raise ValueError(f"mode parameter p must be >= 1, got {self.p}")
         object.__setattr__(self, "omega_0", self.omega_c + self.delta)
 
+    def times(self, gt: np.ndarray) -> np.ndarray:
+        """Times t = gt/g; ValueError when the largest overflows to infinity."""
+        with np.errstate(over="ignore"):
+            t = np.asarray(gt, dtype=float) / self.g
+        if not np.isfinite(t).all():
+            raise ValueError(
+                f"gt_max/g = {float(np.max(gt)):g}/{self.g:g} overflows to an infinite time"
+            )
+        return t
+
 
 def truncation_index(mean: float, epsilon: float) -> int:
     """Smallest cutoff N whose geometric tail (mean/(mean+1))**(N+1) is <= epsilon.

@@ -60,7 +60,7 @@ def time_series(
     if not gt_max > 0.0:
         raise ValueError(f"gt_max must be positive, got {gt_max}")
     gt = np.linspace(0.0, gt_max, steps + 1)
-    grid = states(params, dist_a, dist_b, gt / params.g)
+    grid = states(params, dist_a, dist_b, params.times(gt))
     return TimeSeries(gt, *grid, concurrence(grid), purity(grid), energy(grid))
 
 
@@ -107,7 +107,7 @@ def verified_period(
     if gt_max < period:
         return None  # the window cannot exhibit one full period
     base = np.linspace(0.0, min(gt_max - period, gt_max), probes)
-    grid = states(params, dist_a, dist_b, np.concatenate((base, base + period)) / params.g)
+    grid = states(params, dist_a, dist_b, params.times(np.concatenate((base, base + period))))
     deviation = max(
         float(np.max(np.abs(column[probes:] - column[:probes])))
         for column in (grid.x1, grid.x2, grid.x3, grid.x5, grid.x6)

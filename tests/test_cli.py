@@ -12,9 +12,11 @@ import pytest
 
 import thermaljc
 from thermaljc.cli import (
+    _WRITE_ROWS,
     EPE_HEADER,
     SCAN_HEADER,
     TIMESERIES_HEADER,
+    _write_columns,
     main,
 )
 from thermaljc.core import MAX_SECTORS
@@ -510,6 +512,83 @@ class TestExitCodes:
         rc = main(["timeseries", "--steps", "50", "--output", str(target)])
         assert rc == 2
         assert "io error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["timeseries", "epe", "scan"])
+    def test_overflowing_time_grid_is_a_usage_error(self, tmp_path, capsys, subcommand):
+        # gt_max/g = 1e300/1e-150 overflows; the division used to print a numpy
+        # RuntimeWarning before the usage error
+        out = tmp_path / "x.csv"
+        rc = main([subcommand, "--kbar", "0.1", "--gt-max", "1e300", "--g", "1e-150",
+                   "--steps", "3", "--output", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: gt_max/g = 1e+300/1e-150 overflows to an infinite time\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def _write(tmp_path, fmt, timestamp, columns, header=TIMESERIES_HEADER):
+    out = tmp_path / f"out.{fmt}"
+    resolved = {"p": 1, "kbar": 0.1, "format": fmt, "timestamp": timestamp}
+    _write_columns(str(out), resolved, "timeseries", header, columns)
+    return out
+
+
+class TestColumnWriter:
+    """The block writer's bytes equal those of one json.dumps / one join over
+    the whole columns, at every block boundary."""
+
+    # repr and json.dumps agree on these only if the encoder keeps its defaults
+    VALUES = [-0.0, 5e-324, 1e300, 0.1, 1e16, math.nan, math.inf, -math.inf, -1.5]
+
+    @pytest.mark.parametrize(
+        "rows", [3, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("timestamp", [True, False], ids=["timestamp", "no-timestamp"])
+    def test_bytes_equal_the_one_shot_formulas(self, tmp_path, rows, fmt, timestamp):
+        names = TIMESERIES_HEADER.split(",")
+        columns = {
+            name: np.resize(np.roll(self.VALUES, k), rows) for k, name in enumerate(names)
+        }
+        text = _write(tmp_path, fmt, timestamp, columns).read_bytes().decode("utf-8")
+        lists = {name: column.tolist() for name, column in columns.items()}
+        if fmt == "csv":
+            lines = [",".join(map(repr, row)) for row in zip(*lists.values())]
+            expected = "\n".join([TIMESERIES_HEADER, *lines]) + "\n"
+        else:
+            meta = json.loads(text)["metadata"]
+            assert ("generated_at" in meta) == timestamp
+            expected = json.dumps({"metadata": meta, "columns": lists}, indent=2) + "\n"
+        assert text == expected
+        assert "nan" in text.lower() and "5e-324" in text and "-0.0" in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failed_run_leaves_no_output(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"ts.{fmt}"
+        rc = main(["timeseries", "--kbar", "5", "--epsilon-tail", "1e-2", "--steps", "50",
+                   "--format", fmt, "--output", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("validation failure: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [20001, 80001])
+    # a CSV block holds a row of every column, so the widest header sets its
+    # peak; a JSON block holds one column, so one column sets its peak
+    @pytest.mark.parametrize(
+        "fmt, header", [("csv", TIMESERIES_HEADER), ("json", "gt")], ids=["csv", "json"]
+    )
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path, rows, fmt, header):
+        rng = np.random.default_rng(rows)
+        columns = {name: rng.standard_normal(rows) for name in header.split(",")}
+        tracemalloc.start()
+        try:
+            _write(tmp_path, fmt, True, columns, header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole file as one text would take 3-60 MiB here
+        assert peak <= 2**20
 
 
 def test_the_cli_imports_no_pool_module():

@@ -175,6 +175,12 @@ class TestVerifiedPeriod:
         params = SystemParams()
         assert verified_period(params, _dist(0.1), _dist(0.1), 5.0) is None
 
+    @pytest.mark.parametrize("run", [verified_period, lambda *a: time_series(*a, 3)])
+    def test_an_overflowing_time_grid_is_named(self, run):
+        params = SystemParams(g=1e-150)
+        with pytest.raises(ValueError, match=r"^gt_max/g = 1e\+300/1e-150 overflows"):
+            run(params, _dist(0.1), _dist(0.1), 1e300)
+
 
 class TestScan:
     def test_rejects_empty_configuration_list(self):
