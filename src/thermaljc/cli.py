@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -459,6 +460,8 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
 
 
 def _read_csv(path: str) -> dict[str, np.ndarray]:
+    """The body is parsed ``_WRITE_ROWS`` lines at a time by numpy (``float()``'s
+    text rules); a block that fails goes to ``_read_lines``, to name the bad line."""
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -468,8 +471,27 @@ def _read_csv(path: str) -> dict[str, np.ndarray]:
         raise CsvFormatError(f"{path}:1: malformed header {lines[0]!r}")
     if len(set(header)) != len(header):
         raise CsvFormatError(f"{path}:1: duplicate column names")
+    body = lines[1:]
+    if not body:
+        raise CsvFormatError(f"{path}:2: no data rows")
+    data = np.empty((len(header), len(body)))
+    try:
+        for lo in range(0, len(body), _WRITE_ROWS):
+            block = body[lo : lo + _WRITE_ROWS]
+            values = np.array(",".join(block).split(","), dtype=float)
+            commas = (line.count(",") for line in block)
+            if any(n != len(header) - 1 for n in commas) or not np.isfinite(values).all():
+                raise ValueError("a field count or a value is off")
+            data[:, lo : lo + len(block)] = values.reshape(len(block), len(header)).T
+    except ValueError:
+        return _read_lines(path, header, body)
+    return dict(zip(header, data))
+
+
+def _read_lines(path: str, header: list[str], body: list[str]) -> dict[str, np.ndarray]:
+    """``_read_csv``'s body one line at a time: it raises at the first bad line."""
     columns: dict[str, list[float]] = {name: [] for name in header}
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in enumerate(body, 2):
         fields = line.split(",")
         if len(fields) != len(header):
             raise CsvFormatError(
@@ -482,8 +504,8 @@ def _read_csv(path: str) -> dict[str, np.ndarray]:
                 raise CsvFormatError(
                     f"{path}:{lineno}: not a number: {field!r}"
                 ) from None
-    if not columns[header[0]]:
-        raise CsvFormatError(f"{path}:2: no data rows")
+            if not math.isfinite(columns[name][-1]):
+                raise CsvFormatError(f"{path}:{lineno}: not a finite number: {field!r}")
     return {name: np.asarray(values) for name, values in columns.items()}
 
 
@@ -535,7 +557,9 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[str, dict], int], KeyTable, str]] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it holds no defaults, so calls share it."""
     parser = _Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys, help_text) in _SUBCOMMANDS.items():

@@ -33,7 +33,8 @@ def _fmt(value: float) -> str:
 
 
 class _Mapper:
-    """Affine map from data coordinates to the pixel frame."""
+    """Affine map from data coordinates to the pixel frame, of a float (a tick)
+    or elementwise of an array (a curve)."""
 
     def __init__(self, x_range: tuple[float, float], y_range: tuple[float, float]):
         self.x_lo, self.x_hi = x_range
@@ -43,20 +44,18 @@ class _Mapper:
         self.frame_top = MARGIN_TOP
         self.frame_bottom = HEIGHT - MARGIN_BOTTOM
 
-    def x(self, v: float) -> float:
+    def x(self, v: float | np.ndarray) -> float | np.ndarray:
         span = self.x_hi - self.x_lo
         return self.frame_left + (v - self.x_lo) / span * (self.frame_right - self.frame_left)
 
-    def y(self, v: float) -> float:
+    def y(self, v: float | np.ndarray) -> float | np.ndarray:
         span = self.y_hi - self.y_lo
         return self.frame_bottom - (v - self.y_lo) / span * (self.frame_bottom - self.frame_top)
 
 
 def _polyline(mapper: _Mapper, xs: np.ndarray, ys: np.ndarray, color: str) -> str:
-    points = " ".join(
-        "%.2f,%.2f" % (mapper.x(float(xv)), mapper.y(float(yv)))
-        for xv, yv in zip(xs, ys)
-    )
+    pixels = np.stack((mapper.x(xs), mapper.y(ys)), axis=1)
+    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels.ravel().tolist())
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
         f'points="{points}"/>'
@@ -130,12 +129,14 @@ def render_plot(
     """Render labeled curves into a standalone SVG document string."""
     if len(curves) == 0:
         raise ValueError("at least one curve is required")
+    curves = [(label, np.asarray(xs, float), np.asarray(ys, float)) for label, xs, ys in curves]
     for label, xs, ys in curves:
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError(f"curve {label!r} needs two or more paired points")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError(f"curve {label!r} has a non-finite value")
     mapper = _Mapper(
-        _data_range([np.asarray(xs, dtype=float) for _, xs, _ in curves]),
-        _data_range([np.asarray(ys, dtype=float) for _, _, ys in curves]),
+        _data_range([xs for _, xs, _ in curves]), _data_range([ys for _, _, ys in curves])
     )
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -150,14 +151,7 @@ def render_plot(
         )
     parts.extend(_axes(mapper, x_label, y_label))
     for i, (_, xs, ys) in enumerate(curves):
-        parts.append(
-            _polyline(
-                mapper,
-                np.asarray(xs, dtype=float),
-                np.asarray(ys, dtype=float),
-                PALETTE[i % len(PALETTE)],
-            )
-        )
+        parts.append(_polyline(mapper, xs, ys, PALETTE[i % len(PALETTE)]))
     parts.extend(_legend([label for label, _, _ in curves]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

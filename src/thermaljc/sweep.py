@@ -57,8 +57,8 @@ def time_series(
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if not gt_max > 0.0:
-        raise ValueError(f"gt_max must be positive, got {gt_max}")
+    if not 0.0 < gt_max < math.inf:
+        raise ValueError(f"gt_max must be positive and finite, got {gt_max}")
     gt = np.linspace(0.0, gt_max, steps + 1)
     grid = states(params, dist_a, dist_b, params.times(gt))
     return TimeSeries(gt, *grid, concurrence(grid), purity(grid), energy(grid))
@@ -101,6 +101,8 @@ def verified_period(
     period is confirmed by comparing all five state elements at probe times
     tau and tau + 2*pi/p, all evaluated in one grid.
     """
+    if not 0.0 < gt_max < math.inf:
+        raise ValueError(f"gt_max must be positive and finite, got {gt_max}")
     if params.delta != 0.0 or not params.motion_enabled:
         return None
     period = 2.0 * math.pi / params.p

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermaljc
 from thermaljc.cli import (
@@ -16,6 +18,9 @@ from thermaljc.cli import (
     EPE_HEADER,
     SCAN_HEADER,
     TIMESERIES_HEADER,
+    CsvFormatError,
+    _build_parser,
+    _read_csv,
     _write_columns,
     main,
 )
@@ -490,6 +495,185 @@ class TestPlot:
         assert main(["plot", "--input", str(bad),
                      "--output", str(tmp_path / "x.svg")]) == 2
         assert f"bad.csv:{lineno}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, bad",
+        [
+            ("gt,concurrence,purity\n0,1,2\n1,nan,2\n2,1,inf\n", "3: not a finite number: 'nan'"),
+            ("gt,concurrence\n0,1\n1,-Infinity\n", "3: not a finite number: '-Infinity'"),
+            ("gt,concurrence\n0,1e999\n1,2\n", "2: not a finite number: '1e999'"),
+            # in a later block, after a whole clean one
+            ("gt,concurrence\n" + "0,1\n" * 898 + "1,nan\n" + "0,1\n" * 9,
+             "900: not a finite number: 'nan'"),
+        ],
+        ids=["nan-and-inf", "minus-infinity", "overflowing", "later-block"],
+    )
+    def test_a_non_finite_field_is_an_input_error(self, tmp_path, capsys, content, bad):
+        # one nan used to turn every point and y tick of the SVG into nan, with exit 0
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--input", str(path), "--columns", "concurrence",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}:{bad}\n"
+        assert not out.exists()
+
+
+def _reference_read_csv(path):
+    """The line-by-line reader the block reader replaced, kept as its reference."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        raise CsvFormatError(f"{path}:1: empty file")
+    header = lines[0].split(",")
+    if len(header) < 2 or any(not name for name in header):
+        raise CsvFormatError(f"{path}:1: malformed header {lines[0]!r}")
+    if len(set(header)) != len(header):
+        raise CsvFormatError(f"{path}:1: duplicate column names")
+    columns = {name: [] for name in header}
+    for lineno, line in enumerate(lines[1:], 2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise CsvFormatError(
+                f"{path}:{lineno}: expected {len(header)} fields, found {len(fields)}"
+            )
+        for name, field in zip(header, fields):
+            try:
+                columns[name].append(float(field))
+            except ValueError:
+                raise CsvFormatError(f"{path}:{lineno}: not a number: {field!r}") from None
+    if not columns[header[0]]:
+        raise CsvFormatError(f"{path}:2: no data rows")
+    return {name: np.asarray(values) for name, values in columns.items()}
+
+
+# finite spellings float() accepts, besides the repr of any finite double
+_SPELLINGS = ["-0.0", "0", "5e-324", "-5e-324", "1e308", "-1.7976931348623157e308",
+              " 1.5", "1.5 ", "\t2", "1_0", "+3", ".5", "5.", "1E5", "\u0661\u0662"]
+_FIELDS = st.one_of(
+    st.sampled_from(_SPELLINGS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_ROWS = [1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1]
+_ROW = "0.5,1.0,2.0\n"
+
+
+def _csv(tmp_path, text, name="in.csv"):
+    path = tmp_path / name
+    path.write_text(text, newline="")
+    return path
+
+
+class TestBlockReader:
+    """``_read_csv`` parses the body in blocks of ``_WRITE_ROWS`` lines; it must
+    read what the line loop read, bit for bit, and fail where it failed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.sampled_from(_ROWS),
+        width=st.integers(min_value=2, max_value=5),
+        cells=st.lists(_FIELDS, min_size=1, max_size=40),
+        stride=st.integers(min_value=1, max_value=97),
+    )
+    def test_columns_are_bit_identical_to_the_line_loop(
+        self, tmp_path_factory, rows, width, cells, stride
+    ):
+        header = ",".join(f"c{j}" for j in range(width))
+        body = [
+            ",".join(cells[(i * width + j) * stride % len(cells)] for j in range(width))
+            for i in range(rows)
+        ]
+        path = _csv(tmp_path_factory.mktemp("csv"), "\n".join([header, *body]) + "\n")
+        got, expected = _read_csv(str(path)), _reference_read_csv(str(path))
+        assert list(got) == list(expected)
+        for name, column in expected.items():
+            assert got[name].dtype == np.float64 and got[name].shape == (rows,)
+            # bytes compare the sign bit of -0.0 too
+            assert got[name].tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            ("gt,c,p\n" + _ROW * 698 + "0.5,x,1\n" + _ROW * 10, "700: not a number: 'x'"),
+            # the first error in line order wins, also across blocks
+            ("gt,c,p\n" + _ROW * 598 + "0.5,bad,1\n" + _ROW * 299 + "1,2\n" + _ROW * 9,
+             "600: not a number: 'bad'"),
+            ("gt,c,p\n" + _ROW * 898 + "1,2\n" + _ROW * 9, "900: expected 3 fields, found 2"),
+            ("gt,c,p\n" + _ROW * 5 + "\n" + _ROW * 5, "7: expected 3 fields, found 1"),
+            # a short line and a long one: the block still holds rows * 3 fields
+            ("gt,c,p\n" + _ROW + "0.5,1\n" + "0.5,1,2,3\n" + _ROW, "3: expected 3 fields, found 2"),
+            ("gt,c,p\n" + _ROW + "1,2\x0c" + _ROW, "3: expected 3 fields, found 2"),
+            ("gt,c,p\r\n" + "0.5,1.0\r\n" + _ROW, "2: expected 3 fields, found 2"),
+            ("gt,c,p\n" + _ROW + "1,,2\n", "3: not a number: ''"),
+            ("gt,c,p\n" + _ROW + "0x10,1,2\n", "3: not a number: '0x10'"),
+            ("gt,c,p\n", "2: no data rows"),
+        ],
+        ids=["word-in-2nd-block", "first-of-two-errors", "field-count-in-2nd-block",
+             "blank-line", "compensating-counts", "form-feed", "crlf", "empty-field", "hex", "no-rows"],
+    )
+    def test_a_malformed_file_fails_as_the_line_loop_did(self, tmp_path, capsys, content, error):
+        path = _csv(tmp_path, content)
+        with pytest.raises(CsvFormatError) as reference:
+            _reference_read_csv(str(path))
+        assert str(reference.value) == f"{path}:{error}"
+        assert main(["plot", "--input", str(path), "--output", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err == f"input error: {reference.value}\n"
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "gt,c,p\r\n" + "0.5,1.0,2.0\r\n" * 600,
+            "gt,c,p\n" + "0.5,1.0,2.0\x0c" * 3 + _ROW,
+            "gt,c,p\n" + _ROW * _WRITE_ROWS,
+        ],
+        ids=["crlf", "form-feed", "one-full-block"],
+    )
+    def test_line_separators_read_as_the_line_loop_read_them(self, tmp_path, content):
+        path = _csv(tmp_path, content)
+        got, expected = _read_csv(str(path)), _reference_read_csv(str(path))
+        assert {k: v.tobytes() for k, v in got.items()} == {
+            k: v.tobytes() for k, v in expected.items()
+        }
+
+
+class TestParserReuse:
+    """One parser serves every call of a process; it keeps nothing between them."""
+
+    @staticmethod
+    def _call(capsys, argv, output=None):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        written = output.read_bytes() if output is not None and output.exists() else None
+        return rc, captured.out, captured.err, written
+
+    def test_a_call_gives_what_a_fresh_parser_gives(
+        self, sample_csv, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("THERMALJC_EPSILON_TAIL", "1e-10")
+        series, svg = tmp_path / "ts.json", tmp_path / "plot.svg"
+        calls = [
+            (["timeseries", "--steps", "1", "--bogus", "2"], None),
+            (["plot", "--help"], None),
+            (["timeseries", "--steps", "50", "--format", "json", "--no-timestamp",
+              "--output", str(series)], series),
+            (["plot", "--input", str(sample_csv), "--output", str(svg)], svg),
+        ]
+        shared = [self._call(capsys, argv, output) for argv, output in calls]
+        assert _build_parser() is _build_parser()
+        for (argv, output), first in zip(calls, shared):
+            _build_parser.cache_clear()
+            assert self._call(capsys, argv, output) == first
+        assert shared[0][:3] == (1, "", "usage error: unrecognized arguments: --bogus 2\n")
+        assert shared[1][0] == ("SystemExit", 0) and "--projection" in shared[1][1]
+        assert json.loads(shared[2][3])["metadata"]["epsilon_tail"] == 1e-10
+        assert shared[3][0] == 0
+        # the environment is read per call, not when the parser was built
+        monkeypatch.setenv("THERMALJC_EPSILON_TAIL", "1e-11")
+        assert self._call(capsys, calls[2][0], series)[0] == 0
+        assert json.loads(series.read_text())["metadata"]["epsilon_tail"] == 1e-11
 
 
 class TestExitCodes:

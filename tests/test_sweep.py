@@ -181,6 +181,15 @@ class TestVerifiedPeriod:
         with pytest.raises(ValueError, match=r"^gt_max/g = 1e\+300/1e-150 overflows"):
             run(params, _dist(0.1), _dist(0.1), 1e300)
 
+    @pytest.mark.parametrize("run", [verified_period, lambda *a: time_series(*a, 3)])
+    @pytest.mark.parametrize("gt_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_a_non_finite_or_non_positive_gt_max_is_refused_up_front(self, run, gt_max):
+        # inf used to reach np.linspace (a RuntimeWarning, an error under the
+        # test settings) and come out as "gt_max/g = nan/1 overflows"
+        with pytest.raises(ValueError) as info:
+            run(SystemParams(), _dist(0.1), _dist(0.1), gt_max)
+        assert str(info.value) == f"gt_max must be positive and finite, got {gt_max}"
+
 
 class TestScan:
     def test_rejects_empty_configuration_list(self):
