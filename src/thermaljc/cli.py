@@ -526,7 +526,11 @@ def _run_plot(command: str, resolved: dict[str, object]) -> int:
     if missing:
         raise UsageError(f"input has no column {missing[0]!r}")
     curves = [(name, data[x_name], data[name]) for name in names]
-    _write_text(output, render_plot(curves, x_name, " / ".join(names), resolved["title"]))
+    try:  # one data row, or a span past the float range
+        svg = render_plot(curves, x_name, " / ".join(names), resolved["title"])
+    except ValueError as exc:
+        raise CsvFormatError(f"{resolved['input']}: {exc}") from None
+    _write_text(output, svg)
     return EXIT_OK
 
 

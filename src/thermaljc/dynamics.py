@@ -82,37 +82,41 @@ class XStates(NamedTuple):
         )
 
 
-def _factors(ws: np.ndarray, g4: np.ndarray, half_t: np.ndarray, n: np.ndarray,
+def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarray,
              delta: float) -> None:
-    """Factors of the sectors ``n`` at each row's 4*g'^2 and t/2, written into
+    """Factors of the sectors ``n`` at each row's 4*g'^2 and t/4, written into
     the workspace ``ws`` = (swap, s, w, c), each of shape (rows, n.size).
 
     With l = sqrt(delta^2 + 4*g'^2*n) and s, c = sin, cos(l*t/2), a sector
     transfers with probability swap = s^2*sin^2(2*theta) and its other branch
-    has amplitude c + i*w, w = s*cos(2*theta).  The angle enters through its
-    exact forms sin^2(2*theta) = 4*g'^2*n/l^2 and cos(2*theta) = delta/l; at
-    n = 0, cos(2*theta) = sign(delta) gives the exact phase exp(i*delta*t/2).
-    When delta^2 is 0 every sector is resonant: sin^2(2*theta) = 1 where l > 0
-    (s = 0 where l = 0), and w, left unwritten, stands for 0.
+    has amplitude c + i*w, w = s*cos(2*theta).  With u = tan(l*t/4), one SIMD
+    loop where sin and cos are scalar, and d = 2/(1 + u^2): s = u*d, relatively
+    exact near 0, and c = d - 1.  The angle enters through sin^2(2*theta) =
+    4*g'^2*n/l^2 and cos(2*theta) = delta/l, sign(delta) at n = 0 for the exact
+    phase exp(i*delta*t/2).  When delta^2 is 0, swap = s^2 and w, unwritten, is 0.
     """
     swap, s, w, c = ws
     np.multiply(g4[:, None], n, out=swap)
-    detuned = delta * delta > 0.0
-    if detuned:
+    if delta * delta > 0.0:
         np.add(swap, delta * delta, out=s)
         np.divide(swap, s, out=swap)
         np.sqrt(s, out=s)
         np.divide(delta, s, out=w)
     else:
         np.sqrt(swap, out=s)
-        swap.fill(1.0)
-    np.multiply(s, half_t[:, None], out=s)
-    np.cos(s, out=c)
-    np.sin(s, out=s)
-    if detuned:
+    np.multiply(s, quarter_t[:, None], out=s)
+    np.tan(s, out=s)
+    np.multiply(s, s, out=c)
+    np.add(c, 1.0, out=c)
+    np.divide(2.0, c, out=c)
+    np.multiply(s, c, out=s)
+    np.subtract(c, 1.0, out=c)
+    if delta * delta > 0.0:
         np.multiply(w, s, out=w)
-    np.multiply(s, s, out=s)
-    np.multiply(swap, s, out=swap)
+        np.multiply(s, s, out=s)
+        np.multiply(swap, s, out=swap)
+    else:
+        np.multiply(s, s, out=swap)
 
 
 def _spread(work: Callable[[int, int], None], blocks: int) -> None:
@@ -169,7 +173,7 @@ def states(
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
     g_eff = effective_coupling(params, t)
-    g4, half_t, delta = 4.0 * g_eff * g_eff, 0.5 * t, params.delta
+    g4, quarter_t, delta = 4.0 * g_eff * g_eff, 0.25 * t, params.delta
     probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
     totals = [float(np.sum(p)) for p in probs]
     count = max(dist_a.n_max, dist_b.n_max) + 2
@@ -191,7 +195,7 @@ def states(
                 cols = min(width, count - 1 - k0) + 1
                 swap, _, w, c = block = ws[:, :r, :cols]
                 n = np.arange(k0, k0 + cols, dtype=float)
-                _factors(block, g4[rows], half_t[rows], n, delta)
+                _factors(block, g4[rows], quarter_t[rows], n, delta)
                 pairs = ((c, c), (w, w), (c, w), (w, c)) if delta * delta > 0.0 else ((c, c),)
                 for p, acc, new in zip(probs, sums[:, :, :r], part[:, :, :r]):
                     m = max(0, min(p.size - k0, cols - 1))  # 0 past this cavity's cutoff

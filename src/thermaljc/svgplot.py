@@ -23,8 +23,10 @@ def _data_range(values: Sequence[np.ndarray]) -> tuple[float, float]:
     lo = min(float(np.min(v)) for v in values)
     hi = max(float(np.max(v)) for v in values)
     if hi == lo:  # flat data still needs a nonzero span to map onto pixels
-        lo -= 0.5
-        hi += 0.5
+        pad = max(0.5, abs(lo) * 2.0**-50)  # lo +- 0.5 rounds back to lo above 2^52
+        lo, hi = lo - pad, hi + pad
+    if not hi - lo < np.inf:
+        raise ValueError(f"values from {lo!r} to {hi!r} span more than the largest float")
     return lo, hi
 
 

@@ -518,6 +518,33 @@ class TestPlot:
         assert capsys.readouterr().err == f"input error: {path}:{bad}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, columns, error",
+        [
+            ("gt,concurrence,purity,energy\n0,1,1,0\n", [],
+             "curve 'concurrence' needs two or more paired points"),
+            # finite values whose span, 2e308, overflows a float
+            ("gt,concurrence\n0,1\n1e308,2\n-1e308,3\n", ["--columns", "concurrence"],
+             "values from -1e+308 to 1e+308 span more than the largest float"),
+            ("gt,concurrence\n0,1\n1,-1.7976931348623157e308\n2,1.7976931348623157e308\n",
+             ["--columns", "concurrence"],
+             "values from -1.7976931348623157e+308 to 1.7976931348623157e+308 span more "
+             "than the largest float"),
+        ],
+        ids=["one-row", "wide-gt", "wide-column"],
+    )
+    def test_data_a_plot_cannot_frame_is_an_input_error(
+        self, tmp_path, capsys, content, columns, error
+    ):
+        # both used to escape: a ValueError traceback with exit 1, and nan
+        # points and ticks in an SVG with exit 0
+        path = tmp_path / "in.csv"
+        path.write_text(content)
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--input", str(path), *columns, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: {error}\n"
+        assert not out.exists()
+
 
 def _reference_read_csv(path):
     """The line-by-line reader the block reader replaced, kept as its reference."""

@@ -627,3 +627,95 @@ class TestSectorBlocks:
         assert max(peaks.values()) <= 10_000_000
         # the workspaces are small next to the O(N) probability vector
         assert max(peaks.values()) - peaks[1] <= 1 << 20
+
+
+def _cos_sin_factors(ws, g4, half_t, n, delta):
+    """The scalar cos + sin factors the half-angle tangent replaced, kept as the
+    reference: the same workspace (swap, s, w, c) at each row's t/2."""
+    swap, s, w, c = ws
+    np.multiply(g4[:, None], n, out=swap)
+    detuned = delta * delta > 0.0
+    if detuned:
+        np.add(swap, delta * delta, out=s)
+        np.divide(swap, s, out=swap)
+        np.sqrt(s, out=s)
+        np.divide(delta, s, out=w)
+    else:
+        np.sqrt(swap, out=s)
+        swap.fill(1.0)
+    np.multiply(s, half_t[:, None], out=s)
+    np.cos(s, out=c)
+    np.sin(s, out=s)
+    if detuned:
+        np.multiply(w, s, out=w)
+    np.multiply(s, s, out=s)
+    np.multiply(swap, s, out=swap)
+
+
+def _sin_cos_of(x):
+    """(c, s) as ``_factors`` forms them for the angles x = l*t/2: a resonant
+    sector with 4*g'^2*n = 1 has l = 1, so its t/4 is x/2."""
+    x = np.asarray(x, dtype=float)
+    ws = np.empty((4, x.size, 1))
+    dynamics._factors(ws, np.ones(x.size), 0.5 * x, np.ones(1), 0.0)
+    return ws[3, :, 0], ws[1, :, 0]
+
+
+_ANGLES = np.concatenate([
+    [0.0, 5e-324, 1e-300, 1e-8, 0.5],
+    np.arange(1, 41, 2) * (0.5 * math.pi),  # odd multiples of pi/2
+    np.arange(1, 41) * math.pi,
+    [2.0**k * math.pi for k in range(10, 50, 3)],
+    np.random.default_rng(9).uniform(0.0, 1e15, 200),
+    np.random.default_rng(10).uniform(0.0, 50.0, 200),
+])
+
+
+class TestHalfAngleFactors:
+    """One tangent u = tan(l*t/4) gives s = u*d and c = d - 1, d = 2/(1 + u^2)."""
+
+    def test_sin_and_cos_are_within_4e_16_of_the_exact_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        c, s = _sin_cos_of(_ANGLES)
+        with mpmath.workdps(50):
+            for x, got_c, got_s in zip(_ANGLES.tolist(), c.tolist(), s.tolist()):
+                exact = mpmath.mpf(x)  # the double itself, not the multiple of pi it rounds
+                assert abs(got_s - mpmath.sin(exact)) <= 4e-16, x
+                assert abs(got_c - mpmath.cos(exact)) <= 4e-16, x
+
+    def test_sin_keeps_its_relative_accuracy_near_zero(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[1e-300, 2.0**-1021, 1e-3 * (1 - 2.0**-53)],
+                            10.0 ** rng.uniform(-300.0, -3.0, 300),
+                            rng.uniform(0.0, 1e-3, 300)])
+        _, s = _sin_cos_of(x)
+        with mpmath.workdps(50):
+            for value, got in zip(x.tolist(), s.tolist()):
+                exact = float(mpmath.sin(mpmath.mpf(value)))
+                assert abs(got - exact) <= 4 * np.spacing(exact), value
+
+    @pytest.mark.parametrize(
+        "params, kbar, lbar, grid",
+        [
+            (SystemParams(delta=1.0), 50.0, 0.5, np.linspace(0.0, 40.0, 401)),
+            (SystemParams(), 5.0, 5.0, np.linspace(0.0, 40.0, 401)),
+            (SystemParams(delta=0.0, p=3), 0.5, 2.0, np.linspace(0.0, 40.0, 401)),
+            (SystemParams(p=2, motion_enabled=False), 0.5, 0.5, np.linspace(0.0, 40.0, 401)),
+            (SystemParams(delta=5.0, p=4), 0.5, 2.0, np.linspace(0.0, 40.0, 401)),
+            (SystemParams(g=1.7, delta=-2.0), 0.5, 0.5, np.linspace(0.0, 1e6, 401) / 1.7),
+            (SystemParams(delta=1.0), 1e4, 1e4, np.array([3.7])),
+        ],
+        ids=["hot-bath", "equal-cavities", "resonant", "motion-off", "detuned-p4",
+             "negative-delta-long", "kbar-1e4"],
+    )
+    def test_states_match_the_cos_sin_reference(self, monkeypatch, params, kbar, lbar, grid):
+        a, b = _dist(kbar), _dist(lbar)
+        got = states(params, a, b, grid)
+        monkeypatch.setattr(
+            dynamics, "_factors",
+            lambda ws, g4, quarter_t, n, delta: _cos_sin_factors(ws, g4, 2.0 * quarter_t, n, delta),
+        )
+        want = states(params, a, b, grid)
+        for name in _FIELDS:
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-14, name

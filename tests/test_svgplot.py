@@ -72,3 +72,25 @@ def test_a_non_finite_value_is_refused(bad, axis):
     (xs if axis == "x" else ys)[2] = bad
     with pytest.raises(ValueError, match="curve 'a' has a non-finite value"):
         render_plot([("a", xs, ys)], "gt", "y")
+
+
+@pytest.mark.parametrize("value", [0.25, -3.0, 2.0**49, -(2.0**49)])
+def test_flat_data_is_framed_half_a_unit_either_side(value):
+    assert svgplot._data_range([np.full(3, value)]) == (value - 0.5, value + 0.5)
+
+
+@pytest.mark.parametrize("value", [1e17, -2.0**60, 1e300])
+def test_flat_data_past_2_to_the_52_still_gets_a_nonzero_span(value):
+    # value +- 0.5 rounds back to value there, and the map divided by zero
+    svg = render_plot([("a", np.arange(3.0), np.full(3, value))], "gt", "y")
+    assert "nan" not in svg and "inf" not in svg
+    lo, hi = svgplot._data_range([np.full(3, value)])
+    assert lo < value < hi
+
+
+def test_a_span_past_the_largest_float_is_refused():
+    xs = np.array([0.0, 1e308, -1e308])
+    with pytest.raises(ValueError, match="span more than the largest float"):
+        render_plot([("a", xs, np.arange(3.0))], "gt", "y")
+    with pytest.raises(ValueError, match="span more than the largest float"):
+        render_plot([("a", np.arange(2.0), np.full(2, 1.7976931348623157e308))], "gt", "y")
