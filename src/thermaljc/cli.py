@@ -422,10 +422,6 @@ def _validation_line(result: ValidationResult) -> str:
 
 
 def _run_validate(command: str, resolved: dict[str, object]) -> int:
-    if resolved["times"] < 1:
-        raise UsageError(f"times must be >= 1, got {resolved['times']}")
-    if resolved["gt_max"] < 0.0:
-        raise UsageError(f"gt_max must be >= 0, got {resolved['gt_max']}")
     single = any(resolved[key] is not None for key in ("p", "kbar", "lbar", "delta"))
     if single:
         p = resolved["p"] if resolved["p"] is not None else 1

@@ -13,6 +13,10 @@ DEFAULT_EPSILON_TAIL = 1e-12
 # Largest number of photon sectors (n_max + 1) per cavity: 34 MB per float
 # array, enough for mean photon numbers up to about 1.5e5 at the default tail.
 MAX_SECTORS = 1 << 22
+# Largest number of points in one time grid.  The eleven float columns of a
+# time series then take about 0.4 GB; a larger grid is refused as an input
+# error before anything is allocated for it.
+MAX_POINTS = 1 << 22
 # Largest |delta| and the range of g accepted.  Sector frequencies are formed
 # as sqrt(delta**2 + (2*g'*sqrt(n))**2), whose squares underflow to 0 below
 # about 1e-154 and overflow above about 1e154.  Within these bounds the square

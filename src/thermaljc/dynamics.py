@@ -28,9 +28,12 @@ from .core import (
 # for any grid length and cutoff while keeping numpy's per-call overhead small
 # next to the arithmetic.
 _BLOCK_ELEMENTS = 1 << 15
-# Widest slice of photon numbers in one block.  The slices depend on the cutoff
+# Widest slice of photon numbers in one block.  The slices depend on the cutoffs
 # alone, so a time's sums accumulate in the same order in any grid.
 _SECTOR_BLOCK = 1 << 12
+# Rows in one band, a thread's unit of work, unless one full-width block holds
+# more.  A band's sums fill one buffer per worker and become x1..x6 at once.
+_BAND_ROWS = 1 << 10
 
 
 def effective_coupling(
@@ -119,18 +122,14 @@ def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarra
         np.multiply(s, s, out=swap)
 
 
-def _spread(work: Callable[[int, int], None], blocks: int) -> None:
-    """Call ``work(k, workers)`` for each of min(CPUs in the affinity set,
-    blocks) workers: the caller is worker 0, the others run on threads.  A
-    worker's exception is raised here once all have ended."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = max(1, min(cpus, blocks))
+def _spread(work: Callable[[int], None], workers: int) -> None:
+    """Call ``work(k)`` for k < ``workers``: the caller is worker 0, the others
+    run on threads.  A worker's exception is raised here once all have ended."""
     errors: list[BaseException | None] = [None] * workers
 
     def run(k: int) -> None:
         try:
-            work(k, workers)
+            work(k)
         except BaseException as exc:  # re-raised in the caller after the join
             errors[k] = exc
 
@@ -159,11 +158,16 @@ def states(
 
     Only ``swap`` and (c, w) of :func:`_factors` are formed per sector, and the
     thermal sums are ``np.einsum`` reductions (survival = sum(P) - sum(P*swap)).
-    A block holds at most ``_BLOCK_ELEMENTS`` factors or, where one time needs
-    more, one time and ``_SECTOR_BLOCK`` photon numbers plus the sector after
-    them.  Block k goes to worker k mod W (see :func:`_spread`), each reusing
-    one workspace; ``taskset -c 0`` keeps the kernel to one thread.  A time's
-    elements are bit-identical in any grid, block or worker.
+    Photon numbers are cut into slices at every ``_SECTOR_BLOCK`` and at each
+    cavity's cutoff, so each cavity sums over its own slices only.  The grid
+    goes to one worker per ``_BLOCK_ELEMENTS`` factors, up to the CPUs in the
+    affinity set (``taskset -c 0`` gives one thread; see :func:`_spread`), in
+    bands of ``_BAND_ROWS`` rows or one full-width block; band k goes to worker
+    k mod W.  A worker sums each slice over a band in blocks of at most
+    ``_BLOCK_ELEMENTS`` factors, reusing one workspace, and forms the band's
+    x1..x6 at once, so a narrow slice costs a few numpy calls per band, not
+    per block.  A time's elements are bit-identical in any grid, block, band
+    or worker.
 
     Raises TruncationError when a trace misses 1 by more than TRACE_TOL (the
     Fock truncation is too coarse) and ValueError for any other row that is
@@ -176,41 +180,52 @@ def states(
     g4, quarter_t, delta = 4.0 * g_eff * g_eff, 0.25 * t, params.delta
     probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
     totals = [float(np.sum(p)) for p in probs]
-    count = max(dist_a.n_max, dist_b.n_max) + 2
-    width = min(count - 1, _SECTOR_BLOCK)
-    step = max(1, min(t.size, _BLOCK_ELEMENTS // count)) if width == count - 1 else 1
-    starts = range(0, t.size, step)
+    count = max(p.size for p in probs) + 1  # sectors 0..N + 1 of the wider cavity
+    ends = sorted({*range(0, count - 1, _SECTOR_BLOCK), *(p.size for p in probs)})
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = max(1, min(cpus, t.size, -(-t.size * count // _BLOCK_ELEMENTS)))
+    band_rows = max(_BAND_ROWS, _BLOCK_ELEMENTS // count)  # most rows in one band
+    bands = min(t.size, workers * -(-t.size // (workers * band_rows)))
+    tall = -(-t.size // max(bands, 1))
+    # slice [lo, hi): its sectors n = lo..hi, rows per block, cavities reaching lo
+    slices = [(np.arange(lo, hi + 1.0), max(1, min(tall, _BLOCK_ELEMENTS // (hi - lo + 1))),
+               [(i, p[lo:hi]) for i, p in enumerate(probs) if p.size > lo])
+              for lo, hi in zip(ends, ends[1:])]
     x1, x2, x5, x6 = (np.empty(t.size) for _ in range(4))
     x3 = np.empty(t.size, dtype=complex)
 
-    def work(worker: int, workers: int) -> None:
-        ws = np.empty((4, step, width + 1))
-        # per cavity and row: sum(P*swap) over ground and excited sectors, then
-        # sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over sectors n, n + 1
-        sums, part = np.zeros((2, len(probs), 6, step))
-        for lo in starts[worker::workers]:
-            rows = slice(lo, min(lo + step, t.size))
-            r = rows.stop - lo
-            for k0 in range(0, count - 1, width):
-                cols = min(width, count - 1 - k0) + 1
-                swap, _, w, c = block = ws[:, :r, :cols]
-                n = np.arange(k0, k0 + cols, dtype=float)
-                _factors(block, g4[rows], quarter_t[rows], n, delta)
-                pairs = ((c, c), (w, w), (c, w), (w, c)) if delta * delta > 0.0 else ((c, c),)
-                for p, acc, new in zip(probs, sums[:, :, :r], part[:, :, :r]):
-                    m = max(0, min(p.size - k0, cols - 1))  # 0 past this cavity's cutoff
-                    out, pk = (new if k0 else acc), p[k0 : k0 + m]
-                    np.einsum("ij,j->i", swap[:, :m], pk, out=out[0])
-                    np.einsum("ij,j->i", swap[:, 1 : m + 1], pk, out=out[1])
-                    for total, (u, v) in zip(out[2:], pairs):
-                        np.einsum("ij,ij,j->i", u[:, :m], v[:, 1 : m + 1], pk, out=total)
-                    if k0:
-                        acc += new
+    def work(worker: int) -> None:
+        # four arrays 64-byte apart, so that SIMD loops see them equally aligned
+        ws = np.empty((4, -(-max(h * n.size for n, h, _ in slices) // 8) * 8))
+        blocks = [ws[:, : h * n.size].reshape(4, h, n.size) for n, h, _ in slices]
+        # per cavity and band row: sum(P*swap) over ground and excited sectors,
+        # then sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over sectors n, n + 1
+        sums, part = np.zeros((2, len(probs), 6, tall))
+        for k in range(worker, bands, workers):
+            first, last = k * t.size // bands, (k + 1) * t.size // bands
+            for (n, h, cavities), block in zip(slices, blocks):
+                acc = part if n[0] else sums
+                for r0 in range(first, last, h):
+                    rows = slice(r0, min(r0 + h, last))
+                    swap, _, w, c = view = block[:, : rows.stop - r0]
+                    _factors(view, g4[rows], quarter_t[rows], n, delta)
+                    pairs = ((c, c), (w, w), (c, w), (w, c)) if delta * delta > 0.0 else ((c, c),)
+                    for i, pk in cavities:
+                        out = acc[i, :, r0 - first : rows.stop - first]
+                        np.einsum("ij,j->i", swap[:, :-1], pk, out=out[0])
+                        np.einsum("ij,j->i", swap[:, 1:], pk, out=out[1])
+                        for total, (u, v) in zip(out[2:], pairs):
+                            np.einsum("ij,ij,j->i", u[:, :-1], v[:, 1:], pk, out=total)
+                if n[0]:
+                    for i, _ in cavities:
+                        sums[i, :, : last - first] += part[i, :, : last - first]
             sides = [
                 (total - sg, sg, total - se, se, cc - ww, cw + wc)
-                for total, (sg, se, cc, ww, cw, wc) in zip(totals, sums[:, :, :r])
+                for total, (sg, se, cc, ww, cw, wc) in zip(totals, sums[:, :, : last - first])
             ]
             (ad, af, aa, ab, ar, ai), (bd, bf, ba, bb, br, bi) = sides[0], sides[-1]
+            rows = slice(first, last)
             x1[rows] = 0.5 * (ab * bd + ad * bb)
             x2[rows] = 0.5 * (ab * bf + ad * ba)
             # x3 = coh_a * conj(coh_b) / 2 in real arithmetic, so that it is exactly
@@ -220,7 +235,7 @@ def states(
             x5[rows] = 0.5 * (aa * bd + af * bb)
             x6[rows] = 0.5 * (aa * bf + af * ba)
 
-    _spread(work, len(starts))
+    _spread(work, workers)
     trace = x1 + x2 + x5 + x6
     off = np.abs(trace - 1.0) > TRACE_TOL  # NaN passes here and fails check_x_states
     if off.any():

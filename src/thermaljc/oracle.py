@@ -28,6 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    MAX_POINTS,
     TRACE_TOL,
     AtomicDensityMatrix,
     SystemParams,
@@ -279,9 +280,21 @@ DEFAULT_GRID_DELTAS = (0.0, 1.0, 5.0)
 def validation_times(params: SystemParams, gt_max: float, times: int) -> np.ndarray:
     """``times`` equally spaced times t = gt/g with gt from 0 to ``gt_max``.
 
-    Raises ValueError when ``times`` < 1 or when gt_max/g overflows."""
+    Raises ValueError unless 2 <= ``times`` <= MAX_POINTS and ``gt_max`` > 0
+    (a grid at gt = 0 alone compares the initial state with itself), and when
+    gt_max/g overflows."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
+    if times > MAX_POINTS:
+        raise ValueError(
+            f"times must be <= {MAX_POINTS}, the limit of grid points, got {times}"
+        )
+    if gt_max < 0.0:
+        raise ValueError(f"gt_max must be >= 0, got {gt_max}")
+    if times == 1:
+        raise ValueError("times must be >= 2 to compare anything past gt = 0, got 1")
+    if not gt_max > 0.0:
+        raise ValueError(f"gt_max must be > 0 to compare anything past gt = 0, got {gt_max}")
     return params.times(np.linspace(0.0, gt_max, times))
 
 
@@ -294,9 +307,9 @@ def validation_grid(
 ) -> list[ValidationResult]:
     """Run the default cross-validation grid and report one result per setting.
 
-    A bad ``times``, ``g`` or ``gt_max/g`` raises ValueError before any
-    comparison runs; a setting that fails on its own is reported as a failed
-    result."""
+    A bad ``times``, ``gt_max``, ``g`` or ``gt_max/g`` raises ValueError
+    before any comparison runs; a setting that fails on its own is reported as
+    a failed result."""
     base = SystemParams(g=g, motion_enabled=motion_enabled)
     sample_times = validation_times(base, gt_max, times)
     results = []

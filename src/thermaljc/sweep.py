@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SystemParams, ThermalDistribution
+from .core import MAX_POINTS, SystemParams, ThermalDistribution
 from .dynamics import states
 from .observables import concurrence, energy, purity
 
@@ -57,6 +57,10 @@ def time_series(
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    if steps >= MAX_POINTS:
+        raise ValueError(
+            f"steps must be < {MAX_POINTS}, the limit of grid points, got {steps}"
+        )
     if not 0.0 < gt_max < math.inf:
         raise ValueError(f"gt_max must be positive and finite, got {gt_max}")
     gt = np.linspace(0.0, gt_max, steps + 1)

@@ -24,7 +24,8 @@ from thermaljc.cli import (
     _write_columns,
     main,
 )
-from thermaljc.core import MAX_SECTORS
+from thermaljc.core import MAX_POINTS, MAX_SECTORS, SystemParams
+from thermaljc.oracle import validation_times
 
 TS_FLAGS = [
     "--p", "1", "--kbar", "0.1", "--lbar", "0.1", "--delta", "0",
@@ -214,6 +215,13 @@ class TestValidate:
             (["--g", "0", "--times", "3"], "coupling strength g"),  # grid mode
             (["--gt-max", "-1", "--times", "3"], "gt_max must be >= 0, got -1.0"),
             (["--kbar", "0.1", "--gt-max", "-1"], "gt_max must be >= 0, got -1.0"),
+            # gt = 0 alone compares the initial Bell state with itself
+            (["--times", "1"], "times must be >= 2 to compare anything past gt = 0, got 1"),
+            (["--kbar", "0.1", "--times", "1"],
+             "times must be >= 2 to compare anything past gt = 0, got 1"),
+            (["--gt-max", "0"], "gt_max must be > 0 to compare anything past gt = 0, got 0.0"),
+            (["--kbar", "0.1", "--gt-max", "0"],
+             "gt_max must be > 0 to compare anything past gt = 0, got 0.0"),
         ],
     )
     def test_vacuous_or_invalid_grid_is_a_usage_error(self, capsys, flags, reason):
@@ -736,6 +744,30 @@ class TestExitCodes:
         assert captured.err == "usage error: gt_max/g = 1e+300/1e-150 overflows to an infinite time\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["timeseries", "--steps"], f"steps must be < {MAX_POINTS}"),
+            (["epe", "--steps"], f"steps must be < {MAX_POINTS}"),
+            (["scan", "--steps"], f"steps must be < {MAX_POINTS}"),
+            (["validate", "--times"], f"times must be <= {MAX_POINTS}"),
+        ],
+    )
+    def test_a_grid_past_the_point_limit_is_a_usage_error(self, tmp_path, capsys, argv, reason):
+        # 10**12 points used to end in numpy's "Unable to allocate 7.28 TiB"
+        out = tmp_path / "x.csv"
+        tail = [] if argv[0] == "validate" else ["--output", str(out)]
+        assert main([*argv, "1000000000000", *tail]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"usage error: {reason}, the limit of grid points, got 1000000000000\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_the_point_limit_itself_is_accepted(self):
+        assert validation_times(SystemParams(), 1.0, MAX_POINTS).size == MAX_POINTS
 
 
 def _write(tmp_path, fmt, timestamp, columns, header=TIMESERIES_HEADER):

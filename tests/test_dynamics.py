@@ -521,7 +521,8 @@ class TestWorkers:
         for fmt in ("csv", "json"):
             outputs[fmt] = tmp_path / f"one.{fmt}"
             assert main(["timeseries", *flags, "--format", fmt, "--output", str(outputs[fmt])]) == 0
-        blocks = -(-grid.size // (dynamics._BLOCK_ELEMENTS // (b.n_max + 2)))
+        # one thread per _BLOCK_ELEMENTS factors of the grid, at most one per CPU
+        blocks = -(-grid.size * (b.n_max + 2) // dynamics._BLOCK_ELEMENTS)
         workers = set()
         factors = dynamics._factors
 
@@ -627,6 +628,84 @@ class TestSectorBlocks:
         assert max(peaks.values()) <= 10_000_000
         # the workspaces are small next to the O(N) probability vector
         assert max(peaks.values()) - peaks[1] <= 1 << 20
+
+
+class TestBands:
+    @pytest.mark.parametrize("means", [(10.0, 0.5), (2.0, 0.3)], ids=["n289-25", "n68-18"])
+    @pytest.mark.parametrize("width", [7, 1 << 12])
+    def test_a_time_is_bit_identical_in_any_grid_band_block_and_worker(
+        self, monkeypatch, means, width
+    ):
+        params, a, b = SystemParams(p=2, delta=0.8), _dist(means[0]), _dist(means[1])
+        monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", width)
+        grid = np.linspace(0.0, 12.0, 40)
+        alone = [_fields(states(params, a, b, grid[i : i + 1])) for i in range(grid.size)]
+        count = a.n_max + 2
+        for band, budget in ((1, 1), (3, 50), (7, 7 * count), (16, dynamics._BLOCK_ELEMENTS)):
+            monkeypatch.setattr(dynamics, "_BAND_ROWS", band)
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+            for cpus in (1, 2, 3, 64):
+                _set_cpus(monkeypatch, cpus)
+                spread = _fields(states(params, a, b, grid))
+                for i, fields in enumerate(alone):
+                    for got, want in zip(spread, fields):
+                        assert got[i] == want[0]
+
+    @pytest.mark.parametrize("means", [(10.0, 0.5), (2.0, 0.3)], ids=["n289-25", "n68-18"])
+    def test_a_cutoff_split_matches_the_double_sum(self, monkeypatch, means):
+        # with 7-wide slices the narrow cutoff (26 or 19 photon numbers) splits
+        # one slice in two; bands of 3 rows in blocks of at most 50 factors
+        params, a, b = SystemParams(p=2, delta=0.8), _dist(means[0]), _dist(means[1])
+        monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", 7)
+        monkeypatch.setattr(dynamics, "_BAND_ROWS", 3)
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)
+        _set_cpus(monkeypatch, 2)
+        assert (b.n_max + 1) % 7 and (a.n_max + 1) % 7
+        grid = np.array([0.9, 2.3, 5.1, 7.7])
+        got = states(params, a, b, grid)
+        for i, gt in enumerate(grid):
+            x1, x2, x3, x5, x6 = _reference_elements(params, a, b, gt)
+            assert abs(got.x3[i] - x3) < 1e-12
+            for field, want in zip((got.x1, got.x2, got.x5, got.x6), (x1, x2, x5, x6)):
+                assert abs(field[i] - want) < 1e-12
+
+    def test_the_narrow_cavity_sums_once_per_band(self, monkeypatch):
+        # hot_bath: cutoffs 1395 and 25.  The slice below the narrow cutoff is
+        # one tall block per band; only the wide cavity runs in 23-row blocks
+        params, a, b = SystemParams(delta=1.0), _dist(50.0), _dist(0.5)
+        grid = np.linspace(0.0, 25.0, 20001)
+        _set_cpus(monkeypatch, 2)
+        sizes, einsum = [], np.einsum
+
+        def counting(*operands, **kwargs):
+            sizes.append(operands[-1].size)  # the weights P_n of one cavity's slice
+            return einsum(*operands, **kwargs)
+
+        monkeypatch.setattr(dynamics.np, "einsum", counting)
+        states(params, a, b, grid)
+        bands = 2 * -(-grid.size // (2 * dynamics._BAND_ROWS))
+        narrow, wide = b.n_max + 1, a.n_max - b.n_max
+        assert set(sizes) == {narrow, wide}
+        assert sizes.count(narrow) == 6 * 2 * bands  # both cavities, six sums
+        assert sizes.count(wide) >= 6 * 40 * bands  # over 40 row blocks per band
+
+    def test_memory_grows_with_the_grid_only_through_its_outputs(self, monkeypatch):
+        # The band buffers have a fixed size.  What grows with the grid is the
+        # output and the checks on it (a stacked copy of the populations and
+        # the trace temporaries): 2.4 times the output, 2.75 on one thread.
+        # A whole-grid buffer of the 2 x 6 sums per time made it 5.9.
+        params, a, b = SystemParams(delta=1.0), _dist(50.0), _dist(0.5)
+        _set_cpus(monkeypatch, 2)
+        peaks, held = {}, {}
+        for size in (20001, 80001):
+            grid = np.linspace(0.0, 25.0, size)
+            tracemalloc.start()
+            try:
+                held[size] = sum(field.nbytes for field in states(params, a, b, grid))
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[80001] - peaks[20001] <= 3 * (held[80001] - held[20001])
 
 
 def _cos_sin_factors(ws, g4, half_t, n, delta):

@@ -458,10 +458,15 @@ class TestRouteAgreement:
             for delta in (0.0, 1.0, 5.0)
         }
 
-    @pytest.mark.parametrize("kwargs", [{"times": 0}, {"times": -5}, {"g": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"times": 0}, {"times": -5}, {"g": 0.0},
+         # gt = 0 alone compares the initial Bell state with itself
+         {"times": 1}, {"gt_max": 0.0}, {"gt_max": -1.0}, {"times": (1 << 22) + 1}],
+    )
     def test_validation_grid_rejects_a_vacuous_or_invalid_grid(self, kwargs):
         with pytest.raises(ValueError):
-            validation_grid(gt_max=2.0, **{"times": 3, **kwargs})
+            validation_grid(**{"gt_max": 2.0, "times": 3, **kwargs})
 
     def test_validation_result_failure_handling(self):
         good = ValidationResult(1, 0.1, 0.1, 0.0, 1e-12)
