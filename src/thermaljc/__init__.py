@@ -17,8 +17,6 @@ from .core import (
     SystemParams,
     ThermalDistribution,
     TruncationError,
-    mean_photons_from_temperature,
-    thermal_probability,
     truncation_index,
 )
 from .dynamics import (
@@ -68,13 +66,11 @@ __all__ = [
     "effective_coupling",
     "energy",
     "max_route_deviation",
-    "mean_photons_from_temperature",
     "oracle_density_matrix",
     "oracle_joint_density",
     "purity",
     "scan",
     "states",
-    "thermal_probability",
     "time_series",
     "truncation_index",
     "validation_grid",

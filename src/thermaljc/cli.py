@@ -137,11 +137,26 @@ def _default_epsilon() -> float:
         raise UsageError(f"{ENV_EPSILON}: {exc}") from None
 
 
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _utf8_text(path: str, data: bytes, error: type[Exception]) -> str:
+    """``data`` decoded; ``error`` names the line of the first byte that is not
+    UTF-8 (newlines before it, plus one).  ``str.splitlines`` on the result
+    splits where text-mode reading followed by it did."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     """Read key=value lines; values stay raw strings until the owning
     subcommand parses them with the same parser its flag would use."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = _utf8_text(path, _read_bytes(path), UsageError)
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -301,6 +316,19 @@ _WRITE_ROWS = 512
 # The C encoder with json.dumps' defaults, joining items as indent=2 does 3 deep.
 _JSON_ITEMS = json.JSONEncoder(separators=(",\n      ", ": "))
 
+# The CSV this process wrote last, as (real path, SHA-256 of its bytes, its
+# columns by reference), kept only when parsing those bytes gives the columns
+# back.  _read_csv returns the columns for a file of the same path and digest,
+# so a script that writes and then plots through main parses nothing twice;
+# main empties the slot before every subcommand but plot.
+_written: tuple[str, bytes, dict[str, np.ndarray]] | None = None
+
+
+def _sha256(data: bytes = b""):
+    import hashlib  # on first use: most commands never hash, and start-up counts
+
+    return hashlib.sha256(data)
+
 
 def _write_columns(
     output: str,
@@ -315,13 +343,10 @@ def _write_columns(
     ``tolist`` yields Python floats, whose repr is the shortest round-trip
     text and matches what ``json`` writes for the same value."""
     blocks = [slice(lo, lo + _WRITE_ROWS) for lo in range(0, len(columns["gt"]), _WRITE_ROWS)]
+    if resolved["format"] == "csv":
+        _write_csv(output, header, columns, blocks)
+        return
     with open(output, "w", encoding="utf-8", newline="") as handle:
-        if resolved["format"] == "csv":
-            handle.write(header + "\n")
-            for block in blocks:
-                rows = zip(*(column[block].tolist() for column in columns.values()))
-                handle.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
-            return
         head = {"metadata": _metadata(subcommand, resolved), "columns": {}}
         handle.write(json.dumps(head, indent=2).removesuffix("{}\n}") + "{")
         for i, (name, column) in enumerate(columns.items()):
@@ -331,6 +356,36 @@ def _write_columns(
                 handle.write(f"{',' if j else ''}\n      {items}")
             handle.write("\n    ]")
         handle.write("\n  }\n}\n")
+
+
+def _write_csv(
+    output: str, header: str, columns: dict[str, np.ndarray], blocks: list[slice]
+) -> None:
+    """``_write_columns``' CSV.  It fills the ``_written`` slot when the header
+    names the columns and every value is finite: ``float(repr(x))`` is ``x``
+    bit for bit for a finite double (-0.0 included), so ``_read_csv`` would
+    parse the file back into ``columns``, while a non-finite value is an
+    input error there."""
+    global _written
+    _written = None
+    reusable = header.split(",") == list(columns) and all(
+        np.isfinite(column).all() for column in columns.values()
+    )
+    digest = _sha256() if reusable else None
+    with open(output, "wb") as handle:
+
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            handle.write(data)
+            if digest is not None:
+                digest.update(data)
+
+        put(header + "\n")
+        for block in blocks:
+            rows = zip(*(column[block].tolist() for column in columns.values()))
+            put("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+    if digest is not None:
+        _written = (os.path.realpath(output), digest.digest(), dict(columns))
 
 
 def _require_output(resolved: dict[str, object]) -> str:
@@ -456,10 +511,24 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
 
 
 def _read_csv(path: str) -> dict[str, np.ndarray]:
+    """The columns of a CSV file.  A file of the path and the bytes this
+    process wrote last gives back the written columns (contiguous, as parsed
+    ones are, since a reduction over a strided view may pick the other sign
+    of a zero); any other file is parsed by ``_parse_csv``."""
+    data = _read_bytes(path)
+    if (
+        _written is not None
+        and _written[0] == os.path.realpath(path)
+        and _sha256(data).digest() == _written[1]
+    ):
+        return {name: np.ascontiguousarray(c) for name, c in _written[2].items()}
+    return _parse_csv(path, _utf8_text(path, data, CsvFormatError))
+
+
+def _parse_csv(path: str, text: str) -> dict[str, np.ndarray]:
     """The body is parsed ``_WRITE_ROWS`` lines at a time by numpy (``float()``'s
     text rules); a block that fails goes to ``_read_lines``, to name the bad line."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = text.splitlines()
     if not lines:
         raise CsvFormatError(f"{path}:1: empty file")
     header = lines[0].split(",")
@@ -568,8 +637,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    global _written
+    kept, _written = _written, None
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "plot":
+            _written = kept
         runner, keys, _ = _SUBCOMMANDS[args.command]
         return runner(args.command, _resolve(args, keys))
     except UsageError as exc:

@@ -152,32 +152,6 @@ class ThermalDistribution:
         return ratio ** np.arange(self.n_max + 1) / (self.mean_photons + 1.0)
 
 
-def thermal_probability(dist: ThermalDistribution, n: int) -> float:
-    """P_n for the given distribution.
-
-    ``n = -1`` denotes the annihilation channel below the vacuum and carries
-    weight 0 by convention, which keeps index-shifted sums uniform.
-    """
-    if n < -1:
-        raise ValueError(f"photon index must be >= -1, got {n}")
-    if n == -1:
-        return 0.0
-    mean = dist.mean_photons
-    return (mean / (mean + 1.0)) ** n / (mean + 1.0)
-
-
-def mean_photons_from_temperature(omega_c: float, temperature: float) -> float:
-    """Bose occupation 1/(exp(omega_c/T) - 1) of a mode at frequency omega_c."""
-    if omega_c <= 0.0:
-        raise ValueError(f"mode frequency must be positive, got {omega_c}")
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    x = omega_c / temperature
-    if x > 700.0:  # exp would overflow; the occupation is numerically zero
-        return 0.0
-    return 1.0 / math.expm1(x)
-
-
 def check_x_states(x1, x2, x3, x5, x6, tol: float = TRACE_TOL) -> None:
     """Raise ValueError at the first entry that is not a two-atom X state.
 
@@ -233,24 +207,5 @@ class AtomicDensityMatrix:
     def trace(self) -> float:
         return self.x1 + self.x2 + self.x5 + self.x6
 
-    def inner_block_min_eigenvalue(self) -> float:
-        """Smaller eigenvalue of the central block [[x2, x3], [x4, x5]]."""
-        centre = 0.5 * (self.x2 + self.x5)
-        radius = math.hypot(0.5 * (self.x2 - self.x5), abs(self.x3))
-        return centre - radius
-
     def validate(self, tol: float = TRACE_TOL) -> None:
         check_x_states(self.x1, self.x2, self.x3, self.x5, self.x6, tol)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 4x4 complex matrix."""
-        x3 = complex(self.x3)
-        return np.array(
-            [
-                [self.x1, 0.0, 0.0, 0.0],
-                [0.0, self.x2, x3, 0.0],
-                [0.0, x3.conjugate(), self.x5, 0.0],
-                [0.0, 0.0, 0.0, self.x6],
-            ],
-            dtype=complex,
-        )

@@ -37,6 +37,8 @@ from thermaljc import (
 )
 from thermaljc.cli import main as cli_main
 
+from helpers import x_matrix
+
 GRID_P = (1, 4)
 GRID_MEANS = (0.0, 0.1, 0.5)
 GRID_DELTAS = (0.0, 1.0, 5.0)
@@ -108,7 +110,7 @@ def test_criterion_02_state_invariants(announce):
                 params = SystemParams(p=p, delta=delta)
                 for t in GRID_TIMES:
                     rho = density_matrix(params, dist, dist, float(t))
-                    m = rho.to_matrix()
+                    m = x_matrix(rho)
                     assert np.max(np.abs(m - m.conj().T)) == 0.0  # structural
                     worst_trace = max(worst_trace, abs(rho.trace - 1.0))
                     worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(m))))

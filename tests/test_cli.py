@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermaljc
+from thermaljc import cli
 from thermaljc.cli import (
     _WRITE_ROWS,
     EPE_HEADER,
@@ -552,6 +553,163 @@ class TestPlot:
         assert main(["plot", "--input", str(path), *columns, "--output", str(out)]) == 2
         assert capsys.readouterr().err == f"input error: {path}: {error}\n"
         assert not out.exists()
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is an input fault that names its line (the
+    newlines before it, plus one), not a decoding traceback."""
+
+    @pytest.mark.parametrize(
+        "content, lineno",
+        [
+            (b"gt,c\n0.5,\xff\n", 2),
+            (b"\xfegt,c\n0,1\n", 1),
+            (b"gt,c\r\n0,1\r\n1,\xc3(\r\n", 3),
+            (b"gt,c\n" + b"0,1\n" * 700 + b"0,\xed\xa0\x80\n", 702),  # a surrogate
+        ],
+        ids=["body", "header", "crlf", "later-block"],
+    )
+    def test_plot_input_is_an_input_error(self, tmp_path, capsys, content, lineno):
+        path, out = tmp_path / "bad.csv", tmp_path / "x.svg"
+        path.write_bytes(content)
+        assert main(["plot", "--input", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}:{lineno}: not UTF-8 text\n"
+        assert not out.exists()
+
+    def test_config_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        cfg.write_bytes(b"kbar=0.1\n# \xfe\nsteps=50\n")
+        assert main(["timeseries", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {cfg}:2: not UTF-8 text\n"
+        assert not out.exists()
+
+
+def _parsed(path):
+    """What ``_read_csv`` gives for ``path`` in a process that wrote nothing."""
+    kept, cli._written = cli._written, None
+    try:
+        return _read_csv(str(path))
+    finally:
+        cli._written = kept
+
+
+def _plot(path, out, *flags):
+    assert main(["plot", "--input", str(path), "--output", str(out), *flags]) == 0
+    return out.read_bytes()
+
+
+# '-' is -0.0, '+' is 0.0 and '1' is -1.0: a column whose np.max is -0.0 over a
+# strided view and 0.0 over a contiguous copy (numpy 2.4 with AVX2), which
+# shows as a top tick label of "-0" or "0"
+_ZEROS = "++1-+--1++-+-+++-+---+---++-++1+-11"
+
+
+class TestWrittenColumns:
+    """``plot`` reuses the columns this process wrote to the file it reads,
+    when that file still holds the written bytes; it parses anything else."""
+
+    @staticmethod
+    def _written_csv(tmp_path):
+        path = tmp_path / "ts.csv"
+        assert main(["timeseries", "--kbar", "0.1", "--gt-max", "6", "--steps", "50",
+                     "--output", str(path)]) == 0
+        return path
+
+    def test_the_written_file_is_not_parsed_again(self, tmp_path, monkeypatch):
+        path = self._written_csv(tmp_path)
+        expected = _parsed(path)
+        monkeypatch.setattr(cli, "_parse_csv", None)  # any parse would raise
+        got = _read_csv(str(path))
+        assert list(got) == TIMESERIES_HEADER.split(",")
+        assert {k: v.tobytes() for k, v in got.items()} == {
+            k: v.tobytes() for k, v in expected.items()
+        }
+
+    def test_strided_columns_and_signed_zeros_read_and_plot_as_parsed(self, tmp_path):
+        rows = len(_ZEROS)
+        zeros = np.array([{"-": -0.0, "+": 0.0, "1": -1.0}[c] for c in _ZEROS])
+        x3 = np.empty(rows, dtype=complex)
+        x3.real, x3.imag = zeros[::-1], zeros
+        names = TIMESERIES_HEADER.split(",")
+        columns = {name: zeros + k for k, name in enumerate(names)}
+        columns.update(gt=np.arange(rows) / 2.0, x3_re=x3.real, x3_im=x3.imag)
+        path = _write(tmp_path, "csv", True, columns)
+        assert cli._written is not None and "-0.0," in path.read_text()
+        reused, parsed = _read_csv(str(path)), _parsed(path)
+        assert list(reused) == list(parsed) == names
+        for name in names:
+            assert reused[name].dtype == np.float64
+            assert reused[name].tobytes() == parsed[name].tobytes() == columns[name].tobytes()
+        for flags in (["--columns", "x3_im"], ["--columns", "x3_re,x3_im,x1"]):
+            svg = _plot(path, tmp_path / "reused.svg", *flags)
+            kept, cli._written = cli._written, None
+            assert _plot(path, tmp_path / "parsed.svg", *flags) == svg
+            cli._written = kept
+
+    def test_a_changed_byte_is_parsed_not_reused(self, tmp_path):
+        path = self._written_csv(tmp_path)
+        written = _read_csv(str(path))
+        stat = path.stat()
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[21].split(b",")
+        col = TIMESERIES_HEADER.split(",").index("concurrence")
+        digit = fields[col][2:3]  # the first digit after "0."
+        fields[col] = fields[col][:2] + str((int(digit) + 5) % 10).encode() + fields[col][3:]
+        lines[21] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        got, fresh = _read_csv(str(path)), _parsed(path)
+        assert got["concurrence"][20] != written["concurrence"][20]
+        assert {k: v.tobytes() for k, v in got.items()} == {
+            k: v.tobytes() for k, v in fresh.items()
+        }
+        svg = _plot(path, tmp_path / "changed.svg")
+        # a fresh interpreter has never written anything
+        code = (f"import sys; from thermaljc.cli import main; sys.exit(main(["
+                f"'plot', '--input', {str(path)!r}, '--output', {str(tmp_path / 'fresh.svg')!r}]))")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thermaljc.__file__))}
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
+        assert (tmp_path / "fresh.svg").read_bytes() == svg
+
+    def test_a_non_finite_column_is_not_kept(self, tmp_path, capsys):
+        columns = {"gt": np.arange(4.0), "concurrence": np.array([0.0, 1.0, np.nan, 1.0])}
+        path = _write(tmp_path, "csv", True, columns, header="gt,concurrence")
+        assert cli._written is None
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--input", str(path), "--output", str(out),
+                     "--columns", "concurrence"]) == 2
+        assert capsys.readouterr().err == f"input error: {path}:4: not a finite number: 'nan'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["timeseries", "--steps", "20", "--format", "json"],
+            ["epe", "--steps", "20"],
+            ["scan", "--steps", "20"],
+            ["validate", "--p", "1", "--times", "3", "--gt-max", "1"],
+            ["timeseries", "--bogus"],
+            ["plot", "--bogus"],
+        ],
+        ids=["timeseries-json", "epe", "scan", "validate", "usage-error", "plot-usage-error"],
+    )
+    def test_any_call_but_a_plot_empties_the_slot_before_it_runs(
+        self, tmp_path, capsys, argv
+    ):
+        path = self._written_csv(tmp_path)
+        slot = cli._written
+        assert slot is not None and slot[0] == os.path.realpath(path)
+        _plot(path, tmp_path / "x.svg")
+        assert cli._written is slot
+        other = tmp_path / "other.out"
+        main([*argv, *([] if argv[0] == "validate" else ["--output", str(other)])])
+        # only a CSV of time series fills it again, with its own file
+        if argv[0] == "epe":
+            assert cli._written[0] == os.path.realpath(other)
+        else:
+            assert cli._written is None
+        assert _plot(path, tmp_path / "y.svg") == (tmp_path / "x.svg").read_bytes()
 
 
 def _reference_read_csv(path):

