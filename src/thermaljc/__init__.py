@@ -10,71 +10,24 @@ check the first.
 :mod:`thermaljc.cli` serializes results as CSV/JSON/SVG.
 """
 
-from .core import (
-    DEFAULT_EPSILON_TAIL,
-    TRACE_TOL,
-    AtomicDensityMatrix,
-    SystemParams,
-    ThermalDistribution,
-    TruncationError,
-    truncation_index,
-)
-from .dynamics import (
-    density_matrix,
-    effective_coupling,
-    states,
-)
+from .core import SystemParams, ThermalDistribution, TruncationError, XStates
+from .dynamics import density_matrix, states
 from .observables import concurrence, energy, purity
-from .oracle import (
-    ORACLE_TOL,
-    JointDensity,
-    ValidationResult,
-    max_route_deviation,
-    oracle_density_matrix,
-    oracle_joint_density,
-    validation_grid,
-    wootters_concurrence_general,
-)
-from .sweep import (
-    DEAD_THRESHOLD,
-    SweepReport,
-    TimeSeries,
-    dead_intervals,
-    scan,
-    time_series,
-    verified_period,
-)
+from .sweep import TimeSeries, time_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicDensityMatrix",
-    "DEAD_THRESHOLD",
-    "DEFAULT_EPSILON_TAIL",
-    "JointDensity",
-    "ORACLE_TOL",
-    "SweepReport",
     "SystemParams",
     "ThermalDistribution",
     "TimeSeries",
-    "TRACE_TOL",
     "TruncationError",
-    "ValidationResult",
+    "XStates",
     "concurrence",
-    "dead_intervals",
     "density_matrix",
-    "effective_coupling",
     "energy",
-    "max_route_deviation",
-    "oracle_density_matrix",
-    "oracle_joint_density",
     "purity",
-    "scan",
     "states",
     "time_series",
-    "truncation_index",
-    "validation_grid",
-    "verified_period",
-    "wootters_concurrence_general",
     "__version__",
 ]

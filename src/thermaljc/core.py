@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,31 +182,18 @@ def check_x_states(x1, x2, x3, x5, x6, tol: float = TRACE_TOL) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AtomicDensityMatrix:
-    """Two-atom reduced state in the basis (|gg>, |ge>, |eg>, |ee>).
+class XStates(NamedTuple):
+    """Two-atom X state in the basis (|gg>, |ge>, |eg>, |ee>).
 
     Only the X entries are stored: the populations x1, x2, x5, x6 and the
-    single independent coherence x3 = <ge|rho|eg>.  Hermiticity is structural
-    (x4 = conj(x3)); construction validates trace and positivity to TRACE_TOL.
+    single independent coherence x3 = <ge|rho|eg>, with x4 = conj(x3).  Each
+    field is an array with one entry per time of a grid, or a Python scalar
+    for one time.  The container does not check itself: the closed form and
+    the oracle pass every state they return through :func:`check_x_states`.
     """
 
-    x1: float
-    x2: float
-    x3: complex
-    x5: float
-    x6: float
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    @property
-    def x4(self) -> complex:
-        return complex(self.x3).conjugate()
-
-    @property
-    def trace(self) -> float:
-        return self.x1 + self.x2 + self.x5 + self.x6
-
-    def validate(self, tol: float = TRACE_TOL) -> None:
-        check_x_states(self.x1, self.x2, self.x3, self.x5, self.x6, tol)
+    x1: np.ndarray
+    x2: np.ndarray
+    x3: np.ndarray  # complex coherence <ge|rho|eg>
+    x5: np.ndarray
+    x6: np.ndarray

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     TRACE_TOL,
-    AtomicDensityMatrix,
     SystemParams,
     ThermalDistribution,
     TruncationError,
+    XStates,
     check_x_states,
 )
 
@@ -62,27 +62,6 @@ def effective_coupling(
                 0.0,
             )
     return float(g_eff) if g_eff.ndim == 0 else g_eff
-
-
-class XStates(NamedTuple):
-    """Closed-form X elements over a time grid, one array entry per time."""
-
-    g_eff: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray  # complex coherence <ge|rho|eg>
-    x5: np.ndarray
-    x6: np.ndarray
-
-    def at(self, i: int) -> AtomicDensityMatrix:
-        """The state at grid index ``i`` as a validated container."""
-        return AtomicDensityMatrix(
-            float(self.x1[i]),
-            float(self.x2[i]),
-            complex(self.x3[i]),
-            float(self.x5[i]),
-            float(self.x6[i]),
-        )
 
 
 def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarray,
@@ -244,7 +223,7 @@ def states(
             "truncation is too coarse (decrease epsilon_tail)"
         )
     check_x_states(x1, x2, x3, x5, x6)
-    return XStates(g_eff, x1, x2, x3, x5, x6)
+    return XStates(x1, x2, x3, x5, x6)
 
 
 def density_matrix(
@@ -252,6 +231,8 @@ def density_matrix(
     dist_a: ThermalDistribution,
     dist_b: ThermalDistribution,
     t: float,
-) -> AtomicDensityMatrix:
-    """Reduced two-atom state at time t: the one-point view of :func:`states`."""
-    return states(params, dist_a, dist_b, np.array([t], dtype=float)).at(0)
+) -> XStates:
+    """Reduced two-atom state at time t, as Python scalars: the one-point view
+    of :func:`states`."""
+    grid = states(params, dist_a, dist_b, np.array([t], dtype=float))
+    return XStates._make(v.item() for v in grid)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AtomicDensityMatrix
-from .dynamics import XStates
+from .core import XStates
 
 
-def concurrence(rho: AtomicDensityMatrix | XStates) -> float | np.ndarray:
+def concurrence(rho: XStates) -> float | np.ndarray:
     """Entanglement of an X state: 2*max{0, |x3| - sqrt(x1*x6)}.
 
     For the stored X structure the spin-flip spectrum is available in closed
@@ -21,7 +20,7 @@ def concurrence(rho: AtomicDensityMatrix | XStates) -> float | np.ndarray:
     return 2.0 * np.maximum(0.0, np.abs(rho.x3) - np.sqrt(x1 * x6))
 
 
-def purity(rho: AtomicDensityMatrix | XStates) -> float | np.ndarray:
+def purity(rho: XStates) -> float | np.ndarray:
     """Tr(rho^2) = x1^2 + x2^2 + x5^2 + x6^2 + 2*|x3|^2, in [1/4, 1]."""
     return (
         rho.x1 * rho.x1
@@ -32,7 +31,7 @@ def purity(rho: AtomicDensityMatrix | XStates) -> float | np.ndarray:
     )
 
 
-def energy(rho: AtomicDensityMatrix | XStates) -> float | np.ndarray:
+def energy(rho: XStates) -> float | np.ndarray:
     """Mean atomic excitation energy x6 - x1 (both atoms, units of the atomic
     splitting).  Zero for the initial one-excitation Bell state; -1 and +1 are
     reached only by |gg> and |ee>."""

@@ -31,10 +31,11 @@ import numpy as np
 from .core import (
     MAX_POINTS,
     TRACE_TOL,
-    AtomicDensityMatrix,
     SystemParams,
     ThermalDistribution,
     TruncationError,
+    XStates,
+    check_x_states,
 )
 from .dynamics import states
 
@@ -141,53 +142,32 @@ def _bell_state(m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
     return rho.reshape(-1, 4, 4)
 
 
-@dataclass(frozen=True)
-class JointDensity:
-    """Two-atom density matrices over a time grid, shape (times, 4, 4), in the
-    basis (|gg>, |ge>, |eg>, |ee>)."""
+def joint_x_states(m: np.ndarray) -> XStates:
+    """The X elements of a (times, 4, 4) stack of two-atom states, checked at
+    every time at once; each comparison fails on NaN.
 
-    matrix: np.ndarray
-
-    def max_off_x_magnitude(self) -> float:
-        """Largest entry outside the X pattern (diagonal plus the anti-diagonal
-        coherence pair) over the grid; exactly zero for the model's symmetric
-        initial state."""
-        return float(np.max(np.abs(self.matrix[:, ~_X_PATTERN]), initial=0.0))
-
-    def validate(self, trace_tol: float = TRACE_TOL) -> None:
-        """Check every time at once; each comparison fails on NaN."""
-        m = self.matrix
-        if m.ndim != 3 or m.shape[1:] != (4, 4):
-            raise ValueError(f"expected a (times, 4, 4) stack, got shape {m.shape}")
-        if not np.all(np.abs(m - m.conj().transpose(0, 2, 1)) <= 1e-12):
-            raise ValueError("accumulated state is not hermitian")
-        trace = np.trace(m, axis1=1, axis2=2).real
-        bad = ~(np.abs(trace - 1.0) <= trace_tol)
-        if bad.any():
-            raise TruncationError(
-                f"joint-state trace is {float(trace[bad.argmax()])!r}; the Fock "
-                "truncation is too coarse"
-            )
-        if not np.all(np.linalg.eigvalsh(m) >= -trace_tol):
-            raise ValueError("accumulated state has a negative eigenvalue")
-
-    def to_atomic(self, trace_tol: float = TRACE_TOL) -> list[AtomicDensityMatrix]:
-        """One validated X container per time."""
-        self.validate(trace_tol)
-        off_x = self.max_off_x_magnitude()
-        if off_x > X_STRUCTURE_TOL:
-            raise ValueError(f"state is not X structured: off-pattern magnitude {off_x:.3e}")
-        m = self.matrix
-        return [
-            AtomicDensityMatrix(x1, x2, x3, x5, x6)
-            for x1, x2, x3, x5, x6 in zip(
-                m[:, 0, 0].real.tolist(),
-                m[:, 1, 1].real.tolist(),
-                m[:, 1, 2].tolist(),
-                m[:, 2, 2].real.tolist(),
-                m[:, 3, 3].real.tolist(),
-            )
-        ]
+    Raises ValueError for a wrong shape, a non-hermitian state, a negative
+    eigenvalue or an entry outside the X pattern, and TruncationError for a
+    trace off 1 by more than TRACE_TOL."""
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError(f"expected a (times, 4, 4) stack, got shape {m.shape}")
+    if not np.all(np.abs(m - m.conj().transpose(0, 2, 1)) <= 1e-12):
+        raise ValueError("accumulated state is not hermitian")
+    trace = np.trace(m, axis1=1, axis2=2).real
+    bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
+    if bad.any():
+        raise TruncationError(
+            f"joint-state trace is {float(trace[bad.argmax()])!r}; the Fock "
+            "truncation is too coarse"
+        )
+    if not np.all(np.linalg.eigvalsh(m) >= -TRACE_TOL):
+        raise ValueError("accumulated state has a negative eigenvalue")
+    off_x = float(np.max(np.abs(m[:, ~_X_PATTERN]), initial=0.0))
+    if off_x > X_STRUCTURE_TOL:
+        raise ValueError(f"state is not X structured: off-pattern magnitude {off_x:.3e}")
+    x = XStates(m[:, 0, 0].real, m[:, 1, 1].real, m[:, 1, 2], m[:, 2, 2].real, m[:, 3, 3].real)
+    check_x_states(*x)
+    return x
 
 
 def oracle_joint_density(
@@ -195,14 +175,15 @@ def oracle_joint_density(
     dist_a: ThermalDistribution,
     dist_b: ThermalDistribution,
     t: np.ndarray,
-) -> JointDensity:
+) -> np.ndarray:
     """Brute-force two-atom state at every time of the one-dimensional array t.
 
     Both pairs share one stack of sector propagators; a cavity whose
     distribution equals the other's reuses its channel.  The grid is
     evaluated in chunks of at most ``_CHUNK_ELEMENTS`` propagator entries, or
-    of one time when a single time needs more.  The result is not validated;
-    see :meth:`JointDensity.validate`."""
+    of one time when a single time needs more.  Returns the (times, 4, 4)
+    stack in the basis (|gg>, |ge>, |eg>, |ee>), not validated; see
+    :func:`joint_x_states`."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
@@ -219,7 +200,7 @@ def oracle_joint_density(
         m_a = field_traced_channel(amp, photon, probs_a)
         m_b = m_a if same else field_traced_channel(amp, photon, probs_b)
         rho[rows] = _bell_state(m_a, m_b)
-    return JointDensity(rho)
+    return rho
 
 
 def oracle_density_matrix(
@@ -227,11 +208,11 @@ def oracle_density_matrix(
     dist_a: ThermalDistribution,
     dist_b: ThermalDistribution,
     t: float,
-) -> AtomicDensityMatrix:
-    """Brute-force reduced state at time t, validated and converted to the X
-    container: the one-point view of :func:`oracle_joint_density`."""
+) -> XStates:
+    """Brute-force reduced state at time t, validated, as Python scalars: the
+    one-point view of :func:`oracle_joint_density`."""
     joint = oracle_joint_density(params, dist_a, dist_b, np.array([t], dtype=float))
-    return joint.to_atomic()[0]
+    return XStates._make(v.item() for v in joint_x_states(joint))
 
 
 def wootters_concurrence_general(rho: np.ndarray) -> float:
@@ -283,7 +264,7 @@ def max_route_deviation(
     each evaluated over all times in one grid call."""
     times = np.fromiter(times, dtype=float)
     closed = states(params, dist_a, dist_b, times)
-    gap = oracle_joint_density(params, dist_a, dist_b, times).matrix
+    gap = oracle_joint_density(params, dist_a, dist_b, times)
     for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
                       ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
         gap[:, i, j] -= x

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MAX_POINTS, SystemParams, ThermalDistribution
-from .dynamics import states
+from .dynamics import effective_coupling, states
 from .observables import concurrence, energy, purity
 
 DEAD_THRESHOLD = 1e-6
@@ -64,8 +64,10 @@ def time_series(
     if not 0.0 < gt_max < math.inf:
         raise ValueError(f"gt_max must be positive and finite, got {gt_max}")
     gt = np.linspace(0.0, gt_max, steps + 1)
-    grid = states(params, dist_a, dist_b, params.times(gt))
-    return TimeSeries(gt, *grid, concurrence(grid), purity(grid), energy(grid))
+    t = params.times(gt)
+    grid = states(params, dist_a, dist_b, t)
+    return TimeSeries(gt, effective_coupling(params, t), *grid,
+                      concurrence(grid), purity(grid), energy(grid))
 
 
 def dead_intervals(

@@ -22,22 +22,24 @@ from thermaljc import (
     SystemParams,
     ThermalDistribution,
     concurrence,
-    dead_intervals,
     density_matrix,
-    effective_coupling,
     energy,
-    oracle_density_matrix,
-    oracle_joint_density,
     purity,
     states,
     time_series,
-    validation_grid,
-    verified_period,
-    wootters_concurrence_general,
 )
 from thermaljc.cli import main as cli_main
+from thermaljc.dynamics import effective_coupling
+from thermaljc.oracle import (
+    joint_x_states,
+    oracle_density_matrix,
+    oracle_joint_density,
+    validation_grid,
+    wootters_concurrence_general,
+)
+from thermaljc.sweep import dead_intervals, verified_period
 
-from helpers import x_matrix
+from helpers import max_off_x_magnitude, x_matrix, x_trace
 
 GRID_P = (1, 4)
 GRID_MEANS = (0.0, 0.1, 0.5)
@@ -112,7 +114,7 @@ def test_criterion_02_state_invariants(announce):
                     rho = density_matrix(params, dist, dist, float(t))
                     m = x_matrix(rho)
                     assert np.max(np.abs(m - m.conj().T)) == 0.0  # structural
-                    worst_trace = max(worst_trace, abs(rho.trace - 1.0))
+                    worst_trace = max(worst_trace, abs(x_trace(rho) - 1.0))
                     worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(m))))
                     c, pu, u = concurrence(rho), purity(rho), energy(rho)
                     ranges["C"] = [min(ranges["C"][0], c), max(ranges["C"][1], c)]
@@ -289,10 +291,10 @@ def test_criterion_09_x_structure_and_general_concurrence(announce):
             for delta in (0.0, 5.0):
                 params = SystemParams(p=p, delta=delta)
                 joint = oracle_joint_density(params, dist, dist, times)
-                worst_off_x = max(worst_off_x, joint.max_off_x_magnitude())
-                for matrix, atomic in zip(joint.matrix, joint.to_atomic()):
+                worst_off_x = max(worst_off_x, max_off_x_magnitude(joint))
+                for matrix, shortcut in zip(joint, concurrence(joint_x_states(joint))):
                     general = wootters_concurrence_general(matrix)
-                    worst_gap = max(worst_gap, abs(general - concurrence(atomic)))
+                    worst_gap = max(worst_gap, abs(general - shortcut))
     ok = worst_off_x <= 1e-12 and worst_gap <= 1e-10
     announce(9, ok, f"max off-X magnitude = {worst_off_x:.2e} (tolerance 1e-12); "
                     f"max |general - shortcut| concurrence = {worst_gap:.2e} "

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -463,6 +464,18 @@ class TestPlot:
         svg = out.read_text()
         assert svg.count("<polyline") == 1
         assert "concurrence" in svg
+
+    @pytest.mark.parametrize(
+        "flags, text",
+        [(["--title", "C & P <1>"], "C & P <1>"), (["--columns", "a<b"], "a<b")],
+        ids=["title", "column"],
+    )
+    def test_outside_text_is_escaped(self, tmp_path, flags, text):
+        path, out = tmp_path / "in.csv", tmp_path / "plot.svg"
+        path.write_text("gt,a<b,concurrence,purity,energy\n0,1,1,1,0\n1,0.5,0.5,0.7,-0.2\n")
+        assert main(["plot", "--input", str(path), "--output", str(out), *flags]) == 0
+        root = ET.parse(out).getroot()  # well-formed XML
+        assert text in [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_projection_conflicts_with_columns(self, sample_csv, tmp_path):
         assert main(["plot", "--input", str(sample_csv), "--projection", "c-vs-u",

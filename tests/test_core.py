@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermaljc import (
+from thermaljc import SystemParams, ThermalDistribution, TruncationError, XStates
+from thermaljc.core import (
     DEFAULT_EPSILON_TAIL,
-    AtomicDensityMatrix,
-    SystemParams,
-    ThermalDistribution,
-    TruncationError,
+    MAX_SECTORS,
+    check_x_states,
     truncation_index,
 )
-from thermaljc.core import MAX_SECTORS, check_x_states
 
-from helpers import x_matrix
+from helpers import x_matrix, x_trace
 
 
 def thermal_probability(dist: ThermalDistribution, n: int) -> float:
@@ -45,7 +43,7 @@ def mean_photons_from_temperature(omega_c: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def inner_block_min_eigenvalue(rho: AtomicDensityMatrix) -> float:
+def inner_block_min_eigenvalue(rho: XStates) -> float:
     """Smaller eigenvalue of the central block [[x2, x3], [x4, x5]]."""
     centre = 0.5 * (rho.x2 + rho.x5)
     return centre - math.hypot(0.5 * (rho.x2 - rho.x5), abs(rho.x3))
@@ -245,14 +243,19 @@ class TestMeanPhotonsFromTemperature:
 
 
 class TestAtomicDensityMatrix:
+    """The X-state container and the state checks of :func:`check_x_states`,
+    which the former scalar container ``AtomicDensityMatrix`` ran on
+    construction."""
+
     def test_bell_state(self):
-        rho = AtomicDensityMatrix(0.0, 0.5, 0.5 + 0j, 0.5, 0.0)
-        assert rho.trace == 1.0
-        assert rho.x4 == 0.5 - 0j
+        rho = XStates(0.0, 0.5, 0.5 + 0j, 0.5, 0.0)
+        check_x_states(*rho)
+        assert x_trace(rho) == 1.0
+        assert x_matrix(rho)[2, 1] == 0.5 - 0j  # x4 = conj(x3)
         assert inner_block_min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-15)
 
     def test_to_matrix_layout(self):
-        rho = x_matrix(AtomicDensityMatrix(0.1, 0.3, 0.2 + 0.1j, 0.4, 0.2))
+        rho = x_matrix(XStates(0.1, 0.3, 0.2 + 0.1j, 0.4, 0.2))
         assert rho.shape == (4, 4)
         assert rho[0, 0] == 0.1  # |gg>
         assert rho[1, 1] == 0.3  # |ge>
@@ -264,22 +267,23 @@ class TestAtomicDensityMatrix:
         assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            AtomicDensityMatrix(0.5, 0.5, 0.0j, 0.5, 0.5)
+        with pytest.raises(ValueError, match="trace deviates from 1 by 1.000e"):
+            check_x_states(0.5, 0.5, 0.0j, 0.5, 0.5)
 
     def test_rejects_negative_population(self):
-        with pytest.raises(ValueError):
-            AtomicDensityMatrix(-0.2, 0.5, 0.0j, 0.5, 0.2)
+        with pytest.raises(ValueError, match=r"populations outside \[0, 1\]: \(-0.2,"):
+            check_x_states(-0.2, 0.5, 0.0j, 0.5, 0.2)
 
     def test_rejects_oversized_coherence(self):
         # |x3| > sqrt(x2*x5) makes the central block indefinite
-        with pytest.raises(ValueError):
-            AtomicDensityMatrix(0.4, 0.1, 0.3 + 0j, 0.1, 0.4)
+        with pytest.raises(ValueError, match=r"coherence too large .*\|x3\|=0.3,"):
+            check_x_states(0.4, 0.1, 0.3 + 0j, 0.1, 0.4)
 
     def test_validate_tolerance_is_adjustable(self):
-        rho = AtomicDensityMatrix(0.5, 0.25, 0.0j, 0.25, 5e-10)
-        with pytest.raises(ValueError):
-            rho.validate(tol=1e-12)
+        rho = XStates(0.5, 0.25, 0.0j, 0.25, 5e-10)
+        check_x_states(*rho)
+        with pytest.raises(ValueError, match="trace deviates"):
+            check_x_states(*rho, tol=1e-12)
 
     @pytest.mark.parametrize("index", range(5))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -287,7 +291,7 @@ class TestAtomicDensityMatrix:
         elements = [0.0, 0.5, 0.5 + 0j, 0.5, 0.0]
         elements[index] = bad if index != 2 else complex(0.5, bad)
         with pytest.raises(ValueError):
-            AtomicDensityMatrix(*elements)
+            check_x_states(*elements)
 
     def test_array_check_names_the_first_failing_row(self):
         x1 = np.array([0.0, 0.0, math.nan])

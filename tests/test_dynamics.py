@@ -25,13 +25,13 @@ from thermaljc import (
     TruncationError,
     density_matrix,
     dynamics,
-    effective_coupling,
-    oracle_density_matrix,
     states,
 )
 from thermaljc.cli import main
+from thermaljc.dynamics import effective_coupling
+from thermaljc.oracle import oracle_density_matrix
 
-from helpers import x_matrix
+from helpers import x_matrix, x_trace
 
 
 def _dist(mean):
@@ -224,7 +224,7 @@ class TestDressedParams:
             params, t = SystemParams(delta=delta), 0.0
         vacuum = _dist(0.0)
         rho = density_matrix(params, vacuum, vacuum, t)
-        assert rho.trace == pytest.approx(1.0, abs=1e-14)
+        assert x_trace(rho) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestFactorCache:
@@ -235,7 +235,7 @@ class TestFactorCache:
         dist = _dist(0.5)
         rho = density_matrix(SystemParams(delta=delta), dist, dist, 1.3)
         kept = float(np.sum(dist.probabilities()))
-        assert rho.trace == pytest.approx(kept * kept, abs=1e-14)
+        assert x_trace(rho) == pytest.approx(kept * kept, abs=1e-14)
 
     def test_amp_magnitude_squared_equals_stay(self):
         # for a vacuum pair x3 = |amp_0 amp_1|^2 / 2 and x2 = stay_0 stay_1 / 2;
@@ -373,7 +373,7 @@ class TestDensityMatrix:
         assert np.max(np.abs(analytic - brute)) < 1e-9
 
 
-_FIELDS = ("g_eff", "x1", "x2", "x3", "x5", "x6")
+_FIELDS = ("x1", "x2", "x3", "x5", "x6")
 _means = st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5])
 _times = st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=12)
 
@@ -424,7 +424,7 @@ class TestStates:
         t = np.array(gt)
         now = states(params, a, b, t)
         later = states(params, a, b, t + 2.0 * math.pi / p)
-        for name in _FIELDS[1:]:
+        for name in _FIELDS:
             assert np.max(np.abs(getattr(now, name) - getattr(later, name))) <= 1e-10
 
     @given(
@@ -439,11 +439,13 @@ class TestStates:
         # at fixed delta/g the state depends on gt alone
         dist = _dist(kbar)
         gt = np.array(gt)
-        unit = states(SystemParams(delta=delta, p=p, motion_enabled=motion), dist, dist, gt)
-        scaled = states(SystemParams(g=g, delta=delta * g, p=p, motion_enabled=motion),
-                        dist, dist, gt / g)
-        assert np.allclose(scaled.g_eff, g * unit.g_eff, rtol=1e-12, atol=1e-15)
-        for name in _FIELDS[1:]:
+        unit_params = SystemParams(delta=delta, p=p, motion_enabled=motion)
+        scaled_params = SystemParams(g=g, delta=delta * g, p=p, motion_enabled=motion)
+        unit = states(unit_params, dist, dist, gt)
+        scaled = states(scaled_params, dist, dist, gt / g)
+        assert np.allclose(effective_coupling(scaled_params, gt / g),
+                           g * effective_coupling(unit_params, gt), rtol=1e-12, atol=1e-15)
+        for name in _FIELDS:
             assert np.max(np.abs(getattr(scaled, name) - getattr(unit, name))) <= 1e-12
 
     def test_a_time_is_bit_identical_alone_in_a_grid_and_in_any_block(self, monkeypatch):
@@ -458,18 +460,32 @@ class TestStates:
         for budget in (1, 7 * count, dynamics._BLOCK_ELEMENTS):
             monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
             blocked = states(params, a, b, grid)
-            for name in _FIELDS:
-                assert np.array_equal(getattr(blocked, name), getattr(reference, name))
+            for got, want in zip(_fields(params, grid, blocked), _fields(params, grid, reference)):
+                assert np.array_equal(got, want)
             for i in picks:
                 alone = states(params, a, b, grid[i : i + 1])
-                for name in _FIELDS:
-                    assert getattr(alone, name)[0] == getattr(reference, name)[i]
+                for got, want in zip(_fields(params, grid[i : i + 1], alone),
+                                     _fields(params, grid, reference)):
+                    assert got[0] == want[i]
 
     def test_density_matrix_is_the_one_point_view(self):
         params = SystemParams(delta=-0.4, p=3)
         a, b = _dist(0.2), _dist(0.9)
         grid = states(params, a, b, np.array([0.5, 2.25]))
-        assert density_matrix(params, a, b, 2.25) == grid.at(1)
+        view = density_matrix(params, a, b, 2.25)
+        for name in _FIELDS:
+            assert getattr(view, name) == getattr(grid, name)[1]
+
+    @pytest.mark.parametrize("view", [density_matrix, oracle_density_matrix])
+    def test_one_point_views_hold_scalars(self, view):
+        rho = view(SystemParams(delta=-0.4, p=3), _dist(0.2), _dist(0.9), 2.25)
+        for name in _FIELDS:
+            value = getattr(rho, name)
+            assert np.ndim(value) == 0
+            assert type(value) is (complex if name == "x3" else float)
+            complex(value)
+            if name != "x3":
+                float(value)
 
     def test_empty_grid(self):
         grid = states(SystemParams(), _dist(0.1), _dist(0.1), np.array([]))
@@ -497,8 +513,9 @@ def _wide_case():
     return SystemParams(p=2, delta=0.8), _dist(10.0), _dist(0.5)
 
 
-def _fields(grid):
-    return [getattr(grid, name) for name in _FIELDS]
+def _fields(params, t, grid):
+    """g'(t) and the X elements of ``grid``: the state columns a series writes."""
+    return [effective_coupling(params, t), *grid]
 
 
 def _set_cpus(monkeypatch, cpus):
@@ -545,7 +562,7 @@ class TestWorkers:
                 assert again.read_bytes() == path.read_bytes()
         finally:
             sys.setswitchinterval(interval)
-        for got, want in zip(_fields(spread), _fields(reference)):
+        for got, want in zip(_fields(params, grid, spread), _fields(params, grid, reference)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("in_caller", [False, True])
@@ -582,7 +599,7 @@ class TestSectorBlocks:
         whole = states(params, a, b, grid)
         monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", width)
         sliced = states(params, a, b, grid)
-        for got, want in zip(_fields(sliced), _fields(whole)):
+        for got, want in zip(_fields(params, grid, sliced), _fields(params, grid, whole)):
             assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_a_time_is_bit_identical_in_any_grid_block_and_worker(self, monkeypatch):
@@ -594,11 +611,13 @@ class TestSectorBlocks:
         for budget, cpus in ((1, 1), (7 * count, 2), (dynamics._BLOCK_ELEMENTS, 3), (1, 64)):
             monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
             _set_cpus(monkeypatch, cpus)
-            for got, want in zip(_fields(states(params, a, b, grid)), _fields(reference)):
+            blocked = _fields(params, grid, states(params, a, b, grid))
+            for got, want in zip(blocked, _fields(params, grid, reference)):
                 assert np.array_equal(got, want)
             for i in (0, 1, 20, 39):
-                alone = states(params, a, b, grid[i : i + 1])
-                for got, want in zip(_fields(alone), _fields(reference)):
+                t = grid[i : i + 1]
+                alone = _fields(params, t, states(params, a, b, t))
+                for got, want in zip(alone, _fields(params, grid, reference)):
                     assert got[0] == want[i]
 
     @pytest.mark.parametrize("width", [1, 7])
@@ -641,14 +660,15 @@ class TestBands:
         params, a, b = SystemParams(p=2, delta=0.8), _dist(means[0]), _dist(means[1])
         monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", width)
         grid = np.linspace(0.0, 12.0, 40)
-        alone = [_fields(states(params, a, b, grid[i : i + 1])) for i in range(grid.size)]
+        alone = [_fields(params, grid[i : i + 1], states(params, a, b, grid[i : i + 1]))
+                 for i in range(grid.size)]
         count = a.n_max + 2
         for band, budget in ((1, 1), (3, 50), (7, 7 * count), (16, dynamics._BLOCK_ELEMENTS)):
             monkeypatch.setattr(dynamics, "_BAND_ROWS", band)
             monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
             for cpus in (1, 2, 3, 64):
                 _set_cpus(monkeypatch, cpus)
-                spread = _fields(states(params, a, b, grid))
+                spread = _fields(params, grid, states(params, a, b, grid))
                 for i, fields in enumerate(alone):
                     for got, want in zip(spread, fields):
                         assert got[i] == want[0]
@@ -798,5 +818,7 @@ class TestHalfAngleFactors:
             lambda ws, g4, quarter_t, n, delta: _cos_sin_factors(ws, g4, 2.0 * quarter_t, n, delta),
         )
         want = states(params, a, b, grid)
-        for name in _FIELDS:
-            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-14, name
+        for name, got_field, want_field in zip(
+            ("g_eff", *_FIELDS), _fields(params, grid, got), _fields(params, grid, want)
+        ):
+            assert np.max(np.abs(got_field - want_field)) <= 1e-14, name

@@ -9,26 +9,34 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thermaljc import (
-    AtomicDensityMatrix,
     SystemParams,
     ThermalDistribution,
+    XStates,
     concurrence,
     density_matrix,
-    effective_coupling,
     energy,
     purity,
     time_series,
 )
+from thermaljc.core import check_x_states
+from thermaljc.dynamics import effective_coupling
 
-BELL = AtomicDensityMatrix(0.0, 0.5, 0.5 + 0j, 0.5, 0.0)
-MIXED = AtomicDensityMatrix(0.25, 0.25, 0.0j, 0.25, 0.25)
+
+def _x_state(x1, x2, x3, x5, x6):
+    """An X state, checked as a valid density matrix on construction."""
+    check_x_states(x1, x2, x3, x5, x6)
+    return XStates(x1, x2, x3, x5, x6)
+
+
+BELL = _x_state(0.0, 0.5, 0.5 + 0j, 0.5, 0.0)
+MIXED = _x_state(0.25, 0.25, 0.0j, 0.25, 0.25)
 
 
 def _symmetric_state(x1, x3, x6):
     """X state with the outer populations and coherence given; x2 = x5 fills
     the rest of the trace."""
     middle = 0.5 * (1.0 - x1 - x6)
-    return AtomicDensityMatrix(x1, middle, x3, middle, x6)
+    return _x_state(x1, middle, x3, middle, x6)
 
 
 # strategy for physically valid symmetric X states
@@ -68,7 +76,7 @@ class TestConcurrence:
 
     @given(_states, st.floats(min_value=-math.pi, max_value=math.pi))
     def test_invariant_under_coherence_phase(self, rho, phi):
-        rotated = AtomicDensityMatrix(
+        rotated = _x_state(
             rho.x1, rho.x2, rho.x3 * cmath.exp(1j * phi), rho.x5, rho.x6
         )
         assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-12)
@@ -97,8 +105,8 @@ class TestEnergy:
         "rho, expected",
         [
             (BELL, 0.0),
-            (AtomicDensityMatrix(1.0, 0.0, 0.0j, 0.0, 0.0), -1.0),  # |gg>
-            (AtomicDensityMatrix(0.0, 0.0, 0.0j, 0.0, 1.0), 1.0),  # |ee>
+            (_x_state(1.0, 0.0, 0.0j, 0.0, 0.0), -1.0),  # |gg>
+            (_x_state(0.0, 0.0, 0.0j, 0.0, 1.0), 1.0),  # |ee>
             (_symmetric_state(0.3, 0.1 + 0j, 0.1), -0.2),
         ],
     )

@@ -12,28 +12,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thermaljc import (
-    ORACLE_TOL,
     SystemParams,
     ThermalDistribution,
     TruncationError,
+    XStates,
     density_matrix,
-    effective_coupling,
+)
+from thermaljc.dynamics import effective_coupling
+from thermaljc.oracle import (
+    _CHUNK_ELEMENTS,
+    ORACLE_TOL,
+    ValidationResult,
+    evolve_basis,
+    joint_x_states,
     max_route_deviation,
     oracle_density_matrix,
     oracle_joint_density,
+    sector_hamiltonians,
     validation_grid,
     wootters_concurrence_general,
 )
-from thermaljc.oracle import (
-    _CHUNK_ELEMENTS,
-    JointDensity,
-    ValidationResult,
-    evolve_basis,
-    sector_hamiltonians,
-)
 from thermaljc.cli import main as cli_main
 
-from helpers import x_matrix
+from helpers import max_off_x_magnitude, x_matrix
 
 
 def _dist(mean, epsilon_tail=1e-12):
@@ -295,66 +296,77 @@ class TestEvolveBranch:
     def test_factorized_trace_matches_the_branch_loop(self, params, dist_a, dist_b):
         assert max(dist_a.n_max, dist_b.n_max) <= 11
         t = np.linspace(0.0, 25.0, 9) / params.g
-        factorized = oracle_joint_density(params, dist_a, dist_b, t).matrix
+        factorized = oracle_joint_density(params, dist_a, dist_b, t)
         assert np.max(np.abs(factorized - _reference_joint(params, dist_a, dist_b, t))) <= 1e-14
 
 
 class TestJointDensity:
+    """The checks of :func:`joint_x_states` on (times, 4, 4) stacks, which the
+    former ``JointDensity`` wrapper made in ``validate`` and ``to_atomic``."""
+
     def test_oracle_output_is_x_structured(self):
         rho = oracle_joint_density(
             SystemParams(delta=1.0), _dist(0.1), _dist(0.1), np.array([1.7, 4.2])
         )
-        rho.validate()
-        assert rho.max_off_x_magnitude() <= 1e-12
+        joint_x_states(rho)
+        assert max_off_x_magnitude(rho) <= 1e-12
 
     def test_off_pattern_entry_is_reported_and_blocks_conversion(self):
         m = np.array(BELL_MATRIX)
         m[0, 3] = m[3, 0] = 0.1
-        dirty = JointDensity(np.stack([BELL_MATRIX, m]))
-        assert dirty.max_off_x_magnitude() == pytest.approx(0.1, abs=1e-15)
+        dirty = np.stack([BELL_MATRIX, m])
+        assert max_off_x_magnitude(dirty) == pytest.approx(0.1, abs=1e-15)
         with pytest.raises(ValueError):
-            dirty.to_atomic()
+            joint_x_states(dirty)
+
+    def test_a_valid_state_off_the_x_pattern_is_refused(self):
+        # positive (eigenvalues 0.25 +- 0.1) and of unit trace, but not X shaped
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 3] = m[3, 0] = 0.1
+        with pytest.raises(ValueError, match="not X structured: off-pattern magnitude 1.000e-01"):
+            joint_x_states(np.stack([BELL_MATRIX, m]))
 
     def test_rejects_non_hermitian(self):
         m = np.array(BELL_MATRIX)
         m[1, 2] = 0.5j  # conjugate partner left at 0.5
         with pytest.raises(ValueError):
-            JointDensity(np.stack([BELL_MATRIX, m])).validate()
+            joint_x_states(np.stack([BELL_MATRIX, m]))
 
     def test_rejects_trace_loss(self):
         with pytest.raises(TruncationError, match="0.9"):
-            JointDensity(np.stack([BELL_MATRIX, 0.9 * BELL_MATRIX])).validate()
+            joint_x_states(np.stack([BELL_MATRIX, 0.9 * BELL_MATRIX]))
 
     def test_rejects_indefinite_matrix(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            JointDensity(np.stack([BELL_MATRIX, m])).validate()
+            joint_x_states(np.stack([BELL_MATRIX, m]))
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (3, 3)])
     def test_rejects_nan_at_any_time(self, entry):
         m = np.array(BELL_MATRIX)
         m[entry] = np.nan
         with pytest.raises((ValueError, TruncationError)):
-            JointDensity(np.stack([BELL_MATRIX, BELL_MATRIX, m])).validate()
+            joint_x_states(np.stack([BELL_MATRIX, BELL_MATRIX, m]))
 
     def test_rejects_a_single_matrix(self):
         with pytest.raises(ValueError, match="times, 4, 4"):
-            JointDensity(BELL_MATRIX).validate()
+            joint_x_states(BELL_MATRIX)
 
-    def test_to_atomic_round_trips_the_elements(self):
+    def test_joint_x_states_round_trips_the_elements(self):
         joint = oracle_joint_density(
             SystemParams(delta=1.0), _dist(0.1), _dist(0.1), np.array([1.7, 4.2])
         )
-        atomic = joint.to_atomic()
-        assert len(atomic) == 2
-        for rho, matrix in zip(atomic, joint.matrix):
+        grid = joint_x_states(joint)
+        assert all(field.shape == (2,) for field in grid)
+        for i, matrix in enumerate(joint):
+            rho = XStates._make(field[i] for field in grid)
             np.testing.assert_allclose(x_matrix(rho), matrix, atol=1e-12)
 
     def test_one_point_view_is_the_grid_entry(self):
         params, dist = SystemParams(delta=1.0), _dist(0.1)
         grid = oracle_joint_density(params, dist, dist, np.array([0.4, 1.7]))
         point = oracle_density_matrix(params, dist, dist, 1.7)
-        np.testing.assert_allclose(x_matrix(point), grid.matrix[1], atol=1e-15)
+        np.testing.assert_allclose(x_matrix(point), grid[1], atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -369,24 +381,24 @@ def oracle_grid():
 class TestOracleInvariants:
 
     def test_hermitian(self, oracle_grid):
-        for rho in oracle_grid.matrix:
+        for rho in oracle_grid:
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
 
     def test_trace_one(self, oracle_grid):
-        for rho in oracle_grid.matrix:
+        for rho in oracle_grid:
             assert abs(np.trace(rho).real - 1.0) <= 1e-9
 
     def test_positive_semidefinite(self, oracle_grid):
-        for rho in oracle_grid.matrix:
+        for rho in oracle_grid:
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
 
     def test_x_structure(self, oracle_grid):
-        assert oracle_grid.max_off_x_magnitude() <= 1e-12
+        assert max_off_x_magnitude(oracle_grid) <= 1e-12
 
     def test_empty_grid(self):
         joint = oracle_joint_density(SystemParams(), _dist(0.1), _dist(0.1), np.array([]))
-        assert joint.matrix.shape == (0, 4, 4)
-        joint.validate()
+        assert joint.shape == (0, 4, 4)
+        joint_x_states(joint)
 
 
 class TestChunking:
@@ -394,10 +406,10 @@ class TestChunking:
     def test_chunk_size_does_not_change_the_grid(self, monkeypatch, chunk):
         params, dist_a, dist_b = SystemParams(delta=1.0), _dist(0.1), _dist(0.5)
         t = np.linspace(0.0, 25.0, 23)
-        whole = oracle_joint_density(params, dist_a, dist_b, t).matrix
+        whole = oracle_joint_density(params, dist_a, dist_b, t)
         # the budget is counted in propagator entries, 4 per sector and time
         monkeypatch.setattr("thermaljc.oracle._CHUNK_ELEMENTS", chunk * 4 * 26)
-        chunked = oracle_joint_density(params, dist_a, dist_b, t).matrix
+        chunked = oracle_joint_density(params, dist_a, dist_b, t)
         np.testing.assert_array_equal(chunked, whole)
 
     @pytest.mark.parametrize("times", [1, 120])

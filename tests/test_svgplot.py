@@ -1,6 +1,8 @@
 """SVG rendering: a curve's points are mapped as whole arrays, with the bytes a
 per-point scalar evaluation of the same map gives."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,3 +96,12 @@ def test_a_span_past_the_largest_float_is_refused():
         render_plot([("a", xs, np.arange(3.0))], "gt", "y")
     with pytest.raises(ValueError, match="span more than the largest float"):
         render_plot([("a", np.arange(2.0), np.full(2, 1.7976931348623157e308))], "gt", "y")
+
+
+def test_titles_and_labels_are_escaped_as_xml_text():
+    labels = {"title": "C & P <1>", "x": "t > 0", "y": "a<b / c&d", "curve": "<&>"}
+    svg = render_plot([(labels["curve"], np.arange(3.0), np.arange(3.0))],
+                      labels["x"], labels["y"], labels["title"])
+    root = ET.fromstring(svg)
+    texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert all(text in texts for text in labels.values())

@@ -10,15 +10,13 @@ from thermaljc import (
     ThermalDistribution,
     TimeSeries,
     concurrence,
-    dead_intervals,
     density_matrix,
     energy,
     purity,
-    scan,
     states,
     time_series,
-    verified_period,
 )
+from thermaljc.sweep import dead_intervals, scan, verified_period
 
 # first sudden-death episode of the reference trajectory (p=1, delta=0,
 # both means 0.1) on the default 2000-step grid over gt <= 25, frozen
