@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .oracle import (
 )
 from .svgplot import render_plot
 from .sweep import scan, time_series
+
+if TYPE_CHECKING:
+    from .floattext import FloatText
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -310,11 +313,10 @@ def _csv_text(header: str, rows: Iterable[Iterable[str]]) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-# Rows per block of _write_columns: a CSV block of the 11 timeseries columns
-# holds about 0.4 MiB of Python floats and text, whatever the grid length.
-_WRITE_ROWS = 512
-# The C encoder with json.dumps' defaults, joining items as indent=2 does 3 deep.
-_JSON_ITEMS = json.JSONEncoder(separators=(",\n      ", ": "))
+# Lines per block of _parse_csv.
+_READ_ROWS = 512
+# What follows each item of a JSON list, as indent=2 joins them 3 deep.
+_JSON_ITEM_END = b",\n      "
 
 # The CSV this process wrote last, as (real path, SHA-256 of its bytes, its
 # columns by reference), kept only when parsing those bytes gives the columns
@@ -337,29 +339,33 @@ def _write_columns(
     header: str,
     columns: dict[str, np.ndarray],
 ) -> None:
-    """Write equal-length float columns as CSV rows or JSON lists, ``_WRITE_ROWS``
+    """Write equal-length float columns as CSV rows or JSON lists, a block of
     rows at a time, with the bytes ``_csv_text``/``_json_text`` give the whole.
 
-    ``tolist`` yields Python floats, whose repr is the shortest round-trip
-    text and matches what ``json`` writes for the same value."""
-    blocks = [slice(lo, lo + _WRITE_ROWS) for lo in range(0, len(columns["gt"]), _WRITE_ROWS)]
+    Every value is written as its ``repr``, the shortest round-trip text,
+    which is also what ``json`` writes for a finite float; one ``FloatText``
+    encoder makes the text of a whole block."""
+    from .floattext import FloatText  # on first use: most commands write no columns
+
     if resolved["format"] == "csv":
-        _write_csv(output, header, columns, blocks)
+        separators = [b","] * (len(columns) - 1) + [b"\n"]
+        _write_csv(output, header, columns, FloatText(separators))
         return
-    with open(output, "w", encoding="utf-8", newline="") as handle:
+    text = FloatText([_JSON_ITEM_END], json=True)
+    with open(output, "wb") as handle:
         head = {"metadata": _metadata(subcommand, resolved), "columns": {}}
-        handle.write(json.dumps(head, indent=2).removesuffix("{}\n}") + "{")
+        handle.write((json.dumps(head, indent=2).removesuffix("{}\n}") + "{").encode())
         for i, (name, column) in enumerate(columns.items()):
-            handle.write(f"{',' if i else ''}\n    {json.dumps(name)}: [")
-            for j, block in enumerate(blocks):
-                items = _JSON_ITEMS.encode(column[block].tolist())[1:-1]
-                handle.write(f"{',' if j else ''}\n      {items}")
-            handle.write("\n    ]")
-        handle.write("\n  }\n}\n")
+            handle.write(f"{',' if i else ''}\n    {json.dumps(name)}: [".encode())
+            for lo in range(0, len(column), text.rows):
+                handle.write(_JSON_ITEM_END if lo else b"\n      ")
+                handle.write(memoryview(text.encode([column], lo))[: -len(_JSON_ITEM_END)])
+            handle.write(b"\n    ]")
+        handle.write(b"\n  }\n}\n")
 
 
 def _write_csv(
-    output: str, header: str, columns: dict[str, np.ndarray], blocks: list[slice]
+    output: str, header: str, columns: dict[str, np.ndarray], text: FloatText
 ) -> None:
     """``_write_columns``' CSV.  It fills the ``_written`` slot when the header
     names the columns and every value is finite: ``float(repr(x))`` is ``x``
@@ -374,16 +380,14 @@ def _write_csv(
     digest = _sha256() if reusable else None
     with open(output, "wb") as handle:
 
-        def put(text: str) -> None:
-            data = text.encode("utf-8")
+        def put(data: bytes | bytearray) -> None:
             handle.write(data)
             if digest is not None:
                 digest.update(data)
 
-        put(header + "\n")
-        for block in blocks:
-            rows = zip(*(column[block].tolist() for column in columns.values()))
-            put("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        put((header + "\n").encode("utf-8"))
+        for lo in range(0, len(columns["gt"]), text.rows):
+            put(text.encode(columns.values(), lo))
     if digest is not None:
         _written = (os.path.realpath(output), digest.digest(), dict(columns))
 
@@ -526,7 +530,7 @@ def _read_csv(path: str) -> dict[str, np.ndarray]:
 
 
 def _parse_csv(path: str, text: str) -> dict[str, np.ndarray]:
-    """The body is parsed ``_WRITE_ROWS`` lines at a time by numpy (``float()``'s
+    """The body is parsed ``_READ_ROWS`` lines at a time by numpy (``float()``'s
     text rules); a block that fails goes to ``_read_lines``, to name the bad line."""
     lines = text.splitlines()
     if not lines:
@@ -541,8 +545,8 @@ def _parse_csv(path: str, text: str) -> dict[str, np.ndarray]:
         raise CsvFormatError(f"{path}:2: no data rows")
     data = np.empty((len(header), len(body)))
     try:
-        for lo in range(0, len(body), _WRITE_ROWS):
-            block = body[lo : lo + _WRITE_ROWS]
+        for lo in range(0, len(body), _READ_ROWS):
+            block = body[lo : lo + _READ_ROWS]
             values = np.array(",".join(block).split(","), dtype=float)
             commas = (line.count(",") for line in block)
             if any(n != len(header) - 1 for n in commas) or not np.isfinite(values).all():

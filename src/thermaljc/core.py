@@ -18,11 +18,15 @@ MAX_SECTORS = 1 << 22
 # time series then take about 0.4 GB; a larger grid is refused as an input
 # error before anything is allocated for it.
 MAX_POINTS = 1 << 22
-# Largest |delta| and the range of g accepted.  Sector frequencies are formed
-# as sqrt(delta**2 + (2*g'*sqrt(n))**2), whose squares underflow to 0 below
-# about 1e-154 and overflow above about 1e154.  Within these bounds the square
-# of the bare coupling stays normal and every sum stays finite for up to
-# MAX_SECTORS sectors.
+# Largest |delta|, the range of g and the largest time t = gt/g accepted.
+# Sector frequencies are formed as sqrt(delta**2 + (2*g'*sqrt(n))**2), whose
+# squares underflow below about 1e-154 and overflow above about 1e154.  Within
+# these bounds the square of the bare coupling g stays normal and every sum
+# stays finite for up to MAX_SECTORS sectors.  A moving atom's coupling
+# g'(t) = (1 - cos pgt)/(pt) is not bounded below by g: it falls as 1/t, so
+# only a bound on t keeps 4*g'**2 clear of subnormals and of 0, where the
+# closed form loses the exchange.  With motion off, g' = g, and only an
+# infinite t is refused.
 PARAM_LIMIT = 1e150
 
 
@@ -70,14 +74,18 @@ class SystemParams:
         object.__setattr__(self, "omega_0", self.omega_c + self.delta)
 
     def times(self, gt: np.ndarray) -> np.ndarray:
-        """Times t = gt/g; ValueError when the largest overflows to infinity."""
+        """Times t = gt/g; ValueError when the largest overflows to infinity,
+        or, for a moving atom, exceeds PARAM_LIMIT."""
         with np.errstate(over="ignore"):
             t = np.asarray(gt, dtype=float) / self.g
+        longest = float(np.max(t, initial=0.0))
         if not np.isfinite(t).all():
-            raise ValueError(
-                f"gt_max/g = {float(np.max(gt)):g}/{self.g:g} overflows to an infinite time"
-            )
-        return t
+            reason = "overflows to an infinite time"
+        elif self.motion_enabled and longest > PARAM_LIMIT:
+            reason = f"= {longest!r} exceeds the largest time, {PARAM_LIMIT:g}"
+        else:
+            return t
+        raise ValueError(f"gt_max/g = {float(np.max(gt)):g}/{self.g:g} {reason}")
 
 
 def truncation_index(mean: float, epsilon: float) -> int:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import thermaljc
 from thermaljc import cli
 from thermaljc.cli import (
-    _WRITE_ROWS,
+    _READ_ROWS,
     EPE_HEADER,
     SCAN_HEADER,
     TIMESERIES_HEADER,
@@ -27,6 +27,7 @@ from thermaljc.cli import (
     main,
 )
 from thermaljc.core import MAX_POINTS, MAX_SECTORS, SystemParams
+from thermaljc.floattext import BLOCK
 from thermaljc.oracle import validation_times
 
 TS_FLAGS = [
@@ -760,7 +761,7 @@ _FIELDS = st.one_of(
     st.sampled_from(_SPELLINGS),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
-_ROWS = [1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1]
+_ROWS = [1, _READ_ROWS - 1, _READ_ROWS, _READ_ROWS + 1, 2 * _READ_ROWS + 1]
 _ROW = "0.5,1.0,2.0\n"
 
 
@@ -771,7 +772,7 @@ def _csv(tmp_path, text, name="in.csv"):
 
 
 class TestBlockReader:
-    """``_read_csv`` parses the body in blocks of ``_WRITE_ROWS`` lines; it must
+    """``_read_csv`` parses the body in blocks of ``_READ_ROWS`` lines; it must
     read what the line loop read, bit for bit, and fail where it failed."""
 
     @settings(max_examples=30, deadline=None)
@@ -830,7 +831,7 @@ class TestBlockReader:
         [
             "gt,c,p\r\n" + "0.5,1.0,2.0\r\n" * 600,
             "gt,c,p\n" + "0.5,1.0,2.0\x0c" * 3 + _ROW,
-            "gt,c,p\n" + _ROW * _WRITE_ROWS,
+            "gt,c,p\n" + _ROW * _READ_ROWS,
         ],
         ids=["crlf", "form-feed", "one-full-block"],
     )
@@ -916,6 +917,39 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["timeseries", "epe", "scan", "validate"])
+    @pytest.mark.parametrize(
+        "scale, quotient",
+        [
+            (["--gt-max", "1.0000000000000002e150"], "1e+150/1"),
+            (["--gt-max", "1.0000000000000002", "--g", "1e-150"], "1/1e-150"),
+        ],
+        ids=["gt_max", "g"],
+    )
+    def test_a_time_past_the_limit_is_a_usage_error(
+        self, tmp_path, capsys, subcommand, scale, quotient
+    ):
+        # a moving atom's g'(t) falls as 1/t, so past t = 1e150 its square
+        # leaves the normal range: at gt_max 1e158 validate failed its
+        # delta = 0 rows and timeseries wrote wrong rows with exit code 0
+        # (with motion off g' = g, and TestValidate runs t = 2.5e151)
+        out = tmp_path / "x.csv"
+        tail = ["--times", "3"] if subcommand == "validate" else ["--steps", "3", "--output", str(out)]
+        assert main([subcommand, *scale, *tail]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"usage error: gt_max/g = {quotient} = 1.0000000000000002e+150 "
+            "exceeds the largest time, 1e+150\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_the_time_limit_itself_is_accepted(self, capsys):
+        assert main(["validate", "--gt-max", "1e150"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "validate: all configurations ok (tolerance 1e-09)"
+        assert len(lines) == 19 and all(line.endswith(" ok") for line in lines[:-1])
+
     @pytest.mark.parametrize(
         "argv, reason",
         [
@@ -956,7 +990,11 @@ class TestColumnWriter:
     VALUES = [-0.0, 5e-324, 1e300, 0.1, 1e16, math.nan, math.inf, -math.inf, -1.5]
 
     @pytest.mark.parametrize(
-        "rows", [3, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1]
+        "rows",
+        [3, _READ_ROWS - 1, _READ_ROWS, _READ_ROWS + 1, 2 * _READ_ROWS + 1]
+        # the encoder's blocks: BLOCK values of one JSON column, or BLOCK // 11
+        # rows of the eleven CSV columns
+        + [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK // 11 - 1, BLOCK // 11, BLOCK // 11 + 1],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("timestamp", [True, False], ids=["timestamp", "no-timestamp"])
@@ -1019,3 +1057,13 @@ def test_the_cli_imports_no_pool_module():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_python_m_thermaljc_runs_the_cli_from_a_source_checkout():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thermaljc.__file__))}
+    result = subprocess.run(
+        [sys.executable, "-m", "thermaljc", "validate", "--times", "2", "--gt-max", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("validate: all configurations ok (tolerance 1e-09)\n")
