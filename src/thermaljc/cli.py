@@ -26,13 +26,7 @@ from .core import (
     ThermalDistribution,
     TruncationError,
 )
-from .oracle import (
-    ORACLE_TOL,
-    ValidationResult,
-    max_route_deviation,
-    validation_grid,
-    validation_times,
-)
+from .oracle import ORACLE_TOL, max_route_deviation, validation_times
 from .svgplot import render_plot
 from .sweep import scan, time_series
 
@@ -282,9 +276,9 @@ def _build_problem(
             g=resolved["g"], delta=delta, p=p, motion_enabled=resolved["motion"]
         )
         dist_a = ThermalDistribution.from_mean(kbar, epsilon_tail)
-        dist_b = (
-            dist_a if lbar == kbar else ThermalDistribution.from_mean(lbar, epsilon_tail)
-        )
+        # equal means share one distribution, but -0.0 and 0.0 keep their own labels
+        same = lbar == kbar and math.copysign(1.0, lbar) == math.copysign(1.0, kbar)
+        dist_b = dist_a if same else ThermalDistribution.from_mean(lbar, epsilon_tail)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return params, dist_a, dist_b
@@ -468,46 +462,39 @@ def _run_scan(command: str, resolved: dict[str, object]) -> int:
     return EXIT_OK
 
 
-def _validation_line(result: ValidationResult) -> str:
-    if result.failure is not None:
-        status = f"FAILED ({result.failure})"
-    else:
-        verdict = "ok" if result.ok() else "FAILED"
-        status = f"max_deviation={result.max_deviation:.3e} {verdict}"
-    return (
-        f"p={result.p} kbar={result.mean_a} lbar={result.mean_b} "
-        f"delta={result.delta} {status}"
-    )
+# The configurations `validate` compares when no single one is given: scan's
+# lists, crossed by _scan_configs (lbar None mirrors each kbar).
+_VALIDATE_GRID = {"p": (1, 4), "kbar": (0.0, 0.1, 0.5), "lbar": None, "delta": (0.0, 1.0, 5.0)}
 
 
 def _run_validate(command: str, resolved: dict[str, object]) -> int:
-    single = any(resolved[key] is not None for key in ("p", "kbar", "lbar", "delta"))
+    """Grid mode reports a configuration the routes fail on as FAILED; single
+    mode lets the failure through (a TruncationError exits 3)."""
+    single = any(resolved[key] is not None for key in _VALIDATE_GRID)
+    grid = _VALIDATE_GRID
     if single:
-        p = resolved["p"] if resolved["p"] is not None else 1
-        kbar = resolved["kbar"] if resolved["kbar"] is not None else 0.1
-        lbar = resolved["lbar"] if resolved["lbar"] is not None else kbar
-        delta = resolved["delta"] if resolved["delta"] is not None else 0.0
-        params, dist_a, dist_b = _build_problem(resolved, p, kbar, lbar, delta)
+        values = {key: _SINGLE_RUN_KEYS[key][1] if resolved[key] is None else resolved[key]
+                  for key in _VALIDATE_GRID}
+        grid = {key: None if value is None else (value,) for key, value in values.items()}
+    configs = _scan_configs({**resolved, **grid})
+    try:  # every configuration shares g and motion, hence the times
+        times = validation_times(configs[0][0], resolved["gt_max"], resolved["times"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    all_ok = True
+    for params, dist_a, dist_b in configs:
         try:
-            times = validation_times(params, resolved["gt_max"], resolved["times"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        deviation = max_route_deviation(params, dist_a, dist_b, times)
-        results = [ValidationResult(p, kbar, lbar, delta, deviation)]
-    else:
-        try:
-            results = validation_grid(
-                gt_max=resolved["gt_max"],
-                times=resolved["times"],
-                epsilon_tail=resolved["epsilon_tail"],
-                g=resolved["g"],
-                motion_enabled=resolved["motion"],
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    for result in results:
-        print(_validation_line(result))
-    all_ok = all(result.ok() for result in results)
+            deviation = max_route_deviation(params, dist_a, dist_b, times)
+        except (TruncationError, ValueError) as exc:
+            if single:
+                raise
+            status, ok = f"FAILED ({exc})", False
+        else:
+            ok = deviation <= ORACLE_TOL
+            status = f"max_deviation={deviation:.3e} {'ok' if ok else 'FAILED'}"
+        all_ok = all_ok and ok
+        print(f"p={params.p} kbar={dist_a.mean_photons} lbar={dist_b.mean_photons} "
+              f"delta={params.delta} {status}")
     if not single:
         print(f"validate: {'all configurations ok' if all_ok else 'FAILURES above'} "
               f"(tolerance {ORACLE_TOL:g})")

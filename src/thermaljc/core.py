@@ -4,7 +4,7 @@ two-qubit X-state container used by every other module."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,16 +43,12 @@ class SystemParams:
     ``p`` counts the half wavelengths of the standing mode the atom crosses
     during one coupling time.  The transit-velocity convention ties the motion
     to the coupling, so neither velocity nor cavity length appears separately.
-    ``omega_0`` is derived as ``omega_c + delta`` so the detuning relation
-    holds exactly.
     """
 
     g: float = 1.0
     delta: float = 0.0
     p: int = 1
     motion_enabled: bool = True
-    omega_c: float = 1.0
-    omega_0: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 1.0 / PARAM_LIMIT <= self.g <= PARAM_LIMIT:
@@ -65,13 +61,10 @@ class SystemParams:
                 f"detuning delta must lie in [-{PARAM_LIMIT:g}, {PARAM_LIMIT:g}], "
                 f"got {self.delta}"
             )
-        if not math.isfinite(self.omega_c):
-            raise ValueError(f"omega_c must be finite, got {self.omega_c}")
         if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
             raise ValueError(f"mode parameter p must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ValueError(f"mode parameter p must be >= 1, got {self.p}")
-        object.__setattr__(self, "omega_0", self.omega_c + self.delta)
 
     def times(self, gt: np.ndarray) -> np.ndarray:
         """Times t = gt/g; ValueError when the largest overflows to infinity,

@@ -22,8 +22,6 @@ two routes checks the algebra rather than restating it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -239,21 +237,6 @@ def wootters_concurrence_general(rho: np.ndarray) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of one closed-form-versus-brute-force comparison."""
-
-    p: int
-    mean_a: float
-    mean_b: float
-    delta: float
-    max_deviation: float
-    failure: str | None = None
-
-    def ok(self, tol: float = ORACLE_TOL) -> bool:
-        return self.failure is None and self.max_deviation <= tol
-
-
 def max_route_deviation(
     params: SystemParams,
     dist_a: ThermalDistribution,
@@ -269,11 +252,6 @@ def max_route_deviation(
                       ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
         gap[:, i, j] -= x
     return float(np.max(np.abs(gap), initial=0.0))
-
-
-DEFAULT_GRID_P = (1, 4)
-DEFAULT_GRID_MEANS = (0.0, 0.1, 0.5)
-DEFAULT_GRID_DELTAS = (0.0, 1.0, 5.0)
 
 
 def validation_times(params: SystemParams, gt_max: float, times: int) -> np.ndarray:
@@ -296,32 +274,3 @@ def validation_times(params: SystemParams, gt_max: float, times: int) -> np.ndar
         raise ValueError(f"gt_max must be > 0 to compare anything past gt = 0, got {gt_max}")
     return params.times(np.linspace(0.0, gt_max, times))
 
-
-def validation_grid(
-    gt_max: float = 25.0,
-    times: int = 50,
-    epsilon_tail: float = 1e-12,
-    g: float = 1.0,
-    motion_enabled: bool = True,
-) -> list[ValidationResult]:
-    """Run the default cross-validation grid and report one result per setting.
-
-    A bad ``times``, ``gt_max``, ``g`` or ``gt_max/g`` raises ValueError
-    before any comparison runs; a setting that fails on its own is reported as
-    a failed result."""
-    base = SystemParams(g=g, motion_enabled=motion_enabled)
-    sample_times = validation_times(base, gt_max, times)
-    results = []
-    for p in DEFAULT_GRID_P:
-        for mean in DEFAULT_GRID_MEANS:
-            for delta in DEFAULT_GRID_DELTAS:
-                params = replace(base, delta=delta, p=p)
-                try:
-                    dist = ThermalDistribution.from_mean(mean, epsilon_tail)
-                    deviation = max_route_deviation(params, dist, dist, sample_times)
-                    results.append(ValidationResult(p, mean, mean, delta, deviation))
-                except (TruncationError, ValueError) as exc:
-                    results.append(
-                        ValidationResult(p, mean, mean, delta, math.inf, failure=str(exc))
-                    )
-    return results

@@ -34,7 +34,6 @@ from thermaljc.oracle import (
     joint_x_states,
     oracle_density_matrix,
     oracle_joint_density,
-    validation_grid,
     wootters_concurrence_general,
 )
 from thermaljc.sweep import dead_intervals, verified_period
@@ -93,10 +92,13 @@ def detuning_series():
     }
 
 
-def test_criterion_01_route_agreement(announce):
-    results = validation_grid(gt_max=25.0, times=50, epsilon_tail=1e-12)
-    worst = max(r.max_deviation for r in results)
-    ok = all(r.ok() for r in results) and len(results) == 18
+def test_criterion_01_route_agreement(announce, capsys):
+    rc = cli_main(["validate", "--gt-max", "25", "--times", "50", "--epsilon-tail", "1e-12"])
+    lines = capsys.readouterr().out.splitlines()
+    results = lines[:-1]
+    worst = max(float(line.split("max_deviation=")[1].split()[0])
+                if "max_deviation=" in line else math.inf for line in results)
+    ok = rc == 0 and len(results) == 18 and all(line.endswith(" ok") for line in results)
     announce(1, ok, f"max |analytic - oracle| = {worst:.3e} over 18 configurations, "
                     f"tolerance 1e-09")
     assert ok

@@ -1,5 +1,6 @@
 """Command-line contract: headers, round trips, determinism, exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -233,6 +234,44 @@ class TestValidate:
         assert captured.err.startswith("usage error: ")
         assert reason in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("route", ["flag", "environment", "config"])
+    def test_a_bad_tail_tolerance_is_a_usage_error_in_grid_mode(
+        self, capsys, monkeypatch, tmp_path, route
+    ):
+        # grid mode used to print 18 "FAILED (tail tolerance ...)" lines and exit 3
+        argv = ["validate", "--gt-max", "2", "--times", "3"]
+        if route == "flag":
+            argv += ["--epsilon-tail", "2"]
+        elif route == "environment":
+            monkeypatch.setenv(cli.ENV_EPSILON, "2")
+        else:
+            config = tmp_path / "validate.cfg"
+            config.write_text("epsilon_tail = 1\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: tail tolerance must lie in (0, 1), got ")
+
+    def test_a_signed_zero_mean_keeps_its_label(self, capsys):
+        # equal means share one distribution; the labels still come from the flags
+        assert main(["validate", "--kbar=-0", "--lbar", "0", "--times", "3"]) == 0
+        assert capsys.readouterr().out.startswith("p=1 kbar=-0.0 lbar=0.0 delta=0.0 ")
+
+    def test_the_benchmark_checks_the_cli_grid(self, monkeypatch):
+        # perfbench/check.py requires exactly the lines of this grid; the file is
+        # read without writing bytecode next to it
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        grid = cli._VALIDATE_GRID
+        assert grid["lbar"] is None  # each kbar mirrored, as the benchmark expects
+        assert (workloads.VALIDATE_GRID_P, workloads.VALIDATE_GRID_MEANS,
+                workloads.VALIDATE_GRID_DELTAS) == (grid["p"], grid["kbar"], grid["delta"])
 
     @pytest.mark.parametrize(
         "flags, reason",

@@ -56,11 +56,6 @@ class TestSystemParams:
         assert params.delta == 0.0
         assert params.p == 1
         assert params.motion_enabled is True
-        assert params.omega_c == 1.0
-
-    def test_omega_0_is_derived_from_detuning(self):
-        assert SystemParams(delta=2.5).omega_0 == 3.5
-        assert SystemParams(delta=-0.5, omega_c=2.0).omega_0 == 1.5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -75,7 +70,6 @@ class TestSystemParams:
             {"g": math.inf},
             {"delta": math.nan},
             {"delta": -math.inf},
-            {"omega_c": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -22,16 +22,16 @@ from thermaljc.dynamics import effective_coupling
 from thermaljc.oracle import (
     _CHUNK_ELEMENTS,
     ORACLE_TOL,
-    ValidationResult,
     evolve_basis,
     joint_x_states,
     max_route_deviation,
     oracle_density_matrix,
     oracle_joint_density,
     sector_hamiltonians,
-    validation_grid,
+    validation_times,
     wootters_concurrence_general,
 )
+from thermaljc import cli
 from thermaljc.cli import main as cli_main
 
 from helpers import max_off_x_magnitude, x_matrix
@@ -463,11 +463,14 @@ class TestRouteAgreement:
         t = np.linspace(0.0, 25.0, 50) / params.g
         assert max_route_deviation(params, dist_a, dist_b, t) <= ORACLE_TOL
 
-    def test_validation_grid_covers_all_configurations(self):
-        results = validation_grid(gt_max=2.0, times=3)
-        assert len(results) == 18
-        assert all(r.ok() for r in results)
-        assert {(r.p, r.mean_a, r.delta) for r in results} == {
+    def test_validation_grid_covers_all_configurations(self, capsys):
+        assert cli_main(["validate", "--gt-max", "2", "--times", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 19
+        assert all(line.endswith(" ok") for line in lines[:18])
+        fields = [dict(f.split("=") for f in line.split()[:4]) for line in lines[:18]]
+        assert all(f["lbar"] == f["kbar"] for f in fields)
+        assert {(int(f["p"]), float(f["kbar"]), float(f["delta"])) for f in fields} == {
             (p, mean, delta)
             for p in (1, 4)
             for mean in (0.0, 0.1, 0.5)
@@ -481,17 +484,32 @@ class TestRouteAgreement:
          {"times": 1}, {"gt_max": 0.0}, {"gt_max": -1.0}, {"times": (1 << 22) + 1}],
     )
     def test_validation_grid_rejects_a_vacuous_or_invalid_grid(self, kwargs):
+        kwargs = {"gt_max": 2.0, "times": 3, **kwargs}
         with pytest.raises(ValueError):
-            validation_grid(**{"gt_max": 2.0, "times": 3, **kwargs})
+            validation_times(SystemParams(g=kwargs.pop("g", 1.0)), **kwargs)
 
-    def test_validation_result_failure_handling(self):
-        good = ValidationResult(1, 0.1, 0.1, 0.0, 1e-12)
-        bad = ValidationResult(1, 0.1, 0.1, 0.0, 1e-6)
-        broken = ValidationResult(1, 5.0, 5.0, 0.0, math.inf, failure="tail")
-        assert good.ok()
-        assert not bad.ok()
-        assert not broken.ok()
-        assert bad.ok(tol=1e-3)
+    def test_validation_result_failure_handling(self, monkeypatch, capsys):
+        for deviation, verdict in ((1e-12, "ok"), (1e-6, "FAILED"),
+                                   (math.nan, "FAILED"), (math.inf, "FAILED")):
+            monkeypatch.setattr(cli, "max_route_deviation", lambda *args: deviation)
+            rc = cli_main(["validate", "--kbar", "0.1", "--times", "2"])
+            assert capsys.readouterr().out == (
+                f"p=1 kbar=0.1 lbar=0.1 delta=0.0 max_deviation={deviation:.3e} {verdict}\n"
+            )
+            assert rc == (0 if verdict == "ok" else 3)
+
+        def broken(*args):
+            raise TruncationError("tail")
+
+        monkeypatch.setattr(cli, "max_route_deviation", broken)
+        assert cli_main(["validate", "--times", "2"]) == 3  # grid mode: every line FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 19
+        assert all(line.endswith(" FAILED (tail)") for line in lines[:18])
+        assert lines[-1] == "validate: FAILURES above (tolerance 1e-09)"
+        assert cli_main(["validate", "--kbar", "0.1", "--times", "2"]) == 3  # single mode
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "validation failure: tail\n")
 
 
 class TestIndependence:
