@@ -1,10 +1,11 @@
 """Brute-force verification route for the closed-form solution.
 
 Each atom-cavity pair is evolved on its own.  Every basis state |a, n> of the
-pair is propagated at every time of the grid through its excitation sector,
-whose 2x2 block is diagonalized numerically.  Tracing the cavity out of the
-evolved states gives one channel per pair, a 2x2 block for each pair (a, a')
-of initial atomic levels:
+pair is propagated at every time of the grid through its excitation sector by
+the exact exponential of the sector's traceless 2x2 block; the tests check it
+against dense diagonalization of the whole truncated pair.  Tracing the cavity
+out of the evolved states gives one channel per pair, a 2x2 block for each
+pair (a, a') of initial atomic levels:
 
     M_aa'[l, l'] = sum_n P_n sum_f <l,f|U|a,n> <a',n|U^dag|l',f>.
 
@@ -39,12 +40,9 @@ from .dynamics import states
 
 ORACLE_TOL = 1e-9
 X_STRUCTURE_TOL = 1e-12
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
-# atomic level indices; the joint basis (|gg>, |ge>, |eg>, |ee>) has index
-# 2*a + b, with atom A the first letter
-_G, _E = 0, 1
+# atomic levels are indexed g = 0, e = 1; the joint basis (|gg>, |ge>, |eg>,
+# |ee>) has index 2*a + b, with atom A the first letter
 _X_PATTERN = np.eye(4, dtype=bool)
 _X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
 
@@ -52,6 +50,11 @@ _X_PATTERN[1, 2] = _X_PATTERN[2, 1] = True
 # working memory for any grid length and cutoff while keeping numpy's
 # per-call overhead small next to the arithmetic.
 _CHUNK_ELEMENTS = 1 << 15
+# Widest slice of photon numbers in one stack.  The slices depend on the
+# cutoff alone, so a time's channel accumulates in the same order in any grid.
+_SECTOR_BLOCK = 1 << 12
+# photon number of level l in the evolved |a, n>, less n, at [a, l]
+_PHOTON_SHIFT = np.array([[0, -1], [1, 0]])
 
 
 def _mean_coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
@@ -71,19 +74,52 @@ def _mean_coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
         return np.where(t > 0.0, (1.0 - np.cos(params.p * params.g * t)) / (params.p * t), 0.0)
 
 
-def sector_hamiltonians(g_eff: np.ndarray, delta: float, count: int) -> np.ndarray:
-    """Blocks of sectors 0 .. count-1 at each coupling, shape (times, count, 2, 2).
+def sector_hamiltonians(g_eff: np.ndarray, delta: float, n: np.ndarray) -> np.ndarray:
+    """Blocks of the sectors ``n`` at each coupling, shape (times, n.size, 2, 2).
 
-    Sector n spans {|e,n>, |g,n+1>}.  Each block is traceless: the common
+    Sector n spans {|e,n>, |g,n+1>}; sector -1 holds |g,0> alone, in its
+    second slot, with a zero coupling.  Each block is traceless: the common
     sector energy is a phase that cancels in every field-traced element of
     the two-atom state, whose two Bell components carry equal excitation."""
-    off = g_eff[:, None] * np.sqrt(np.arange(1, count + 1, dtype=float))
-    h = np.zeros((g_eff.size, count, 2, 2))
+    off = g_eff[:, None] * np.sqrt(n + 1.0)
+    h = np.zeros((g_eff.size, n.size, 2, 2))
     h[..., 0, 0] = 0.5 * delta
     h[..., 1, 1] = -0.5 * delta
     h[..., 0, 1] = off
     h[..., 1, 0] = off
     return h
+
+
+def _sector_exponential(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i*h*t) of a (..., 2, 2) stack of traceless hermitian blocks, with
+    ``t`` broadcast against the leading axes.
+
+    Such a block squares to omega^2 times the identity, omega = hypot(h00,
+    |h01|), so exp(-i*h*t) = cos(omega*t) - i*sin(omega*t)/omega * h exactly,
+    where sin(omega*t)/omega is t at omega = 0."""
+    omega = np.hypot(h[..., 0, 0].real, np.abs(h[..., 0, 1]))
+    phase = omega * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_over = np.where(omega > 0.0, np.sin(phase) / omega, t)
+    u = (-1j * sin_over)[..., None, None] * h
+    cos = np.cos(phase)
+    u[..., 0, 0] += cos
+    u[..., 1, 1] += cos
+    return u
+
+
+def _evolve_block(
+    g_eff: np.ndarray, delta: float, t: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`evolve_basis` for the basis states lo <= n < hi alone: ``amp``
+    of shape (times, 2, hi - lo, 2) and ``photon`` of shape (2, hi - lo, 2).
+    |e, n> evolves in sector n and |g, n> in sector n - 1."""
+    u = _sector_exponential(sector_hamiltonians(g_eff, delta, np.arange(lo - 1, hi)), t[:, None])
+    # an evolved state is a column of its sector's propagator, whose rows are
+    # the levels (e, g): [a, l] = u[sector, 1 - l, 1 - a]
+    amp = np.stack((u[:, :-1, ::-1, 1], u[:, 1:, ::-1, 0]), axis=1)
+    photon = np.arange(lo, hi)[:, None] + _PHOTON_SHIFT[:, None, :]
+    return amp, photon
 
 
 def evolve_basis(
@@ -100,21 +136,7 @@ def evolve_basis(
     """
     if n_max < 0:
         raise ValueError(f"photon cutoff must be >= 0, got {n_max}")
-    w, v = np.linalg.eigh(sector_hamiltonians(g_eff, delta, n_max + 1))
-    u = np.einsum("tsij,tsj,tskj->tsik", v, np.exp(-1j * w * t[:, None, None]), v)
-    amp = np.zeros((t.size, 2, n_max + 1, 2), dtype=complex)
-    amp[:, _E, :, _E] = u[:, :, 0, 0]
-    amp[:, _E, :, _G] = u[:, :, 1, 0]
-    amp[:, _G, 1:, _E] = u[:, :-1, 0, 1]
-    amp[:, _G, 1:, _G] = u[:, :-1, 1, 1]
-    amp[:, _G, 0, _G] = np.exp(0.5j * delta * t)
-    n = np.arange(n_max + 1)
-    photon = np.empty((2, n_max + 1, 2), dtype=np.int64)
-    photon[_E, :, _E] = n
-    photon[_E, :, _G] = n + 1
-    photon[_G, :, _E] = n - 1
-    photon[_G, :, _G] = n
-    return amp, photon
+    return _evolve_block(g_eff, delta, t, 0, n_max + 1)
 
 
 def field_traced_channel(
@@ -177,27 +199,31 @@ def oracle_joint_density(
     """Brute-force two-atom state at every time of the one-dimensional array t.
 
     Both pairs share one stack of sector propagators; a cavity whose
-    distribution equals the other's reuses its channel.  The grid is
-    evaluated in chunks of at most ``_CHUNK_ELEMENTS`` propagator entries, or
-    of one time when a single time needs more.  Returns the (times, 4, 4)
-    stack in the basis (|gg>, |ge>, |eg>, |ee>), not validated; see
-    :func:`joint_x_states`."""
+    distribution equals the other's reuses its channel.  Photon numbers are
+    cut into slices at every ``_SECTOR_BLOCK``, and each cavity's channel
+    accumulates over its slices.  The grid is evaluated in chunks of at most
+    ``_CHUNK_ELEMENTS`` propagator entries of one slice, or of one time when
+    a single time needs more.  A time's state is bit-identical in any grid.
+    Returns the (times, 4, 4) stack in the basis (|gg>, |ge>, |eg>, |ee>), not
+    validated; see :func:`joint_x_states`."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
     g_eff = _mean_coupling(params, t)
-    same = dist_b == dist_a
-    probs_a = dist_a.probabilities()
-    probs_b = dist_b.probabilities()
-    n_max = max(dist_a.n_max, dist_b.n_max)
-    step = max(1, _CHUNK_ELEMENTS // (4 * (n_max + 1)))
+    probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
+    count = max(p.size for p in probs)
+    step = max(1, _CHUNK_ELEMENTS // (4 * (min(count, _SECTOR_BLOCK) + 1)))
     rho = np.empty((t.size, 4, 4), dtype=complex)
     for lo in range(0, t.size, step):
         rows = slice(lo, lo + step)
-        amp, photon = evolve_basis(g_eff[rows], params.delta, t[rows], n_max)
-        m_a = field_traced_channel(amp, photon, probs_a)
-        m_b = m_a if same else field_traced_channel(amp, photon, probs_b)
-        rho[rows] = _bell_state(m_a, m_b)
+        channels = [0.0] * len(probs)
+        for first in range(0, count, _SECTOR_BLOCK):
+            last = min(first + _SECTOR_BLOCK, count)
+            amp, photon = _evolve_block(g_eff[rows], params.delta, t[rows], first, last)
+            for i, p in enumerate(probs):
+                if p.size > first:
+                    channels[i] += field_traced_channel(amp, photon, p[first:last])
+        rho[rows] = _bell_state(channels[0], channels[-1])
     return rho
 
 
@@ -211,30 +237,6 @@ def oracle_density_matrix(
     one-point view of :func:`oracle_joint_density`."""
     joint = oracle_joint_density(params, dist_a, dist_b, np.array([t], dtype=float))
     return XStates._make(v.item() for v in joint_x_states(joint))
-
-
-def wootters_concurrence_general(rho: np.ndarray) -> float:
-    """Concurrence of an arbitrary two-qubit density matrix from the spin-flip
-    spectrum: max{0, l1 - l2 - l3 - l4} with l_i the decreasing square roots of
-    the eigenvalues of rho * (sy x sy) * conj(rho) * (sy x sy).
-
-    The roots are computed as the singular values of R^T (sy x sy) R for a
-    factor rho = R R†: the product above is similar to the Gram matrix of that
-    kernel, and singular values carry absolute (not square-root-amplified)
-    rounding error, which keeps near-zero roots at machine accuracy.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > 1e-10:
-        raise ValueError("density matrix must be hermitian")
-    lam, vec = np.linalg.eigh(rho)
-    # eigenvalues below the solver's backward-error floor are rounding residue
-    # of exact zeros; keeping them would seed spurious factor columns
-    lam = np.where(lam > 64.0 * np.finfo(float).eps * float(lam[-1]), lam, 0.0)
-    factor = vec * np.sqrt(lam)
-    roots = np.linalg.svd(factor.T @ _SPIN_FLIP @ factor, compute_uv=False)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
 def max_route_deviation(

@@ -34,11 +34,10 @@ from thermaljc.oracle import (
     joint_x_states,
     oracle_density_matrix,
     oracle_joint_density,
-    wootters_concurrence_general,
 )
 from thermaljc.sweep import dead_intervals, verified_period
 
-from helpers import max_off_x_magnitude, x_matrix, x_trace
+from helpers import max_off_x_magnitude, wootters_concurrence_general, x_matrix, x_trace
 
 GRID_P = (1, 4)
 GRID_MEANS = (0.0, 0.1, 0.5)

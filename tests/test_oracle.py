@@ -29,12 +29,11 @@ from thermaljc.oracle import (
     oracle_joint_density,
     sector_hamiltonians,
     validation_times,
-    wootters_concurrence_general,
 )
-from thermaljc import cli
+from thermaljc import cli, dynamics
 from thermaljc.cli import main as cli_main
 
-from helpers import max_off_x_magnitude, x_matrix
+from helpers import max_off_x_magnitude, wootters_concurrence_general, x_matrix
 
 
 def _dist(mean, epsilon_tail=1e-12):
@@ -119,7 +118,7 @@ def _weighted_branch(params, dist_a, dist_b, n, m, t, components=BELL):
 
 class TestSectorPropagator:
     def test_hamiltonian_block(self):
-        h = sector_hamiltonians(np.array([0.7]), 2.0, 4)[0, 3]
+        h = sector_hamiltonians(np.array([0.7]), 2.0, np.arange(4))[0, 3]
         off = 0.7 * 2.0  # sqrt(4)
         np.testing.assert_allclose(h, [[1.0, off], [off, -1.0]], atol=1e-15)
 
@@ -149,12 +148,19 @@ class TestSectorPropagator:
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-14
 
     @pytest.mark.parametrize(
-        "g_eff, delta, t", [(0.9, 1.3, 2.2), (1.0, 0.0, 7.1), (0.2, -4.0, 0.6)]
+        "g_eff, delta, t, n_max",
+        [pytest.param(0.9, 1.3, 2.2, 6, id="0.9-1.3-2.2"),
+         pytest.param(1.0, 0.0, 7.1, 6, id="1.0-0.0-7.1"),
+         pytest.param(0.2, -4.0, 0.6, 6, id="0.2--4.0-0.6"),
+         pytest.param(0.0, 0.0, 3.0, 6, id="omega-0"),  # the identity in every sector
+         pytest.param(5.0, 1.0, 49.7, 30, id="large-phase"),  # omega*t up to about 1400
+         pytest.param(0.05, 200.0, 2.9, 6, id="far-detuned"),  # omega*t about 290
+         # omega and t far from 1 with omega*t of order 1
+         pytest.param(1e-200, 2e-200, 3e199, 6, id="tiny-coupling-huge-time")],
     )
-    def test_matches_the_dense_pair_propagator(self, g_eff, delta, t):
+    def test_matches_the_dense_pair_propagator(self, g_eff, delta, t, n_max):
         # every evolved basis state equals its column of exp(-iHt) on the whole
         # truncated pair space, components outside the recorded two included
-        n_max = 6
         size = n_max + 2
         amp, photon = _evolve(g_eff, delta, t, n_max)
         dense = _dense_propagator(g_eff, delta, t, size)
@@ -428,6 +434,46 @@ class TestChunking:
             tracemalloc.stop()
         assert peak <= 8 * 16 * _CHUNK_ELEMENTS
 
+    @pytest.mark.parametrize("block", [1, 5, 1 << 12])
+    def test_a_time_is_bit_identical_in_any_grid_with_sector_blocks(self, monkeypatch, block):
+        # cavities of N = 11 and 25 cut into slices of ``block`` photon numbers,
+        # so that the narrower one skips the last slices
+        params, dist_a, dist_b = SystemParams(delta=1.0), _dist(0.1), _dist(0.5)
+        t = np.linspace(0.0, 25.0, 23)
+        whole = oracle_joint_density(params, dist_a, dist_b, t)
+        monkeypatch.setattr("thermaljc.oracle._SECTOR_BLOCK", block)
+        blocked = oracle_joint_density(params, dist_a, dist_b, t)
+        alone = [oracle_joint_density(params, dist_a, dist_b, t[i : i + 1]) for i in range(t.size)]
+        np.testing.assert_array_equal(np.concatenate(alone), blocked)
+        monkeypatch.setattr("thermaljc.oracle._CHUNK_ELEMENTS", 7 * 4 * (min(block, 26) + 1))
+        np.testing.assert_array_equal(oracle_joint_density(params, dist_a, dist_b, t), blocked)
+        # the slices reorder the thermal sums, which moves the state by rounding only
+        assert np.max(np.abs(blocked - whole)) <= 1e-15
+
+    def test_memory_per_time_is_set_by_the_sector_block(self):
+        # one time used to peak at 8.8 MiB at kbar 1e3 and 84.7 MiB at kbar 1e4
+        params, t = SystemParams(delta=1.0), np.array([3.7])
+        sizes, peaks = [], []
+        for mean in (1e3, 1e4):
+            dist = _dist(mean)
+            tracemalloc.start()
+            try:
+                oracle_joint_density(params, dist, dist, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(dist.n_max)
+        assert sizes == [27644, 276324]
+        assert max(peaks) <= 6_000_000
+        # past one slice, only the probability vector grows with N: two floats
+        # per photon number while it is formed
+        assert peaks[1] - peaks[0] <= 16 * (sizes[1] - sizes[0])
+
+    def test_many_slices_match_the_closed_form(self):
+        # seven slices at kbar 1e3 (N = 27 644)
+        params, dist = SystemParams(delta=1.0), _dist(1e3)
+        assert max_route_deviation(params, dist, dist, [0.9, 3.7]) <= ORACLE_TOL
+
 
 # unequal cavities, a large cutoff, motion off and g != 1: the parts of the
 # accepted input space the 18-configuration validation grid does not reach
@@ -513,7 +559,8 @@ class TestRouteAgreement:
 
 
 class TestIndependence:
-    """The oracle forms g'(t) itself, so a wrong one in the closed form shows."""
+    """The oracle forms g'(t) and the sector frequencies itself, so a wrong one
+    in the closed form shows."""
 
     def test_a_wrong_closed_form_coupling_fails_validation(self, monkeypatch, capsys):
         def mutated(params, t):  # sin(p*g*t) where the half angle belongs
@@ -532,6 +579,23 @@ class TestIndependence:
         assert bound  # dynamics at least
         for module in bound:
             monkeypatch.setattr(module, "effective_coupling", mutated)
+        dist = _dist(0.1)
+        t = np.linspace(0.0, 25.0, 50)
+        assert max_route_deviation(SystemParams(), dist, dist, t) > ORACLE_TOL
+        assert cli_main(["validate", "--gt-max", "25"]) == 3
+        assert capsys.readouterr().out.endswith(
+            f"validate: FAILURES above (tolerance {ORACLE_TOL:g})\n"
+        )
+
+    def test_a_wrong_closed_form_sector_frequency_fails_validation(self, monkeypatch, capsys):
+        # both routes take trig of the sector frequency times t; the oracle
+        # forms its own, so a phase off by one part in 1e6 shows
+        factors = dynamics._factors
+
+        def mutated(ws, g4, quarter_t, n, delta):
+            factors(ws, g4, quarter_t * (1.0 + 1e-6), n, delta)
+
+        monkeypatch.setattr(dynamics, "_factors", mutated)
         dist = _dist(0.1)
         t = np.linspace(0.0, 25.0, 50)
         assert max_route_deviation(SystemParams(), dist, dist, t) > ORACLE_TOL
