@@ -469,7 +469,8 @@ _VALIDATE_GRID = {"p": (1, 4), "kbar": (0.0, 0.1, 0.5), "lbar": None, "delta": (
 
 def _run_validate(command: str, resolved: dict[str, object]) -> int:
     """Grid mode reports a configuration the routes fail on as FAILED; single
-    mode lets the failure through (a TruncationError exits 3)."""
+    mode lets the failure through (a TruncationError exits 3, a ValueError is
+    a usage error)."""
     single = any(resolved[key] is not None for key in _VALIDATE_GRID)
     grid = _VALIDATE_GRID
     if single:
@@ -486,6 +487,8 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
         try:
             deviation = max_route_deviation(params, dist_a, dist_b, times)
         except (TruncationError, ValueError) as exc:
+            if single and isinstance(exc, ValueError):
+                raise UsageError(str(exc)) from None
             if single:
                 raise
             status, ok = f"FAILED ({exc})", False

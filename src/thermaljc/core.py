@@ -68,7 +68,10 @@ class SystemParams:
 
     def times(self, gt: np.ndarray) -> np.ndarray:
         """Times t = gt/g; ValueError when the largest overflows to infinity,
-        or, for a moving atom, exceeds PARAM_LIMIT."""
+        or, for a moving atom, exceeds PARAM_LIMIT, or when the largest sector
+        phase (|delta| + 2*g*sqrt(MAX_SECTORS))*t overflows.  g'(t) <= g, so
+        that bounds every phase either route forms; with motion off only this
+        bound keeps it finite."""
         with np.errstate(over="ignore"):
             t = np.asarray(gt, dtype=float) / self.g
         longest = float(np.max(t, initial=0.0))
@@ -76,6 +79,11 @@ class SystemParams:
             reason = "overflows to an infinite time"
         elif self.motion_enabled and longest > PARAM_LIMIT:
             reason = f"= {longest!r} exceeds the largest time, {PARAM_LIMIT:g}"
+        elif not math.isfinite((abs(self.delta) + 2.0 * self.g * math.sqrt(MAX_SECTORS)) * longest):
+            reason = (
+                f"= {longest!r} overflows the largest sector phase "
+                f"(|delta| + 2*g*sqrt({MAX_SECTORS}))*t"
+            )
         else:
             return t
         raise ValueError(f"gt_max/g = {float(np.max(gt)):g}/{self.g:g} {reason}")

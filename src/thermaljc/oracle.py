@@ -9,9 +9,12 @@ pair (a, a') of initial atomic levels:
 
     M_aa'[l, l'] = sum_n P_n sum_f <l,f|U|a,n> <a',n|U^dag|l',f>.
 
-The two cavities are independent, so the thermal double sum over (n, m) of
-the two-atom state factorizes into one such sum per cavity.  For the Bell
-input (|eg> + |ge>)/sqrt(2) the field-traced state is
+Excitation conservation fixes which levels of the evolved states share a
+photon number, the same at every n, so each channel is one weighted Gram
+product of the evolved amplitudes.  The two cavities are independent, so the
+thermal double sum over (n, m) of the two-atom state factorizes into one such
+sum per cavity.  For the Bell input (|eg> + |ge>)/sqrt(2) the field-traced
+state is
 
     rho = 1/2 sum M_A[a, a'] (x) M_B[b, b'] over (ab), (a'b') in {eg, ge}.
 
@@ -96,15 +99,26 @@ def _sector_exponential(h: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     Such a block squares to omega^2 times the identity, omega = hypot(h00,
     |h01|), so exp(-i*h*t) = cos(omega*t) - i*sin(omega*t)/omega * h exactly,
-    where sin(omega*t)/omega is t at omega = 0."""
-    omega = np.hypot(h[..., 0, 0].real, np.abs(h[..., 0, 1]))
+    where sin(omega*t)/omega is t at omega = 0.  With h11 = -h00 and h10 =
+    conj(h01), each real and imaginary part of an entry is one real product,
+    written straight into the output."""
+    h00, h01 = h[..., 0, 0].real, h[..., 0, 1]
+    off_re, off_im = h01.real, h01.imag
+    omega = np.hypot(h00, np.abs(h01))
     phase = omega * t
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_over = np.where(omega > 0.0, np.sin(phase) / omega, t)
-    u = (-1j * sin_over)[..., None, None] * h
-    cos = np.cos(phase)
-    u[..., 0, 0] += cos
-    u[..., 1, 1] += cos
+    u = np.empty(sin_over.shape + (2, 2), dtype=complex)
+    re, im = u.real, u.imag
+    np.cos(phase, out=re[..., 0, 0])
+    re[..., 1, 1] = re[..., 0, 0]
+    np.multiply(sin_over, h00, out=im[..., 1, 1])
+    np.multiply(sin_over, off_im, out=re[..., 0, 1])
+    minus = -sin_over
+    np.multiply(minus, h00, out=im[..., 0, 0])
+    np.multiply(minus, off_im, out=re[..., 1, 0])
+    np.multiply(minus, off_re, out=im[..., 0, 1])
+    im[..., 1, 0] = im[..., 0, 1]
     return u
 
 
@@ -116,10 +130,13 @@ def _evolve_block(
     |e, n> evolves in sector n and |g, n> in sector n - 1."""
     u = _sector_exponential(sector_hamiltonians(g_eff, delta, np.arange(lo - 1, hi)), t[:, None])
     # an evolved state is a column of its sector's propagator, whose rows are
-    # the levels (e, g): [a, l] = u[sector, 1 - l, 1 - a]
-    amp = np.stack((u[:, :-1, ::-1, 1], u[:, 1:, ::-1, 0]), axis=1)
+    # the levels (e, g): [a, l] = u[sector, 1 - l, 1 - a].  The amplitudes are
+    # held as [time, a, l, n], the rows and columns of the field trace's product.
+    amp = np.empty((t.size, 2, 2, hi - lo), dtype=complex)
+    amp[:, 0] = u[:, :-1, ::-1, 1].transpose(0, 2, 1)
+    amp[:, 1] = u[:, 1:, ::-1, 0].transpose(0, 2, 1)
     photon = np.arange(lo, hi)[:, None] + _PHOTON_SHIFT[:, None, :]
-    return amp, photon
+    return amp.transpose(0, 1, 3, 2), photon
 
 
 def evolve_basis(
@@ -147,19 +164,32 @@ def field_traced_channel(
     Entry [i, a, a', l, l'] is sum_n P_n sum_f <l,f|U|a,n><a',n|U^dag|l',f>,
     over the first ``probs.size`` basis states n of ``amp`` and ``photon``.
     Each evolved state holds one photon number per level, so the trace over
-    f keeps exactly the level pairs whose photon numbers match."""
+    f keeps exactly the level pairs whose photon numbers match.  Excitation
+    conservation puts level l of the evolved |a, n> at n plus a shift of its
+    own, so the pairs that match are the same at every n: the sum is the
+    weighted Gram product A diag(P) A^dag of the amplitudes A[(a, l), n],
+    masked by that fixed match.  Raises ValueError for photon numbers whose
+    match varies with n."""
     k = probs.size
-    amp, photon = amp[:, :, :k], photon[:, :k]
-    match = photon[:, None, :, :, None] == photon[None, :, :, None, :]
-    weight = probs[:, None, None] * match  # [a, a', n, l, l']
-    return np.einsum("tanl,tbnm,abnlm->tablm", amp, amp.conj(), weight)
+    shift = photon - np.arange(photon.shape[1])[:, None]
+    if (shift != shift[:, :1]).any():
+        raise ValueError("photon numbers must pair the levels alike at every n")
+    level = shift[:, 0].reshape(4)
+    a = amp[:, :, :k].transpose(0, 1, 3, 2).reshape(len(amp), 4, k)
+    gram = np.matmul(a * probs, a.conj().transpose(0, 2, 1))
+    gram *= level[:, None] == level
+    return gram.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
 
 
 def _bell_state(m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
     """1/2 sum M_A[a, a'] (x) M_B[b, b'] over (ab), (a'b') in {eg, ge}, as
-    (times, 4, 4): each Bell component has b = 1 - a."""
-    rho = 0.5 * np.einsum("tablm,tabnk->tlnmk", m_a, m_b[:, ::-1, ::-1])
-    return rho.reshape(-1, 4, 4)
+    (times, 4, 4): each Bell component has b = 1 - a, so the sum over (a, a')
+    is one product of M_A and the reversed M_B, each as a matrix with rows
+    (a, a') and columns (l, l')."""
+    a = m_a.reshape(-1, 4, 4)
+    b = m_b[:, ::-1, ::-1].reshape(-1, 4, 4)
+    rho = 0.5 * np.matmul(a.transpose(0, 2, 1), b)  # [(l, m), (n, k)]
+    return rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
 
 
 def joint_x_states(m: np.ndarray) -> XStates:

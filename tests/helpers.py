@@ -1,6 +1,7 @@
 """Test-only views of the model's objects: the dense matrix of an X state, its
-trace, the size of a dense state's entries outside the X pattern, and the
-concurrence of any two-qubit state."""
+trace, the size of a dense state's entries outside the X pattern, the
+concurrence of any two-qubit state, and the oracle's field trace by explicit
+photon matching."""
 
 import numpy as np
 
@@ -59,3 +60,18 @@ def wootters_concurrence_general(rho: np.ndarray) -> float:
     factor = vec * np.sqrt(lam)
     roots = np.linalg.svd(factor.T @ _SPIN_FLIP @ factor, compute_uv=False)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def field_trace_by_photon_match(
+    amp: np.ndarray, photon: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """The thermal field trace of one pair, (times, 2, 2, 2, 2), as the sum
+    over n of every level pair whose photon numbers match at that n:
+    [i, a, a', l, l'] = sum_n P_n amp[i, a, n, l] conj(amp[i, a', n, l'])
+    [photon[a, n, l] == photon[a', n, l']].  No pairing is assumed to be the
+    same at every n."""
+    k = probs.size
+    amp, photon = amp[:, :, :k], photon[:, :k]
+    match = photon[:, None, :, :, None] == photon[None, :, :, None, :]
+    weight = probs[:, None, None] * match  # [a, a', n, l, l']
+    return np.einsum("tanl,tbnm,abnlm->tablm", amp, amp.conj(), weight)

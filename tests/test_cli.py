@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -203,6 +204,19 @@ class TestValidate:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 19  # 18 configurations plus the summary
         assert out[-1].startswith("validate: all configurations ok")
+
+    def test_a_value_error_in_single_mode_is_a_usage_error(self, monkeypatch, capsys):
+        # grid mode reports it as FAILED; single mode used to end in a traceback
+        def broken(*args):
+            raise ValueError("populations outside [0, 1]")
+
+        monkeypatch.setattr(cli, "max_route_deviation", broken)
+        assert main(["validate", "--kbar", "0.1", "--times", "2"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "usage error: populations outside [0, 1]\n")
+        assert main(["validate", "--times", "2"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.endswith(" FAILED (populations outside [0, 1])") for line in lines[:18])
 
     def test_coarse_truncation_fails(self, capsys):
         rc = main(["validate", "--kbar", "5", "--epsilon-tail", "1e-2",
@@ -953,6 +967,29 @@ class TestExitCodes:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == "usage error: gt_max/g = 1e+300/1e-150 overflows to an infinite time\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["timeseries"], ["scan"], ["validate"], ["validate", "--kbar", "0.1"]],
+        ids=["timeseries", "scan", "validate-grid", "validate-single"],
+    )
+    def test_an_overflowing_sector_phase_is_a_usage_error(self, tmp_path, capsys, argv):
+        # with motion off, |delta|*t passed 1.8e308 while delta and t were each
+        # accepted: timeseries and scan printed RuntimeWarnings before a usage
+        # error about NaN populations, and single-mode validate a traceback
+        out = tmp_path / "x.csv"
+        tail = ["--times", "3"] if argv[0] == "validate" else ["--steps", "3", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--no-motion", "--delta", "1e150", "--gt-max", "1e300", *tail])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: gt_max/g = 1e+300/1 = 1e+300 overflows the largest sector "
+            f"phase (|delta| + 2*g*sqrt({MAX_SECTORS}))*t\n"
+        )
         assert captured.out == ""
         assert not out.exists()
 

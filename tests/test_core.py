@@ -98,6 +98,18 @@ class TestSystemParams:
         params = SystemParams(**kwargs)
         assert getattr(params, next(iter(kwargs))) == next(iter(kwargs.values()))
 
+    def test_times_refuse_an_overflowing_sector_phase(self):
+        # with motion off, delta and t are each accepted while |delta|*t is not
+        # finite; the closed form formed NaN from it
+        params = SystemParams(delta=-1e150, motion_enabled=False)
+        with pytest.raises(ValueError) as excinfo:
+            params.times(np.array([0.0, 1e300]))
+        assert str(excinfo.value) == (
+            "gt_max/g = 1e+300/1 = 1e+300 overflows the largest sector phase "
+            f"(|delta| + 2*g*sqrt({MAX_SECTORS}))*t"
+        )
+        assert params.times(np.array([1e158]))[0] == 1e158  # a phase of about 1e308
+
     def test_accepts_numpy_integer_p(self):
         assert SystemParams(p=np.int64(3)).p == 3
 

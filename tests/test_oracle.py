@@ -3,8 +3,11 @@ field trace, and the general concurrence used to cross-check the X-state
 shortcut."""
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,10 @@ from thermaljc.dynamics import effective_coupling
 from thermaljc.oracle import (
     _CHUNK_ELEMENTS,
     ORACLE_TOL,
+    _evolve_block,
+    _sector_exponential,
     evolve_basis,
+    field_traced_channel,
     joint_x_states,
     max_route_deviation,
     oracle_density_matrix,
@@ -33,7 +39,12 @@ from thermaljc.oracle import (
 from thermaljc import cli, dynamics
 from thermaljc.cli import main as cli_main
 
-from helpers import max_off_x_magnitude, wootters_concurrence_general, x_matrix
+from helpers import (
+    field_trace_by_photon_match,
+    max_off_x_magnitude,
+    wootters_concurrence_general,
+    x_matrix,
+)
 
 
 def _dist(mean, epsilon_tail=1e-12):
@@ -172,6 +183,29 @@ class TestSectorPropagator:
                         column[level * size + photon[a, n, level]] -= amp[a, n, level]
                 assert np.max(np.abs(column)) < 1e-12
 
+    def test_matches_a_dense_exponential_of_complex_blocks(self):
+        # any traceless hermitian block, complex off-diagonal included, as a
+        # time-ordered route would pass; omega*t from 1e-3 to 1e3, and omega = 0
+        rng = np.random.default_rng(17)
+        size = 2000
+        h00 = rng.normal(size=size)
+        h01 = rng.normal(size=size) + 1j * rng.normal(size=size)
+        h00[:3] = h01[:3] = 0.0
+        h = np.stack([np.stack([h00, h01], -1), np.stack([h01.conj(), -h00], -1)], -2)
+        omega = np.hypot(h00, np.abs(h01))
+        phase = 10.0 ** rng.uniform(-3.0, 3.0, size)
+        t = phase / np.where(omega > 0.0, omega, 1.0)
+        w, v = np.linalg.eigh(h)
+        dense = np.einsum("sij,sj,skj->sik", v, np.exp(-1j * w * t[:, None]), v.conj())
+        u = _sector_exponential(h, t)
+        np.testing.assert_array_equal(u[:3], np.broadcast_to(np.eye(2), (3, 2, 2)))
+        gap = np.max(np.abs(u - dense), axis=(1, 2))
+        # both routes know omega to a few ulps, which moves the phase by about
+        # omega*t*eps: 1e-13 up to omega*t = 28, and a few ulps of the phase
+        # past it (measured at most about 5.5 eps*max(1, omega*t))
+        bound = np.maximum(1e-13, 16.0 * np.finfo(float).eps * omega * t)
+        assert np.all(gap <= bound)
+
 
 class TestEvolveSector:
     @pytest.mark.parametrize("gt", [0.0, 0.4, 1.7])
@@ -304,6 +338,37 @@ class TestEvolveBranch:
         t = np.linspace(0.0, 25.0, 9) / params.g
         factorized = oracle_joint_density(params, dist_a, dist_b, t)
         assert np.max(np.abs(factorized - _reference_joint(params, dist_a, dist_b, t))) <= 1e-14
+
+
+class TestFieldTrace:
+    """The weighted Gram product of :func:`field_traced_channel` against the
+    sum that matches photon numbers at every n."""
+
+    @pytest.mark.parametrize("lo, size", [(0, 1), (0, 26), (5, 9), (4096, 31)])
+    @pytest.mark.parametrize("kept", [1, "all"])
+    def test_matches_the_photon_match_sum(self, lo, size, kept):
+        # slices from the vacuum on hold |g,0>'s empty excited slot (photon -1)
+        rng = np.random.default_rng(lo + size)
+        t = np.linspace(0.0, 9.0, 6)
+        amp, photon = _evolve_block(np.full(t.size, 0.9), 1.3, t, lo, lo + size)
+        k = size if kept == "all" else kept
+        probs = rng.uniform(size=k)
+        probs /= probs.sum()
+        # random amplitudes of at most unit norm per basis state, and evolved ones
+        noise = rng.uniform(size=amp.shape) * np.exp(2j * np.pi * rng.uniform(size=amp.shape))
+        for a in (noise / math.sqrt(2.0), amp):
+            gap = field_traced_channel(a, photon, probs) - field_trace_by_photon_match(a, photon, probs)
+            assert np.max(np.abs(gap)) <= 1e-15
+        if lo == 0:
+            assert photon[G, 0, E] == -1
+
+    def test_a_pairing_that_varies_with_n_is_refused(self):
+        amp, photon = evolve_basis(np.array([0.9]), 1.3, np.array([2.0]), 4)
+        photon = photon.copy()
+        photon[E, 3, G] += 1  # |e,3> would reach 5 photons where the rest reach n + 1
+        for kept in (5, 3):
+            with pytest.raises(ValueError, match="pair the levels alike at every n"):
+                field_traced_channel(amp, photon, np.full(kept, 1.0 / kept))
 
 
 class TestJointDensity:
@@ -473,6 +538,31 @@ class TestChunking:
         # seven slices at kbar 1e3 (N = 27 644)
         params, dist = SystemParams(delta=1.0), _dist(1e3)
         assert max_route_deviation(params, dist, dist, [0.9, 3.7]) <= ORACLE_TOL
+
+
+class TestBlasThreads:
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # the field trace and the Bell assembly go through np.matmul, and so
+        # through BLAS; one grid at kbar 50 and 0.5 (N = 1395 and 25)
+        script = (
+            "import hashlib, numpy as np\n"
+            "from thermaljc import SystemParams, ThermalDistribution\n"
+            "from thermaljc.oracle import oracle_joint_density\n"
+            "rho = oracle_joint_density(SystemParams(delta=1.0),\n"
+            "    ThermalDistribution.from_mean(50.0), ThermalDistribution.from_mean(0.5),\n"
+            "    np.linspace(0.0, 25.0, 200))\n"
+            "print(hashlib.sha256(rho.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            digests.append(run.stdout)
+        assert len(digests[0]) == 65
+        assert digests[0] == digests[1]
 
 
 # unequal cavities, a large cutoff, motion off and g != 1: the parts of the
