@@ -411,11 +411,10 @@ def _run_series(command: str, resolved: dict[str, object]) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     header = _SERIES_HEADERS[command]
-    x3_parts = {"x3_re": series.x3.real, "x3_im": series.x3.imag}
-    columns = {
-        name: x3_parts[name] if name in x3_parts else getattr(series, name)
-        for name in header.split(",")
-    }
+    state = series.state
+    named = {**vars(series), **state._asdict(),
+             "x3_re": state.x3.real, "x3_im": state.x3.imag}
+    columns = {name: named[name] for name in header.split(",")}
     _write_columns(output, resolved, command, header, columns)
     return EXIT_OK
 

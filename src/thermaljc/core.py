@@ -18,7 +18,7 @@ MAX_SECTORS = 1 << 22
 # time series then take about 0.4 GB; a larger grid is refused as an input
 # error before anything is allocated for it.
 MAX_POINTS = 1 << 22
-# Largest |delta|, the range of g and the largest time t = gt/g accepted.
+# Largest |delta| and p, the range of g and the largest time t = gt/g accepted.
 # Sector frequencies are formed as sqrt(delta**2 + (2*g'*sqrt(n))**2), whose
 # squares underflow below about 1e-154 and overflow above about 1e154.  Within
 # these bounds the square of the bare coupling g stays normal and every sum
@@ -26,7 +26,8 @@ MAX_POINTS = 1 << 22
 # g'(t) = (1 - cos pgt)/(pt) is not bounded below by g: it falls as 1/t, so
 # only a bound on t keeps 4*g'**2 clear of subnormals and of 0, where the
 # closed form loses the exchange.  With motion off, g' = g, and only an
-# infinite t is refused.
+# infinite t is refused.  The bound on p lets the mode phase p*g*t form as a
+# float; a moving atom's grid whose p*g*t still overflows is refused.
 PARAM_LIMIT = 1e150
 
 
@@ -65,13 +66,16 @@ class SystemParams:
             raise ValueError(f"mode parameter p must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ValueError(f"mode parameter p must be >= 1, got {self.p}")
+        if self.p > PARAM_LIMIT:
+            raise ValueError(f"mode parameter p must be <= {PARAM_LIMIT:g}, got {self.p}")
 
     def times(self, gt: np.ndarray) -> np.ndarray:
         """Times t = gt/g; ValueError when the largest overflows to infinity,
-        or, for a moving atom, exceeds PARAM_LIMIT, or when the largest sector
-        phase (|delta| + 2*g*sqrt(MAX_SECTORS))*t overflows.  g'(t) <= g, so
-        that bounds every phase either route forms; with motion off only this
-        bound keeps it finite."""
+        or, for a moving atom, exceeds PARAM_LIMIT or gives a mode phase p*g*t
+        that overflows, or when the largest sector phase (|delta| +
+        2*g*sqrt(MAX_SECTORS))*t overflows.  g'(t) <= g, so that bounds every
+        sector phase either route forms; with motion off only this bound keeps
+        it finite."""
         with np.errstate(over="ignore"):
             t = np.asarray(gt, dtype=float) / self.g
         longest = float(np.max(t, initial=0.0))
@@ -79,6 +83,8 @@ class SystemParams:
             reason = "overflows to an infinite time"
         elif self.motion_enabled and longest > PARAM_LIMIT:
             reason = f"= {longest!r} exceeds the largest time, {PARAM_LIMIT:g}"
+        elif self.motion_enabled and not math.isfinite(self.p * self.g * longest):
+            reason = f"= {longest!r} overflows the largest mode phase p*g*t"
         elif not math.isfinite((abs(self.delta) + 2.0 * self.g * math.sqrt(MAX_SECTORS)) * longest):
             reason = (
                 f"= {longest!r} overflows the largest sector phase "
@@ -162,27 +168,27 @@ class ThermalDistribution:
         return ratio ** np.arange(self.n_max + 1) / (self.mean_photons + 1.0)
 
 
-def check_x_states(x1, x2, x3, x5, x6, tol: float = TRACE_TOL) -> None:
+def check_x_states(x1, x2, x3, x5, x6) -> None:
     """Raise ValueError at the first entry that is not a two-atom X state.
 
     Takes scalars or equal-length arrays of the X elements and checks, to
-    ``tol``, populations in [0, 1], unit trace and a positive semidefinite
+    TRACE_TOL, populations in [0, 1], unit trace and a positive semidefinite
     inner block [[x2, x3], [x4, x5]].  Every comparison is written so that a
     NaN entry fails it.
     """
     x1, x2, x5, x6 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, x2, x5, x6))
     x3 = np.atleast_1d(np.asarray(x3, dtype=complex))
     populations = np.stack((x1, x2, x5, x6))
-    bad = ~np.all((populations >= -tol) & (populations <= 1.0 + tol), axis=0)
+    bad = ~np.all((populations >= -TRACE_TOL) & (populations <= 1.0 + TRACE_TOL), axis=0)
     if bad.any():
         values = tuple(populations[:, bad.argmax()].tolist())
         raise ValueError(f"populations outside [0, 1]: {values}")
     trace = x1 + x2 + x5 + x6
-    bad = ~(np.abs(trace - 1.0) <= tol)
+    bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if bad.any():
         raise ValueError(f"trace deviates from 1 by {trace[bad.argmax()] - 1.0:.3e}")
     inner = 0.5 * (x2 + x5) - np.hypot(0.5 * (x2 - x5), np.abs(x3))
-    bad = ~(inner >= -tol)
+    bad = ~(inner >= -TRACE_TOL)
     if bad.any():
         i = bad.argmax()
         raise ValueError(

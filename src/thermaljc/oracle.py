@@ -122,12 +122,21 @@ def _sector_exponential(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return u
 
 
-def _evolve_block(
+def evolve_basis(
     g_eff: np.ndarray, delta: float, t: np.ndarray, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`evolve_basis` for the basis states lo <= n < hi alone: ``amp``
-    of shape (times, 2, hi - lo, 2) and ``photon`` of shape (2, hi - lo, 2).
-    |e, n> evolves in sector n and |g, n> in sector n - 1."""
+    """Evolve the basis states |a, n> (lo <= n < hi) of one pair at every time.
+
+    Returns ``amp`` of shape (times, 2, hi - lo, 2) and ``photon`` of shape
+    (2, hi - lo, 2): the evolved |a, lo + k> at time index i is the sum over
+    levels l of ``amp[i, a, k, l] |l, photon[a, k, l]>``, with levels indexed
+    g = 0, e = 1.  |e, n> evolves in sector n and |g, n> in sector n - 1;
+    |g, 0> is alone in its sector and only gains the phase exp(i*delta*t/2).
+    Its empty excited slot has photon number -1 and amplitude 0.  Raises
+    ValueError unless 0 <= lo < hi.
+    """
+    if not 0 <= lo < hi:
+        raise ValueError(f"photon range must satisfy 0 <= lo < hi, got lo={lo}, hi={hi}")
     u = _sector_exponential(sector_hamiltonians(g_eff, delta, np.arange(lo - 1, hi)), t[:, None])
     # an evolved state is a column of its sector's propagator, whose rows are
     # the levels (e, g): [a, l] = u[sector, 1 - l, 1 - a].  The amplitudes are
@@ -137,23 +146,6 @@ def _evolve_block(
     amp[:, 1] = u[:, 1:, ::-1, 0].transpose(0, 2, 1)
     photon = np.arange(lo, hi)[:, None] + _PHOTON_SHIFT[:, None, :]
     return amp.transpose(0, 1, 3, 2), photon
-
-
-def evolve_basis(
-    g_eff: np.ndarray, delta: float, t: np.ndarray, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve every basis state |a, n> (n <= n_max) of one pair at every time.
-
-    Returns ``amp`` of shape (times, 2, n_max + 1, 2) and ``photon`` of shape
-    (2, n_max + 1, 2): the evolved |a, n> at time index i is the sum over
-    levels l of ``amp[i, a, n, l] |l, photon[a, n, l]>``, with levels indexed
-    g = 0, e = 1.  |e, n> evolves in sector n and |g, n> in sector n - 1;
-    |g, 0> is alone in its sector and only gains the phase exp(i*delta*t/2).
-    Its empty excited slot has photon number -1 and amplitude 0.
-    """
-    if n_max < 0:
-        raise ValueError(f"photon cutoff must be >= 0, got {n_max}")
-    return _evolve_block(g_eff, delta, t, 0, n_max + 1)
 
 
 def field_traced_channel(
@@ -249,7 +241,7 @@ def oracle_joint_density(
         channels = [0.0] * len(probs)
         for first in range(0, count, _SECTOR_BLOCK):
             last = min(first + _SECTOR_BLOCK, count)
-            amp, photon = _evolve_block(g_eff[rows], params.delta, t[rows], first, last)
+            amp, photon = evolve_basis(g_eff[rows], params.delta, t[rows], first, last)
             for i, p in enumerate(probs):
                 if p.size > first:
                     channels[i] += field_traced_channel(amp, photon, p[first:last])

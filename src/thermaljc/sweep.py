@@ -10,27 +10,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_POINTS, SystemParams, ThermalDistribution
+from .core import MAX_POINTS, SystemParams, ThermalDistribution, XStates
 from .dynamics import effective_coupling, states
 from .observables import concurrence, energy, purity
 
 DEAD_THRESHOLD = 1e-6
 PERIOD_TOL = 1e-10
+PERIOD_PROBES = 16
 
 Config = tuple[SystemParams, ThermalDistribution, ThermalDistribution]
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Columns of one trajectory over a uniform gt grid (all equal-length)."""
+    """One trajectory on a uniform gt grid: g'(t), the X state and its observables."""
 
     gt: np.ndarray
     g_eff: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray  # complex coherence
-    x5: np.ndarray
-    x6: np.ndarray
+    state: XStates
     concurrence: np.ndarray
     purity: np.ndarray
     energy: np.ndarray
@@ -66,14 +63,12 @@ def time_series(
     gt = np.linspace(0.0, gt_max, steps + 1)
     t = params.times(gt)
     grid = states(params, dist_a, dist_b, t)
-    return TimeSeries(gt, effective_coupling(params, t), *grid,
+    return TimeSeries(gt, effective_coupling(params, t), grid,
                       concurrence(grid), purity(grid), energy(grid))
 
 
-def dead_intervals(
-    gt: np.ndarray, conc: np.ndarray, threshold: float = DEAD_THRESHOLD
-) -> list[tuple[float, float]]:
-    """Maximal grid runs where the concurrence sits at zero (below threshold).
+def dead_intervals(gt: np.ndarray, conc: np.ndarray) -> list[tuple[float, float]]:
+    """Maximal grid runs where the concurrence is at most DEAD_THRESHOLD.
 
     Each interval reports the first and last grid time of the run, so an
     isolated zero yields a degenerate interval of zero width.
@@ -82,7 +77,7 @@ def dead_intervals(
     conc = np.asarray(conc, dtype=float)
     if gt.shape != conc.shape:
         raise ValueError("gt and concurrence arrays must have matching shapes")
-    dead = np.concatenate(([False], conc <= threshold, [False]))
+    dead = np.concatenate(([False], conc <= DEAD_THRESHOLD, [False]))
     edges = np.flatnonzero(np.diff(dead.astype(np.int8)))
     return [
         (float(gt[edges[i]]), float(gt[edges[i + 1] - 1]))
@@ -95,8 +90,6 @@ def verified_period(
     dist_a: ThermalDistribution,
     dist_b: ThermalDistribution,
     gt_max: float,
-    tol: float = PERIOD_TOL,
-    probes: int = 16,
 ) -> float | None:
     """Return the resonant period 2*pi/p in gt units, checked against the
     dynamics, or None when no period is established.
@@ -104,8 +97,8 @@ def verified_period(
     The closed form is exactly periodic only at delta = 0 with motion on (off
     resonance the sector phases carry a non-periodic delta*t contribution), so
     other settings return None without probing.  At resonance the candidate
-    period is confirmed by comparing all five state elements at probe times
-    tau and tau + 2*pi/p, all evaluated in one grid.
+    period is confirmed to PERIOD_TOL by comparing all five state elements at
+    PERIOD_PROBES times tau and at tau + 2*pi/p, all evaluated in one grid.
     """
     if not 0.0 < gt_max < math.inf:
         raise ValueError(f"gt_max must be positive and finite, got {gt_max}")
@@ -114,13 +107,13 @@ def verified_period(
     period = 2.0 * math.pi / params.p
     if gt_max < period:
         return None  # the window cannot exhibit one full period
-    base = np.linspace(0.0, min(gt_max - period, gt_max), probes)
+    base = np.linspace(0.0, gt_max - period, PERIOD_PROBES)
     grid = states(params, dist_a, dist_b, params.times(np.concatenate((base, base + period))))
     deviation = max(
-        float(np.max(np.abs(column[probes:] - column[:probes])))
-        for column in (grid.x1, grid.x2, grid.x3, grid.x5, grid.x6)
+        float(np.max(np.abs(column[PERIOD_PROBES:] - column[:PERIOD_PROBES])))
+        for column in grid
     )
-    return None if deviation > tol else period
+    return None if deviation > PERIOD_TOL else period
 
 
 @dataclass(frozen=True)

@@ -970,26 +970,41 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    _SECTOR = (["--no-motion", "--delta", "1e150", "--gt-max", "1e300"],
+               "gt_max/g = 1e+300/1 = 1e+300 overflows the largest sector "
+               f"phase (|delta| + 2*g*sqrt({MAX_SECTORS}))*t")
+    _HUGE_P = (["--p", str(10**400)], f"mode parameter p must be <= 1e+150, got {10**400}")
+    _LARGE_P = (["--p", str(10**300), "--gt-max", "1e10"],
+                f"mode parameter p must be <= 1e+150, got {10**300}")
+    _MODE = (["--p", str(10**149), "--g", "1e150", "--gt-max", "1e300"],
+             "gt_max/g = 1e+300/1e+150 = 1e+150 overflows the largest mode phase p*g*t")
+
     @pytest.mark.parametrize(
-        "argv",
-        [["timeseries"], ["scan"], ["validate"], ["validate", "--kbar", "0.1"]],
-        ids=["timeseries", "scan", "validate-grid", "validate-single"],
+        "argv, flags, reason",
+        [(["timeseries"], *_SECTOR), (["scan"], *_SECTOR), (["validate"], *_SECTOR),
+         (["validate", "--kbar", "0.1"], *_SECTOR),
+         *[([command], *case) for case in (_HUGE_P, _LARGE_P, _MODE)
+           for command in ("timeseries", "scan", "validate")]],
+        ids=["timeseries", "scan", "validate-grid", "validate-single",
+             *[f"{case}-{command}" for case in ("huge-p", "large-p", "mode-phase")
+               for command in ("timeseries", "scan", "validate-single")]],
     )
-    def test_an_overflowing_sector_phase_is_a_usage_error(self, tmp_path, capsys, argv):
+    def test_an_overflowing_sector_phase_is_a_usage_error(
+        self, tmp_path, capsys, argv, flags, reason
+    ):
         # with motion off, |delta|*t passed 1.8e308 while delta and t were each
         # accepted: timeseries and scan printed RuntimeWarnings before a usage
-        # error about NaN populations, and single-mode validate a traceback
+        # error about NaN populations, and single-mode validate a traceback.  A
+        # p past the float range ended in an OverflowError traceback, and a
+        # moving atom's mode phase p*g*t past it in RuntimeWarnings and NaN.
         out = tmp_path / "x.csv"
         tail = ["--times", "3"] if argv[0] == "validate" else ["--steps", "3", "--output", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main([*argv, "--no-motion", "--delta", "1e150", "--gt-max", "1e300", *tail])
+            rc = main([*argv, *flags, *tail])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err == (
-            "usage error: gt_max/g = 1e+300/1 = 1e+300 overflows the largest sector "
-            f"phase (|delta| + 2*g*sqrt({MAX_SECTORS}))*t\n"
-        )
+        assert captured.err == f"usage error: {reason}\n"
         assert captured.out == ""
         assert not out.exists()
 

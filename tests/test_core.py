@@ -110,6 +110,22 @@ class TestSystemParams:
         )
         assert params.times(np.array([1e158]))[0] == 1e158  # a phase of about 1e308
 
+    def test_p_is_bounded_and_times_refuse_an_overflowing_mode_phase(self):
+        # a p past the float range ended in an OverflowError from the coupling,
+        # and a finite p with g and t at their limits in NaN populations
+        with pytest.raises(ValueError) as excinfo:
+            SystemParams(p=10**400)
+        assert str(excinfo.value) == f"mode parameter p must be <= 1e+150, got {10**400}"
+        params = SystemParams(g=1e150, p=10**149)
+        with pytest.raises(ValueError) as excinfo:
+            params.times(np.array([0.0, 1e300]))
+        assert str(excinfo.value) == (
+            "gt_max/g = 1e+300/1e+150 = 1e+150 overflows the largest mode phase p*g*t"
+        )
+        assert params.times(np.array([1e158]))[0] == 1e8  # a mode phase of about 1e307
+        assert SystemParams(g=1e150, p=10**149, motion_enabled=False).times(
+            np.array([1e300]))[0] == 1e150  # p is unused with motion off
+
     def test_accepts_numpy_integer_p(self):
         assert SystemParams(p=np.int64(3)).p == 3
 
@@ -285,11 +301,11 @@ class TestAtomicDensityMatrix:
         with pytest.raises(ValueError, match=r"coherence too large .*\|x3\|=0.3,"):
             check_x_states(0.4, 0.1, 0.3 + 0j, 0.1, 0.4)
 
-    def test_validate_tolerance_is_adjustable(self):
-        rho = XStates(0.5, 0.25, 0.0j, 0.25, 5e-10)
-        check_x_states(*rho)
-        with pytest.raises(ValueError, match="trace deviates"):
-            check_x_states(*rho, tol=1e-12)
+    def test_trace_is_checked_to_trace_tol(self):
+        # TRACE_TOL = 1e-9: a trace off by 5e-10 passes, one off by 2e-9 does not
+        check_x_states(*XStates(0.5, 0.25, 0.0j, 0.25, 5e-10))
+        with pytest.raises(ValueError, match="trace deviates from 1 by 2.000e-09"):
+            check_x_states(*XStates(0.5, 0.25, 0.0j, 0.25, 2e-9))
 
     @pytest.mark.parametrize("index", range(5))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -25,7 +25,6 @@ from thermaljc.dynamics import effective_coupling
 from thermaljc.oracle import (
     _CHUNK_ELEMENTS,
     ORACLE_TOL,
-    _evolve_block,
     _sector_exponential,
     evolve_basis,
     field_traced_channel,
@@ -60,7 +59,7 @@ BELL = {(E, G): 1.0 / math.sqrt(2.0), (G, E): 1.0 / math.sqrt(2.0)}
 
 def _evolve(g_eff, delta, t, n_max):
     """evolve_basis at one coupling and one time: amp[a, n, l], photon[a, n, l]."""
-    amp, photon = evolve_basis(np.array([g_eff]), delta, np.array([t]), n_max)
+    amp, photon = evolve_basis(np.array([g_eff]), delta, np.array([t]), 0, n_max + 1)
     return amp[0], photon
 
 
@@ -103,8 +102,8 @@ def _branch(evolved_a, evolved_b, n, m, components):
 
 def _evolved_pairs(params, dist_a, dist_b, t):
     g_eff = np.atleast_1d(effective_coupling(params, t))
-    return (evolve_basis(g_eff, params.delta, t, dist_a.n_max),
-            evolve_basis(g_eff, params.delta, t, dist_b.n_max))
+    return (evolve_basis(g_eff, params.delta, t, 0, dist_a.n_max + 1),
+            evolve_basis(g_eff, params.delta, t, 0, dist_b.n_max + 1))
 
 
 def _reference_joint(params, dist_a, dist_b, t, components=BELL):
@@ -145,8 +144,9 @@ class TestSectorPropagator:
         np.testing.assert_allclose(u, [[c, -1j * s], [-1j * s, c]], atol=1e-14)
 
     def test_rejects_negative_sector(self):
-        with pytest.raises(ValueError):
-            evolve_basis(np.array([1.0]), 0.0, np.array([1.0]), -1)
+        for lo, hi in [(0, 0), (-1, 2), (3, 2)]:
+            with pytest.raises(ValueError, match="0 <= lo < hi"):
+                evolve_basis(np.array([1.0]), 0.0, np.array([1.0]), lo, hi)
 
     @given(
         g_eff=st.floats(min_value=0.0, max_value=5.0),
@@ -207,7 +207,7 @@ class TestSectorPropagator:
         assert np.all(gap <= bound)
 
 
-class TestEvolveSector:
+class TestEvolvedAmplitudes:
     @pytest.mark.parametrize("gt", [0.0, 0.4, 1.7])
     def test_resonant_vacuum_amplitudes(self, gt):
         amp, photon = _evolve(1.0, 0.0, gt, 0)
@@ -223,7 +223,7 @@ class TestEvolveSector:
     def test_far_detuned_exchange_is_frozen(self):
         # transfer probability is capped at 4g'^2/(delta^2 + 4g'^2) ~ 0.0016
         t = np.linspace(0.0, 20.0, 101)
-        amp, _ = evolve_basis(np.full(t.size, 0.1), 5.0, t, 0)
+        amp, _ = evolve_basis(np.full(t.size, 0.1), 5.0, t, 0, 1)
         assert np.all(np.abs(amp[:, E, 0, E]) ** 2 >= 0.998)
 
     def test_rejects_wrong_shape(self):
@@ -276,14 +276,14 @@ class TestEvolveSubsystem:
         # the trace over the field pairs levels by these numbers; only the
         # empty excited slot of |g,0> lies below the vacuum, with amplitude 0
         t = np.linspace(0.0, 9.0, 7)
-        amp, photon = evolve_basis(np.full(t.size, 0.9), 1.3, t, 5)
+        amp, photon = evolve_basis(np.full(t.size, 0.9), 1.3, t, 0, 6)
         n = np.arange(6)
         np.testing.assert_array_equal(photon[E], np.stack([n + 1, n], axis=1))
         np.testing.assert_array_equal(photon[G], np.stack([n, n - 1], axis=1))
         assert np.all(amp[:, G, 0, E] == 0.0)
 
 
-class TestEvolveBranch:
+class TestThermalBranches:
     def test_product_branch_at_time_zero(self):
         dist = _dist(0.1)
         weight = dist.probabilities()[0] ** 2
@@ -350,7 +350,7 @@ class TestFieldTrace:
         # slices from the vacuum on hold |g,0>'s empty excited slot (photon -1)
         rng = np.random.default_rng(lo + size)
         t = np.linspace(0.0, 9.0, 6)
-        amp, photon = _evolve_block(np.full(t.size, 0.9), 1.3, t, lo, lo + size)
+        amp, photon = evolve_basis(np.full(t.size, 0.9), 1.3, t, lo, lo + size)
         k = size if kept == "all" else kept
         probs = rng.uniform(size=k)
         probs /= probs.sum()
@@ -363,7 +363,7 @@ class TestFieldTrace:
             assert photon[G, 0, E] == -1
 
     def test_a_pairing_that_varies_with_n_is_refused(self):
-        amp, photon = evolve_basis(np.array([0.9]), 1.3, np.array([2.0]), 4)
+        amp, photon = evolve_basis(np.array([0.9]), 1.3, np.array([2.0]), 0, 5)
         photon = photon.copy()
         photon[E, 3, G] += 1  # |e,3> would reach 5 photons where the rest reach n + 1
         for kept in (5, 3):

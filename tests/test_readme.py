@@ -1,6 +1,8 @@
 """The README's "Python API" section: its example runs, and it names every
-exported name, so the public surface and its documentation move together."""
+exported name and every field of `TimeSeries`, so the public surface and its
+documentation move together."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -34,3 +36,11 @@ def test_every_exported_name_is_documented():
     missing = [name for name in thermaljc.__all__
                if name != "__version__" and not re.search(rf"\b{name}\b", code)]
     assert not missing, f"exported but not in the README's Python API section: {missing}"
+
+
+def test_every_time_series_field_is_documented():
+    section = _api_section()
+    named = set(re.findall(r"`([^`\n]+)`", section))
+    missing = [field.name for field in dataclasses.fields(thermaljc.TimeSeries)
+               if field.name not in named]
+    assert not missing, f"TimeSeries fields not in the README's Python API section: {missing}"

@@ -9,6 +9,7 @@ from thermaljc import (
     SystemParams,
     ThermalDistribution,
     TimeSeries,
+    XStates,
     concurrence,
     density_matrix,
     energy,
@@ -47,8 +48,7 @@ class TestTimeSeries:
         s = reference_series
         assert len(s) == 2001
         np.testing.assert_array_equal(s.gt, np.linspace(0.0, 25.0, 2001))
-        for column in (s.g_eff, s.x1, s.x2, s.x3, s.x5, s.x6,
-                       s.concurrence, s.purity, s.energy):
+        for column in (s.g_eff, *s.state, s.concurrence, s.purity, s.energy):
             assert column.shape == s.gt.shape
 
     def test_first_row_is_the_initial_state(self, reference_series):
@@ -62,16 +62,16 @@ class TestTimeSeries:
         s = reference_series
         i = 733
         rho = density_matrix(SystemParams(), _dist(0.1), _dist(0.1), float(s.gt[i]))
-        assert s.x1[i] == rho.x1
-        assert s.x3[i] == rho.x3
-        assert s.x6[i] == rho.x6
+        assert s.state.x1[i] == rho.x1
+        assert s.state.x3[i] == rho.x3
+        assert s.state.x6[i] == rho.x6
 
     def test_deterministic_bit_for_bit(self):
         a = time_series(SystemParams(p=2), _dist(0.3), _dist(0.3), 8.0, 160)
         b = time_series(SystemParams(p=2), _dist(0.3), _dist(0.3), 8.0, 160)
-        for name in ("gt", "g_eff", "x1", "x2", "x3", "x5", "x6",
-                     "concurrence", "purity", "energy"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for x, y in zip((a.gt, a.g_eff, *a.state, a.concurrence, a.purity, a.energy),
+                        (b.gt, b.g_eff, *b.state, b.concurrence, b.purity, b.energy)):
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("gt_max, steps", [(25.0, 1), (25.0, 0), (0.0, 100), (-1.0, 100)])
     def test_rejects_degenerate_grids(self, gt_max, steps):
@@ -81,8 +81,8 @@ class TestTimeSeries:
     def test_container_rejects_non_increasing_grid(self):
         flat = np.zeros(3)
         with pytest.raises(ValueError):
-            TimeSeries(np.array([0.0, 1.0, 1.0]), flat, flat, flat,
-                       flat.astype(complex), flat, flat, flat, flat, flat)
+            TimeSeries(np.array([0.0, 1.0, 1.0]), flat,
+                       XStates(flat, flat, flat.astype(complex), flat, flat), flat, flat, flat)
 
 
 class TestEpeTrajectory:
@@ -143,11 +143,11 @@ class TestDeadIntervals:
             (3.0, 4.0),
         ]
 
-    def test_threshold_is_adjustable(self):
+    def test_threshold_is_dead_threshold(self):
+        # DEAD_THRESHOLD = 1e-6: concurrence 1e-6 is dead, 2e-6 is not
         gt = np.array([0.0, 1.0, 2.0])
-        conc = np.array([1.0, 0.005, 1.0])
-        assert dead_intervals(gt, conc) == []
-        assert dead_intervals(gt, conc, threshold=0.01) == [(1.0, 1.0)]
+        assert dead_intervals(gt, np.array([1.0, 1e-6, 1.0])) == [(1.0, 1.0)]
+        assert dead_intervals(gt, np.array([1.0, 2e-6, 1.0])) == []
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
