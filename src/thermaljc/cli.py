@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -117,6 +117,16 @@ def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
     return parse_list
 
 
+def _parse_utf8(text: str) -> str:
+    """Text that is written into a file: a surrogate that stands for an argv
+    byte that is not UTF-8 is refused before anything is opened."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"expected UTF-8 text, got {text!r}") from None
+    return text
+
+
 def _parse_columns(text: str) -> tuple[str, ...]:
     items = tuple(part.strip() for part in text.split(",") if part.strip())
     if not items:
@@ -212,7 +222,7 @@ _PLOT_KEYS: KeyTable = {
                 "(default: concurrence,purity,energy)"),
     "projection": (_parse_projection, None, "draw one planar trajectory "
                    f"projection instead: {' or '.join(sorted(PROJECTIONS))}"),
-    "title": (str, "", "plot title"),
+    "title": (_parse_utf8, "", "plot title"),
 }
 
 
@@ -271,16 +281,11 @@ def _build_problem(
 ) -> tuple[SystemParams, ThermalDistribution, ThermalDistribution]:
     """One configuration; g, motion and the tail tolerance come from ``resolved``."""
     epsilon_tail = resolved["epsilon_tail"]
-    try:
-        params = SystemParams(
-            g=resolved["g"], delta=delta, p=p, motion_enabled=resolved["motion"]
-        )
-        dist_a = ThermalDistribution.from_mean(kbar, epsilon_tail)
-        # equal means share one distribution, but -0.0 and 0.0 keep their own labels
-        same = lbar == kbar and math.copysign(1.0, lbar) == math.copysign(1.0, kbar)
-        dist_b = dist_a if same else ThermalDistribution.from_mean(lbar, epsilon_tail)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    params = SystemParams(g=resolved["g"], delta=delta, p=p, motion_enabled=resolved["motion"])
+    dist_a = ThermalDistribution.from_mean(kbar, epsilon_tail)
+    # equal means share one distribution, but -0.0 and 0.0 keep their own labels
+    same = lbar == kbar and math.copysign(1.0, lbar) == math.copysign(1.0, kbar)
+    dist_b = dist_a if same else ThermalDistribution.from_mean(lbar, epsilon_tail)
     return params, dist_a, dist_b
 
 
@@ -404,12 +409,7 @@ def _run_series(command: str, resolved: dict[str, object]) -> int:
     params, dist_a, dist_b = _build_problem(
         resolved, resolved["p"], resolved["kbar"], resolved["lbar"], resolved["delta"]
     )
-    try:
-        series = time_series(
-            params, dist_a, dist_b, resolved["gt_max"], resolved["steps"]
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    series = time_series(params, dist_a, dist_b, resolved["gt_max"], resolved["steps"])
     header = _SERIES_HEADERS[command]
     state = series.state
     named = {**vars(series), **state._asdict(),
@@ -446,12 +446,7 @@ def _scan_cell(value: object) -> str:
 def _run_scan(command: str, resolved: dict[str, object]) -> int:
     output = _require_output(resolved)
     configs = _scan_configs(resolved)
-    try:
-        reports = scan(
-            configs, resolved["gt_max"], resolved["steps"], resolved["window_lo"]
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    reports = scan(configs, resolved["gt_max"], resolved["steps"], resolved["window_lo"])
     rows = [asdict(report) for report in reports]
     if resolved["format"] == "csv":
         text = _csv_text(SCAN_HEADER, (map(_scan_cell, row.values()) for row in rows))
@@ -468,8 +463,7 @@ _VALIDATE_GRID = {"p": (1, 4), "kbar": (0.0, 0.1, 0.5), "lbar": None, "delta": (
 
 def _run_validate(command: str, resolved: dict[str, object]) -> int:
     """Grid mode reports a configuration the routes fail on as FAILED; single
-    mode lets the failure through (a TruncationError exits 3, a ValueError is
-    a usage error)."""
+    mode lets the failure through to ``main``."""
     single = any(resolved[key] is not None for key in _VALIDATE_GRID)
     grid = _VALIDATE_GRID
     if single:
@@ -477,17 +471,13 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
                   for key in _VALIDATE_GRID}
         grid = {key: None if value is None else (value,) for key, value in values.items()}
     configs = _scan_configs({**resolved, **grid})
-    try:  # every configuration shares g and motion, hence the times
-        times = validation_times(configs[0][0], resolved["gt_max"], resolved["times"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # every configuration shares g and motion, hence the times
+    times = validation_times(configs[0][0], resolved["gt_max"], resolved["times"])
     all_ok = True
     for params, dist_a, dist_b in configs:
         try:
             deviation = max_route_deviation(params, dist_a, dist_b, times)
         except (TruncationError, ValueError) as exc:
-            if single and isinstance(exc, ValueError):
-                raise UsageError(str(exc)) from None
             if single:
                 raise
             status, ok = f"FAILED ({exc})", False
@@ -520,7 +510,8 @@ def _read_csv(path: str) -> dict[str, np.ndarray]:
 
 def _parse_csv(path: str, text: str) -> dict[str, np.ndarray]:
     """The body is parsed ``_READ_ROWS`` lines at a time by numpy (``float()``'s
-    text rules); a block that fails goes to ``_read_lines``, to name the bad line."""
+    text rules); a block that fails goes to ``_raise_bad_line``, to name the bad
+    line."""
     lines = text.splitlines()
     if not lines:
         raise CsvFormatError(f"{path}:1: empty file")
@@ -533,38 +524,35 @@ def _parse_csv(path: str, text: str) -> dict[str, np.ndarray]:
     if not body:
         raise CsvFormatError(f"{path}:2: no data rows")
     data = np.empty((len(header), len(body)))
-    try:
-        for lo in range(0, len(body), _READ_ROWS):
-            block = body[lo : lo + _READ_ROWS]
+    for lo in range(0, len(body), _READ_ROWS):
+        block = body[lo : lo + _READ_ROWS]
+        try:
             values = np.array(",".join(block).split(","), dtype=float)
             commas = (line.count(",") for line in block)
             if any(n != len(header) - 1 for n in commas) or not np.isfinite(values).all():
                 raise ValueError("a field count or a value is off")
-            data[:, lo : lo + len(block)] = values.reshape(len(block), len(header)).T
-    except ValueError:
-        return _read_lines(path, header, body)
+        except ValueError:
+            _raise_bad_line(path, len(header), block, lo + 2)
+        data[:, lo : lo + len(block)] = values.reshape(len(block), len(header)).T
     return dict(zip(header, data))
 
 
-def _read_lines(path: str, header: list[str], body: list[str]) -> dict[str, np.ndarray]:
-    """``_read_csv``'s body one line at a time: it raises at the first bad line."""
-    columns: dict[str, list[float]] = {name: [] for name in header}
-    for lineno, line in enumerate(body, 2):
+def _raise_bad_line(path: str, width: int, block: list[str], first: int) -> NoReturn:
+    """Raise for the first line of a block that failed ``_parse_csv``, the block
+    starting at line ``first``: one without ``width`` fields or with a field
+    that ``float()`` refuses or reads as non-finite."""
+    for lineno, line in enumerate(block, first):
         fields = line.split(",")
-        if len(fields) != len(header):
-            raise CsvFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, found {len(fields)}"
-            )
-        for name, field in zip(header, fields):
+        if len(fields) != width:
+            raise CsvFormatError(f"{path}:{lineno}: expected {width} fields, found {len(fields)}")
+        for field in fields:
             try:
-                columns[name].append(float(field))
+                value = float(field)
             except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: not a number: {field!r}"
-                ) from None
-            if not math.isfinite(columns[name][-1]):
+                raise CsvFormatError(f"{path}:{lineno}: not a number: {field!r}") from None
+            if not math.isfinite(value):
                 raise CsvFormatError(f"{path}:{lineno}: not a finite number: {field!r}")
-    return {name: np.asarray(values) for name, values in columns.items()}
+    raise AssertionError("numpy and float() disagree on a block")
 
 
 def _run_plot(command: str, resolved: dict[str, object]) -> int:
@@ -638,7 +626,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             _written = kept
         runner, keys, _ = _SUBCOMMANDS[args.command]
         return runner(args.command, _resolve(args, keys))
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # a library ValueError is a bad input
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CsvFormatError as exc:

@@ -168,16 +168,16 @@ class ThermalDistribution:
         return ratio ** np.arange(self.n_max + 1) / (self.mean_photons + 1.0)
 
 
-def check_x_states(x1, x2, x3, x5, x6) -> None:
-    """Raise ValueError at the first entry that is not a two-atom X state.
+def check_x_states(state: XStates) -> None:
+    """Raise at the first entry of ``state`` that is not a two-atom X state.
 
-    Takes scalars or equal-length arrays of the X elements and checks, to
-    TRACE_TOL, populations in [0, 1], unit trace and a positive semidefinite
-    inner block [[x2, x3], [x4, x5]].  Every comparison is written so that a
-    NaN entry fails it.
+    The fields may be scalars or equal-length arrays.  Checked to TRACE_TOL,
+    in this order: populations in [0, 1] (ValueError), unit trace
+    (TruncationError: a state that loses trace has lost it to the Fock
+    truncation) and a positive semidefinite inner block [[x2, x3], [x4, x5]]
+    (ValueError).  Every comparison is written so that a NaN entry fails it.
     """
-    x1, x2, x5, x6 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, x2, x5, x6))
-    x3 = np.atleast_1d(np.asarray(x3, dtype=complex))
+    x1, x2, x3, x5, x6 = (np.atleast_1d(v) for v in state)
     populations = np.stack((x1, x2, x5, x6))
     bad = ~np.all((populations >= -TRACE_TOL) & (populations <= 1.0 + TRACE_TOL), axis=0)
     if bad.any():
@@ -186,7 +186,10 @@ def check_x_states(x1, x2, x3, x5, x6) -> None:
     trace = x1 + x2 + x5 + x6
     bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if bad.any():
-        raise ValueError(f"trace deviates from 1 by {trace[bad.argmax()] - 1.0:.3e}")
+        raise TruncationError(
+            f"reduced-state trace is {float(trace[bad.argmax()])!r}; the Fock "
+            "truncation is too coarse (decrease epsilon_tail)"
+        )
     inner = 0.5 * (x2 + x5) - np.hypot(0.5 * (x2 - x5), np.abs(x3))
     bad = ~(inner >= -TRACE_TOL)
     if bad.any():

@@ -15,14 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    TRACE_TOL,
-    SystemParams,
-    ThermalDistribution,
-    TruncationError,
-    XStates,
-    check_x_states,
-)
+from .core import SystemParams, ThermalDistribution, XStates, check_x_states
 
 # Entries of one (times x sectors) factor block.  It bounds the working memory
 # for any grid length and cutoff while keeping numpy's per-call overhead small
@@ -148,9 +141,9 @@ def states(
     per block.  A time's elements are bit-identical in any grid, block, band
     or worker.
 
-    Raises TruncationError when a trace misses 1 by more than TRACE_TOL (the
-    Fock truncation is too coarse) and ValueError for any other row that is
-    not a valid X state.
+    Raises what :func:`~thermaljc.core.check_x_states` raises for a row that
+    is not a valid X state: TruncationError for a trace off 1 (the Fock
+    truncation is too coarse), ValueError otherwise.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -215,15 +208,9 @@ def states(
             x6[rows] = 0.5 * (aa * bf + af * ba)
 
     _spread(work, workers)
-    trace = x1 + x2 + x5 + x6
-    off = np.abs(trace - 1.0) > TRACE_TOL  # NaN passes here and fails check_x_states
-    if off.any():
-        raise TruncationError(
-            f"reduced-state trace is {float(trace[off.argmax()])!r}; the Fock "
-            "truncation is too coarse (decrease epsilon_tail)"
-        )
-    check_x_states(x1, x2, x3, x5, x6)
-    return XStates(x1, x2, x3, x5, x6)
+    state = XStates(x1, x2, x3, x5, x6)
+    check_x_states(state)
+    return state
 
 
 def density_matrix(

@@ -35,7 +35,6 @@ from .core import (
     TRACE_TOL,
     SystemParams,
     ThermalDistribution,
-    TruncationError,
     XStates,
     check_x_states,
 )
@@ -189,26 +188,19 @@ def joint_x_states(m: np.ndarray) -> XStates:
     every time at once; each comparison fails on NaN.
 
     Raises ValueError for a wrong shape, a non-hermitian state, a negative
-    eigenvalue or an entry outside the X pattern, and TruncationError for a
-    trace off 1 by more than TRACE_TOL."""
+    eigenvalue or an entry outside the X pattern, and then what
+    :func:`~thermaljc.core.check_x_states` raises for the X elements."""
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError(f"expected a (times, 4, 4) stack, got shape {m.shape}")
     if not np.all(np.abs(m - m.conj().transpose(0, 2, 1)) <= 1e-12):
         raise ValueError("accumulated state is not hermitian")
-    trace = np.trace(m, axis1=1, axis2=2).real
-    bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
-    if bad.any():
-        raise TruncationError(
-            f"joint-state trace is {float(trace[bad.argmax()])!r}; the Fock "
-            "truncation is too coarse"
-        )
     if not np.all(np.linalg.eigvalsh(m) >= -TRACE_TOL):
         raise ValueError("accumulated state has a negative eigenvalue")
     off_x = float(np.max(np.abs(m[:, ~_X_PATTERN]), initial=0.0))
     if off_x > X_STRUCTURE_TOL:
         raise ValueError(f"state is not X structured: off-pattern magnitude {off_x:.3e}")
     x = XStates(m[:, 0, 0].real, m[:, 1, 1].real, m[:, 1, 2], m[:, 2, 2].real, m[:, 3, 3].real)
-    check_x_states(*x)
+    check_x_states(x)
     return x
 
 

@@ -1065,6 +1065,37 @@ class TestExitCodes:
     def test_the_point_limit_itself_is_accepted(self):
         assert validation_times(SystemParams(), 1.0, MAX_POINTS).size == MAX_POINTS
 
+    @pytest.mark.parametrize(
+        "subcommand, key", [("timeseries", "output"), ("epe", "output"), ("scan", "output"),
+                            ("plot", "input")],
+    )
+    def test_a_path_with_a_nul_byte_is_a_usage_error(self, tmp_path, capsys, subcommand, key):
+        # open() refuses it with a ValueError, which used to escape as a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {tmp_path}/a\0b.csv\n")
+        other = ["--output", str(tmp_path / "x.svg")] if key == "input" else ["--steps", "3"]
+        assert main([subcommand, "--config", str(cfg), *other]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: embedded null byte\n"
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_a_title_that_is_not_utf8_is_refused_before_any_file_is_opened(
+        self, tmp_path, capsys
+    ):
+        # argv byte 0xff arrives as a surrogate, which used to fail the SVG write
+        # after open() and leave an empty file; an absent input shows that
+        # nothing is read either
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--input", str(tmp_path / "absent.csv"), "--output", str(out),
+                     "--title", os.fsdecode(b"a\xffb")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: argument --title: expected UTF-8 text, got 'a\\udcffb'\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
 
 def _write(tmp_path, fmt, timestamp, columns, header=TIMESERIES_HEADER):
     out = tmp_path / f"out.{fmt}"

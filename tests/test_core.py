@@ -264,14 +264,18 @@ class TestMeanPhotonsFromTemperature:
             mean_photons_from_temperature(omega, temp)
 
 
+def _truncation_message(trace: str) -> str:
+    return (f"reduced-state trace is {trace}; the Fock truncation is too coarse "
+            "(decrease epsilon_tail)")
+
+
 class TestAtomicDensityMatrix:
-    """The X-state container and the state checks of :func:`check_x_states`,
-    which the former scalar container ``AtomicDensityMatrix`` ran on
-    construction."""
+    """The X-state container and :func:`check_x_states`, the one check of the
+    state that both routes return."""
 
     def test_bell_state(self):
         rho = XStates(0.0, 0.5, 0.5 + 0j, 0.5, 0.0)
-        check_x_states(*rho)
+        check_x_states(rho)
         assert x_trace(rho) == 1.0
         assert x_matrix(rho)[2, 1] == 0.5 - 0j  # x4 = conj(x3)
         assert inner_block_min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-15)
@@ -289,23 +293,25 @@ class TestAtomicDensityMatrix:
         assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace deviates from 1 by 1.000e"):
-            check_x_states(0.5, 0.5, 0.0j, 0.5, 0.5)
+        with pytest.raises(TruncationError) as raised:
+            check_x_states(XStates(0.5, 0.5, 0.0j, 0.5, 0.5))
+        assert str(raised.value) == _truncation_message("2.0")
 
     def test_rejects_negative_population(self):
         with pytest.raises(ValueError, match=r"populations outside \[0, 1\]: \(-0.2,"):
-            check_x_states(-0.2, 0.5, 0.0j, 0.5, 0.2)
+            check_x_states(XStates(-0.2, 0.5, 0.0j, 0.5, 0.2))
 
     def test_rejects_oversized_coherence(self):
         # |x3| > sqrt(x2*x5) makes the central block indefinite
         with pytest.raises(ValueError, match=r"coherence too large .*\|x3\|=0.3,"):
-            check_x_states(0.4, 0.1, 0.3 + 0j, 0.1, 0.4)
+            check_x_states(XStates(0.4, 0.1, 0.3 + 0j, 0.1, 0.4))
 
     def test_trace_is_checked_to_trace_tol(self):
         # TRACE_TOL = 1e-9: a trace off by 5e-10 passes, one off by 2e-9 does not
-        check_x_states(*XStates(0.5, 0.25, 0.0j, 0.25, 5e-10))
-        with pytest.raises(ValueError, match="trace deviates from 1 by 2.000e-09"):
-            check_x_states(*XStates(0.5, 0.25, 0.0j, 0.25, 2e-9))
+        check_x_states(XStates(0.5, 0.25, 0.0j, 0.25, 5e-10))
+        with pytest.raises(TruncationError) as raised:
+            check_x_states(XStates(0.5, 0.25, 0.0j, 0.25, 2e-9))
+        assert str(raised.value) == _truncation_message("1.000000002")
 
     @pytest.mark.parametrize("index", range(5))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -313,11 +319,11 @@ class TestAtomicDensityMatrix:
         elements = [0.0, 0.5, 0.5 + 0j, 0.5, 0.0]
         elements[index] = bad if index != 2 else complex(0.5, bad)
         with pytest.raises(ValueError):
-            check_x_states(*elements)
+            check_x_states(XStates(*elements))
 
     def test_array_check_names_the_first_failing_row(self):
         x1 = np.array([0.0, 0.0, math.nan])
         half = np.full(3, 0.5)
-        check_x_states(np.zeros(3), half, half.astype(complex), half, np.zeros(3))
+        check_x_states(XStates(np.zeros(3), half, half.astype(complex), half, np.zeros(3)))
         with pytest.raises(ValueError, match="nan"):
-            check_x_states(x1, half, half.astype(complex), half, np.zeros(3))
+            check_x_states(XStates(x1, half, half.astype(complex), half, np.zeros(3)))

@@ -24,8 +24,9 @@ from thermaljc.dynamics import effective_coupling
 
 def _x_state(x1, x2, x3, x5, x6):
     """An X state, checked as a valid density matrix on construction."""
-    check_x_states(x1, x2, x3, x5, x6)
-    return XStates(x1, x2, x3, x5, x6)
+    state = XStates(x1, x2, x3, x5, x6)
+    check_x_states(state)
+    return state
 
 
 BELL = _x_state(0.0, 0.5, 0.5 + 0j, 0.5, 0.0)

@@ -4,6 +4,7 @@ shortcut."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from thermaljc import (
     TruncationError,
     XStates,
     density_matrix,
+    states,
 )
 from thermaljc.dynamics import effective_coupling
 from thermaljc.oracle import (
@@ -371,9 +373,10 @@ class TestFieldTrace:
                 field_traced_channel(amp, photon, np.full(kept, 1.0 / kept))
 
 
-class TestJointDensity:
-    """The checks of :func:`joint_x_states` on (times, 4, 4) stacks, which the
-    former ``JointDensity`` wrapper made in ``validate`` and ``to_atomic``."""
+class TestJointXStates:
+    """The checks of :func:`joint_x_states` on (times, 4, 4) stacks: its own
+    (shape, hermiticity, eigenvalues, X pattern), then the state check that
+    the closed form runs too."""
 
     def test_oracle_output_is_x_structured(self):
         rho = oracle_joint_density(
@@ -404,8 +407,12 @@ class TestJointDensity:
             joint_x_states(np.stack([BELL_MATRIX, m]))
 
     def test_rejects_trace_loss(self):
-        with pytest.raises(TruncationError, match="0.9"):
+        with pytest.raises(TruncationError) as raised:
             joint_x_states(np.stack([BELL_MATRIX, 0.9 * BELL_MATRIX]))
+        assert str(raised.value) == (
+            "reduced-state trace is 0.9; the Fock truncation is too coarse "
+            "(decrease epsilon_tail)"
+        )
 
     def test_rejects_indefinite_matrix(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
@@ -438,6 +445,28 @@ class TestJointDensity:
         grid = oracle_joint_density(params, dist, dist, np.array([0.4, 1.7]))
         point = oracle_density_matrix(params, dist, dist, 1.7)
         np.testing.assert_allclose(x_matrix(point), grid[1], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda params, a, b, t: states(params, a, b, np.array([t])), oracle_density_matrix],
+    ids=["states", "oracle_density_matrix"],
+)
+def test_both_routes_refuse_a_coarse_truncation_alike(route):
+    # certified only to 0.5: fine for construction, fatal for the trace.  The
+    # routes once named it "reduced-state" and "joint-state"; the trace itself
+    # may differ in its last bit between them (gt 0.3: ...175 and ...164)
+    coarse = ThermalDistribution(5.0, 3, 0.5)
+    with pytest.raises(TruncationError) as raised:
+        route(SystemParams(), coarse, coarse, 1.0)
+    match = re.fullmatch(
+        r"reduced-state trace is (\S+); the Fock truncation is too coarse "
+        r"\(decrease epsilon_tail\)",
+        str(raised.value),
+    )
+    assert match is not None, str(raised.value)
+    retained = float(np.sum(coarse.probabilities()))
+    assert float(match[1]) == pytest.approx(retained * retained, rel=1e-15)
 
 
 @pytest.fixture(scope="module")
