@@ -6,9 +6,11 @@ delta 1, gt from 0 to 25 in 20001 times (cutoffs 1395 and 25).  The kernel
 sizes its thread pool from the CPU affinity set, so the script pins its own
 process to the first CPU of that set with ``os.sched_setaffinity``, times
 ``dynamics.states``, and then times it again on the full set.  Each side gets
-one untimed call first, then ``--runs`` timed calls; the script prints their
-median and quartiles in seconds and the ratio of the two medians (one CPU over
-all CPUs, the speed-up of the extra threads).
+one untimed call first, then ``--runs`` timed calls, then one call under
+``tracemalloc``; the script prints the median and quartiles of the timed calls
+in seconds, the traced call's peak in MB (the kernel's workspaces grow with its
+thread count), and the ratio of the two medians (one CPU over all CPUs, the
+speed-up of the extra threads).
 
 Run it from the repository root:
 
@@ -20,13 +22,14 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from thermaljc import SystemParams, ThermalDistribution, dynamics
 
 
-def timed(runs: int) -> list[float]:
+def timed(runs: int) -> tuple[list[float], int]:
     params = SystemParams(delta=1.0)
     dist_a, dist_b = ThermalDistribution.from_mean(50.0), ThermalDistribution.from_mean(0.5)
     t = params.times(np.linspace(0.0, 25.0, 20001))
@@ -36,12 +39,19 @@ def timed(runs: int) -> list[float]:
         start = time.perf_counter()
         dynamics.states(params, dist_a, dist_b, t)
         seconds.append(time.perf_counter() - start)
-    return seconds
+    tracemalloc.start()
+    try:
+        dynamics.states(params, dist_a, dist_b, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, peak
 
 
-def report(label: str, seconds: list[float]) -> float:
+def report(label: str, seconds: list[float], peak: int) -> float:
     q1, median, q3 = statistics.quantiles(seconds, n=4) if len(seconds) > 1 else seconds * 3
-    print(f"{label}: median {median:.4f} s, quartiles {q1:.4f}-{q3:.4f} s, {len(seconds)} runs")
+    print(f"{label}: median {median:.4f} s, quartiles {q1:.4f}-{q3:.4f} s, {len(seconds)} runs;"
+          f" traced peak {peak / 1e6:.2f} MB")
     return median
 
 
@@ -57,10 +67,10 @@ def main(argv: list[str] | None = None) -> int:
     cpus = os.sched_getaffinity(0)
     try:
         os.sched_setaffinity(0, {min(cpus)})
-        one = report("1 CPU", timed(args.runs))
+        one = report("1 CPU", *timed(args.runs))
     finally:
         os.sched_setaffinity(0, cpus)
-    every = report(f"{len(cpus)} CPUs", timed(args.runs))
+    every = report(f"{len(cpus)} CPUs", *timed(args.runs))
     print(f"ratio 1 CPU / {len(cpus)} CPUs: {one / every:.3f}")
     return 0
 

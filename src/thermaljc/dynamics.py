@@ -4,7 +4,7 @@ factors, and factorized Fock sums for the two-atom X state.
 Each matrix element of the reduced state is a double thermal sum that
 factorizes into a product of one sum per cavity, so the cost per time point is
 linear in the Fock cutoff instead of quadratic.  A whole time grid is
-evaluated at once, as (times x sectors) blocks spread over CPU threads.
+evaluated at once, as (times x sectors) blocks spread over a few CPU threads.
 """
 
 from __future__ import annotations
@@ -18,15 +18,27 @@ import numpy as np
 from .core import SystemParams, ThermalDistribution, XStates, check_x_states
 
 # Entries of one (times x sectors) factor block.  It bounds the working memory
-# for any grid length and cutoff while keeping numpy's per-call overhead small
-# next to the arithmetic.
-_BLOCK_ELEMENTS = 1 << 15
+# for any grid length and cutoff.  Each numpy call on a block hands the
+# interpreter lock between the workers once, so fewer, longer calls let a
+# second worker earn more; on 2 vCPUs with 2 MB of L2 cache per core, 2^16
+# beat both 2^15 and 2^17.
+_BLOCK_ELEMENTS = 1 << 16
+# Most worker threads, whatever the CPU count.  einsum, which holds the
+# interpreter lock, takes about 40 % of the one-thread kernel, so by Amdahl's
+# law more workers would add workspaces but little speed.
+_MAX_WORKERS = 4
 # Widest slice of photon numbers in one block.  The slices depend on the cutoffs
 # alone, so a time's sums accumulate in the same order in any grid.
 _SECTOR_BLOCK = 1 << 12
 # Rows in one band, a thread's unit of work, unless one full-width block holds
 # more.  A band's sums fill one buffer per worker and become x1..x6 at once.
 _BAND_ROWS = 1 << 10
+
+
+def _check_times(t: np.ndarray) -> None:
+    valid = np.isfinite(t) & (t >= 0.0)
+    if not valid.all():
+        raise ValueError(f"time must be finite and >= 0, got {float(t[~valid][0])!r}")
 
 
 def effective_coupling(
@@ -42,9 +54,7 @@ def effective_coupling(
     Returns a float for a scalar ``t`` and an array for an array.
     """
     t = np.asarray(t, dtype=float)
-    valid = np.isfinite(t) & (t >= 0.0)
-    if not valid.all():
-        raise ValueError(f"time must be finite and >= 0, got {float(t[~valid][0])!r}")
+    _check_times(t)
     if not params.motion_enabled:
         g_eff = np.full(t.shape, params.g)
     else:
@@ -71,7 +81,9 @@ def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarra
     phase exp(i*delta*t/2).  When delta^2 is 0, swap = s^2 and w, unwritten, is 0.
     """
     swap, s, w, c = ws
-    np.multiply(g4[:, None], n, out=swap)
+    # einsum forms the two row-times-column products in about half the time of
+    # a broadcasting ufunc, and without its 64 KiB iterator buffer per operand
+    np.einsum("i,j->ij", g4, n, out=swap)
     if delta * delta > 0.0:
         np.add(swap, delta * delta, out=s)
         np.divide(swap, s, out=swap)
@@ -79,8 +91,8 @@ def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarra
         np.divide(delta, s, out=w)
     else:
         np.sqrt(swap, out=s)
-    np.multiply(s, quarter_t[:, None], out=s)
-    np.tan(s, out=s)
+    np.einsum("ij,i->ij", s, quarter_t, out=c)
+    np.tan(c, out=s)
     np.multiply(s, s, out=c)
     np.add(c, 1.0, out=c)
     np.divide(2.0, c, out=c)
@@ -133,13 +145,14 @@ def states(
     Photon numbers are cut into slices at every ``_SECTOR_BLOCK`` and at each
     cavity's cutoff, so each cavity sums over its own slices only.  The grid
     goes to one worker per ``_BLOCK_ELEMENTS`` factors, up to the CPUs in the
-    affinity set (``taskset -c 0`` gives one thread; see :func:`_spread`), in
-    bands of ``_BAND_ROWS`` rows or one full-width block; band k goes to worker
-    k mod W.  A worker sums each slice over a band in blocks of at most
-    ``_BLOCK_ELEMENTS`` factors, reusing one workspace, and forms the band's
-    x1..x6 at once, so a narrow slice costs a few numpy calls per band, not
-    per block.  A time's elements are bit-identical in any grid, block, band
-    or worker.
+    affinity set and at most ``_MAX_WORKERS`` (``taskset -c 0`` gives one
+    thread; see :func:`_spread`), in bands of ``_BAND_ROWS`` rows or one
+    full-width block; band k goes to worker k mod W.  A worker forms g'(t) of
+    a band, sums each slice over it in blocks of at most ``_BLOCK_ELEMENTS``
+    factors, reusing one workspace, and forms the band's x1..x6 at once, so a
+    narrow slice costs a few numpy calls per band, not per block.  The working
+    memory beyond the outputs is thus bounded by a constant.  A time's elements
+    are bit-identical in any grid, block, band or worker.
 
     Raises what :func:`~thermaljc.core.check_x_states` raises for a row that
     is not a valid X state: TruncationError for a trace off 1 (the Fock
@@ -148,15 +161,15 @@ def states(
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
-    g_eff = effective_coupling(params, t)
-    g4, quarter_t, delta = 4.0 * g_eff * g_eff, 0.25 * t, params.delta
+    _check_times(t)
+    delta = params.delta
     probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
     totals = [float(np.sum(p)) for p in probs]
     count = max(p.size for p in probs) + 1  # sectors 0..N + 1 of the wider cavity
     ends = sorted({*range(0, count - 1, _SECTOR_BLOCK), *(p.size for p in probs)})
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = max(1, min(cpus, t.size, -(-t.size * count // _BLOCK_ELEMENTS)))
+    workers = max(1, min(cpus, _MAX_WORKERS, t.size, -(-t.size * count // _BLOCK_ELEMENTS)))
     band_rows = max(_BAND_ROWS, _BLOCK_ELEMENTS // count)  # most rows in one band
     bands = min(t.size, workers * -(-t.size // (workers * band_rows)))
     tall = -(-t.size // max(bands, 1))
@@ -176,15 +189,17 @@ def states(
         sums, part = np.zeros((2, len(probs), 6, tall))
         for k in range(worker, bands, workers):
             first, last = k * t.size // bands, (k + 1) * t.size // bands
+            g_eff = effective_coupling(params, t[first:last])
+            g4, quarter_t = 4.0 * g_eff * g_eff, 0.25 * t[first:last]
             for (n, h, cavities), block in zip(slices, blocks):
                 acc = part if n[0] else sums
-                for r0 in range(first, last, h):
-                    rows = slice(r0, min(r0 + h, last))
+                for r0 in range(0, last - first, h):
+                    rows = slice(r0, min(r0 + h, last - first))
                     swap, _, w, c = view = block[:, : rows.stop - r0]
                     _factors(view, g4[rows], quarter_t[rows], n, delta)
                     pairs = ((c, c), (w, w), (c, w), (w, c)) if delta * delta > 0.0 else ((c, c),)
                     for i, pk in cavities:
-                        out = acc[i, :, r0 - first : rows.stop - first]
+                        out = acc[i, :, rows]
                         np.einsum("ij,j->i", swap[:, :-1], pk, out=out[0])
                         np.einsum("ij,j->i", swap[:, 1:], pk, out=out[1])
                         for total, (u, v) in zip(out[2:], pairs):

@@ -41,22 +41,25 @@ _U32 = np.uint64(0xFFFFFFFF)
 _NEARER = np.array([v % 4 + v // 4 < 3 for v in range(8)])
 
 
-def _floor_log2_pow10(e: int) -> int:
-    # 10**m is not a power of two for m >= 1, so floor(-m log2 10) = -bit_length
-    return (10**e).bit_length() - 1 if e >= 0 else -(10**-e).bit_length()
-
-
 @functools.cache
 def _tables() -> dict[str, np.ndarray]:
     """Schubfach's g per k (Giulietti, sec. 9.8.3): 10**-k = beta 2**r with
     2**125 <= beta < 2**126 and g = floor(beta) + 1, as the rows
     [g mod 2**63, g >> 63]; floor(log2 10**-k) per k; and the texts."""
-    g, log2 = [], []
+    pow10 = [1]
+    for _ in range(max(-_K_MIN, _K_MAX)):
+        pow10.append(pow10[-1] * 10)
+    low, high, log2 = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
-        log2.append(_floor_log2_pow10(-k))
-        r = log2[-1] - 125
-        beta = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0))
-        g.append(((beta + 1) & ((1 << 63) - 1), (beta + 1) >> 63))
+        if k <= 0:  # beta = 10**-k 2**-r, a shift
+            log2.append(pow10[-k].bit_length() - 1)
+            r = log2[-1] - 125
+            beta = pow10[-k] << -r if r < 0 else pow10[-k] >> r
+        else:  # 10**k is not a power of two, so floor(-k log2 10) = -bit_length
+            log2.append(-pow10[k].bit_length())
+            beta = (1 << 125 - log2[-1]) // pow10[k]
+        low.append((beta + 1) & ((1 << 63) - 1))
+        high.append((beta + 1) >> 63)
     # 0..9999 as four little-endian (digit, 0xFF) pairs, and their trailing zeros
     number = np.arange(10000, dtype=np.int16)
     four = np.full((10000, 8), 0xFF, np.uint8)
@@ -76,7 +79,7 @@ def _tables() -> dict[str, np.ndarray]:
     head = [sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")]
     tail = [".0", ""] + [f"e{x:+03d}" for x in range(-324, 309)]
     return {
-        "g": np.ascontiguousarray(np.array(g, np.uint64).T),
+        "g": np.array([low, high], np.uint64),
         "log2": np.array(log2, np.int64),
         "four": four.view("<u8").ravel(),
         "zeros": zeros,
@@ -87,10 +90,8 @@ def _tables() -> dict[str, np.ndarray]:
 
 
 def _text_rows(texts: list[str], width: int) -> np.ndarray:
-    rows = np.zeros((len(texts), width), np.uint8)
-    for row, text in zip(rows, texts):
-        row[: len(text)] = np.frombuffer(text.encode(), np.uint8)
-    return rows
+    padded = "".join(text.ljust(width, "\0") for text in texts)
+    return np.frombuffer(padded.encode(), np.uint8).reshape(len(texts), width)
 
 
 class FloatText:

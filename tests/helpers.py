@@ -1,7 +1,7 @@
 """Test-only views of the model's objects: the dense matrix of an X state, its
 trace, the size of a dense state's entries outside the X pattern, the
 concurrence of any two-qubit state, and the oracle's field trace by explicit
-photon matching."""
+photon matching.  Also the float encoder's tables, one entry at a time."""
 
 import numpy as np
 
@@ -75,3 +75,29 @@ def field_trace_by_photon_match(
     match = photon[:, None, :, :, None] == photon[None, :, :, None, :]
     weight = probs[:, None, None] * match  # [a, a', n, l, l']
     return np.einsum("tanl,tbnm,abnlm->tablm", amp, amp.conj(), weight)
+
+
+def schubfach_rows_per_k(k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Schubfach's g rows [g mod 2**63, g >> 63] and floor(log2 10**-k) for
+    k_min <= k <= k_max, each k by its own powers of ten and one big-integer
+    division: 10**-k = beta 2**r with 2**125 <= beta < 2**126, g = floor(beta) + 1."""
+
+    def floor_log2_pow10(e: int) -> int:
+        # 10**m is not a power of two for m >= 1, so floor(-m log2 10) = -bit_length
+        return (10**e).bit_length() - 1 if e >= 0 else -(10**-e).bit_length()
+
+    g, log2 = [], []
+    for k in range(k_min, k_max + 1):
+        log2.append(floor_log2_pow10(-k))
+        r = log2[-1] - 125
+        beta = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0))
+        g.append(((beta + 1) & ((1 << 63) - 1), (beta + 1) >> 63))
+    return np.ascontiguousarray(np.array(g, np.uint64).T), np.array(log2, np.int64)
+
+
+def text_rows_per_text(texts: list[str], width: int) -> np.ndarray:
+    """ASCII ``texts`` as rows of ``width`` bytes, NUL-padded, one row at a time."""
+    rows = np.zeros((len(texts), width), np.uint8)
+    for row, text in zip(rows, texts):
+        row[: len(text)] = np.frombuffer(text.encode(), np.uint8)
+    return rows

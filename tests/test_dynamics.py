@@ -528,11 +528,16 @@ class _WorkerFailure(Exception):
     pass
 
 
+def _grid_of_blocks(dist, blocks):
+    """Times from 0 to 12 that fill ``blocks`` factor blocks of ``dist``'s sectors."""
+    return np.linspace(0.0, 12.0, (blocks - 1) * dynamics._BLOCK_ELEMENTS // (dist.n_max + 2) + 1)
+
+
 class TestWorkers:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, tmp_path, cpus):
         params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
-        grid = np.linspace(0.0, 12.0, 2001)
+        grid = _grid_of_blocks(b, dynamics._MAX_WORKERS + 2)
         reference = states(params, a, b, grid)
         flags = ["--kbar", "5", "--lbar", "0.5", "--delta", "1", "--p", "2",
                  "--gt-max", "20", "--steps", "2000", "--no-timestamp"]
@@ -541,7 +546,9 @@ class TestWorkers:
             outputs[fmt] = tmp_path / f"one.{fmt}"
             assert main(["timeseries", *flags, "--format", fmt, "--output", str(outputs[fmt])]) == 0
         # one thread per _BLOCK_ELEMENTS factors of the grid, at most one per CPU
+        # and at most _MAX_WORKERS
         blocks = -(-grid.size * (b.n_max + 2) // dynamics._BLOCK_ELEMENTS)
+        assert blocks == dynamics._MAX_WORKERS + 2
         workers = set()
         factors = dynamics._factors
 
@@ -555,7 +562,7 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
         try:
             spread = states(params, a, b, grid)
-            assert len(workers) == min(cpus, blocks)
+            assert len(workers) == min(cpus, blocks, dynamics._MAX_WORKERS)
             for fmt, path in outputs.items():
                 again = tmp_path / f"spread.{fmt}"
                 assert main(["timeseries", *flags, "--format", fmt, "--output", str(again)]) == 0
@@ -585,10 +592,30 @@ class TestWorkers:
         _set_cpus(monkeypatch, 3)
         monkeypatch.setattr(dynamics, "_factors", failing)
         with pytest.raises(_WorkerFailure) as excinfo:
-            states(params, a, b, np.linspace(0.0, 12.0, 2001))
+            states(params, a, b, _grid_of_blocks(b, 3))
         assert excinfo.value is raised[0]
         assert len(workers) == 3
         assert not any(thread.is_alive() for thread in workers - {threading.main_thread()})
+
+    def test_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
+        # hot_bath: each worker holds a 2 MiB workspace, so one worker per CPU
+        # would grow with the machine (71.2 MB on 64 CPUs).  What varies between
+        # runs is how the workers' transient numpy buffers overlap, up to 142 KiB
+        # over 90 runs at 4 workers; a quarter of one workspace separates that
+        # from growth.
+        params, a, b = SystemParams(delta=1.0), _dist(50.0), _dist(0.5)
+        grid = np.linspace(0.0, 25.0, 20001)
+        peaks = []
+        for cpus in (4, 16, 64):
+            _set_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                states(params, a, b, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) - min(peaks) <= 8 * dynamics._BLOCK_ELEMENTS
+        assert max(peaks) <= 12_000_000
 
 
 class TestSectorBlocks:
@@ -693,14 +720,15 @@ class TestBands:
 
     def test_the_narrow_cavity_sums_once_per_band(self, monkeypatch):
         # hot_bath: cutoffs 1395 and 25.  The slice below the narrow cutoff is
-        # one tall block per band; only the wide cavity runs in 23-row blocks
+        # one tall block per band; only the wide cavity runs in short blocks
         params, a, b = SystemParams(delta=1.0), _dist(50.0), _dist(0.5)
         grid = np.linspace(0.0, 25.0, 20001)
         _set_cpus(monkeypatch, 2)
         sizes, einsum = [], np.einsum
 
         def counting(*operands, **kwargs):
-            sizes.append(operands[-1].size)  # the weights P_n of one cavity's slice
+            if operands[0].endswith("->i"):  # a thermal sum, not a factor product
+                sizes.append(operands[-1].size)  # the weights P_n of one cavity's slice
             return einsum(*operands, **kwargs)
 
         monkeypatch.setattr(dynamics.np, "einsum", counting)
@@ -709,7 +737,12 @@ class TestBands:
         narrow, wide = b.n_max + 1, a.n_max - b.n_max
         assert set(sizes) == {narrow, wide}
         assert sizes.count(narrow) == 6 * 2 * bands  # both cavities, six sums
-        assert sizes.count(wide) >= 6 * 40 * bands  # over 40 row blocks per band
+        # the wide slice holds sectors 26..1396, so a block holds this many rows
+        rows = dynamics._BLOCK_ELEMENTS // (wide + 1)
+        edges = [k * grid.size // bands for k in range(bands + 1)]
+        row_blocks = sum(-(-(hi - lo) // rows) for lo, hi in zip(edges, edges[1:]))
+        assert row_blocks > 10 * bands
+        assert sizes.count(wide) == 6 * row_blocks
 
     def test_memory_grows_with_the_grid_only_through_its_outputs(self, monkeypatch):
         # The band buffers have a fixed size.  What grows with the grid is the

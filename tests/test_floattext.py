@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import schubfach_rows_per_k, text_rows_per_text
+from thermaljc import floattext
 from thermaljc.floattext import FloatText
 
 
@@ -68,3 +70,19 @@ def test_any_bit_pattern_is_spelled_as_repr_and_json_dumps(patterns):
     assert _encoded(values, False) == _spelled(values, False)
     assert _encoded(values, True) == _spelled(values, True)
 
+
+
+def test_tables_equal_the_per_k_formula():
+    tables = floattext._tables()
+    g, log2 = schubfach_rows_per_k(floattext._K_MIN, floattext._K_MAX)
+    for got, want in ((tables["g"], g), (tables["log2"], log2)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", [1, 5, 6])
+def test_text_rows_equal_the_per_text_loop(width):
+    texts = ["", "-", "0.", "-0.000", "e+308", ".0", "e-324", "x"]
+    texts = [text for text in texts if len(text) <= width]
+    got, want = floattext._text_rows(texts, width), text_rows_per_text(texts, width)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

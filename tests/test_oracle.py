@@ -128,7 +128,7 @@ def _weighted_branch(params, dist_a, dist_b, n, m, t, components=BELL):
     return weight * _branch(evolved_a, evolved_b, n, m, components)[0]
 
 
-class TestSectorPropagator:
+class TestSectorExponential:
     def test_hamiltonian_block(self):
         h = sector_hamiltonians(np.array([0.7]), 2.0, np.arange(4))[0, 3]
         off = 0.7 * 2.0  # sqrt(4)
