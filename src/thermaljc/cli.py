@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
 import os
@@ -62,6 +63,9 @@ class CsvFormatError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # the subparsers whose flags are not added yet, by subcommand
+    unflagged: dict[str, argparse.ArgumentParser]
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -608,20 +612,40 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[str, dict], int], KeyTable, str]] = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: it holds no defaults, so calls share it."""
+def _build_parser() -> _Parser:
+    """The one parser of the process: it holds no defaults, so calls share it.
+    A subcommand gets its flags when an argv first names it (``_parse_args``),
+    so a run pays for its own subcommand's flags only."""
     parser = _Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys, help_text) in _SUBCOMMANDS.items():
-        _add_flags(commands.add_parser(name, allow_abbrev=False, help=help_text), keys)
+    parser.unflagged = {
+        name: commands.add_parser(name, allow_abbrev=False, help=help_text)
+        for name, (_, _, help_text) in _SUBCOMMANDS.items()
+    }
     return parser
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``argv`` parsed, once the subcommand it names has its flags: its first
+    argument that is no option, or the one after a leading ``--``.  An argv
+    that names none, or names another than argparse reads, is a usage error
+    either way."""
+    parser = _build_parser()
+    args = list(sys.argv[1:] if argv is None else argv)
+    rest = itertools.dropwhile(lambda arg: arg.startswith("-") and arg != "--", args)
+    name = next(rest, None)
+    if name == "--":
+        name = next(rest, None)
+    if name in parser.unflagged:
+        _add_flags(parser.unflagged.pop(name), _SUBCOMMANDS[name][1])
+    return parser.parse_args(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     global _written
     kept, _written = _written, None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         if args.command == "plot":
             _written = kept
         runner, keys, _ = _SUBCOMMANDS[args.command]

@@ -3,6 +3,7 @@ deterministic output so rendered files are byte-stable across runs."""
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -57,9 +58,64 @@ class _Mapper:
         return self.frame_bottom - (v - self.y_lo) / span * (self.frame_bottom - self.frame_top)
 
 
+# 100 v is within 1.2e-10 of the exact product below 1e4, so np.rint gives the
+# cents '%.2f' gives unless 100 v lies this near a half cent
+_NEAR_TIE = 1e-6
+
+
+@functools.cache
+def _digit_texts() -> tuple[np.ndarray, np.ndarray]:
+    """0..9999 as four digit bytes (the float encoder's table), and as ASCII
+    with its leading zeros NUL, each in one little-endian word."""
+    from .floattext import _tables  # on first use: most commands draw no curve
+
+    digits = _tables()["digits"]
+    integers = digits | np.uint64(0x30303030)
+    for byte, below in enumerate((1000, 100, 10)):
+        integers[:below] &= ~np.uint64(0xFF << 8 * byte)
+    return digits, integers
+
+
+def _cents(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.rint(100 v), and the mask of the values whose '%.2f' is left to '%'
+    itself (their cents read 0): half-cent near-ties, a set sign bit (-0.00
+    included), and 9999.995 up."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 100 v past 1.8e306
+        cents = values * 100.0
+        whole = np.rint(cents)
+        per_value = ~(np.abs(cents - whole) < 0.5 - _NEAR_TIE)
+    per_value |= np.signbit(values)
+    per_value |= ~(whole < 1e6)
+    whole[per_value] = 0.0
+    return whole, per_value
+
+
+def _points(pixels: np.ndarray) -> str:
+    """'x,y x,y ...' of (n, 2) pixels, each value as '%.2f' gives it.  A value
+    takes one 8-byte word, NUL-padded: its integer part right-aligned in bytes
+    0-3, the point and two decimals in bytes 4-6, the separator in byte 7; one
+    ``translate`` deletes the NULs.  The ``_cents`` mask's values are '%s'
+    there, and '%.2f' fills them in."""
+    digits, integers = _digit_texts()
+    values = pixels.ravel()
+    cents, per_value = _cents(values)
+    quot, rest = np.divmod(cents.astype(np.int64), 100)
+    words = integers.take(quot)
+    decimals = digits.take(rest)  # "00ab" in bytes 0-3: a and b go to bytes 5 and 6
+    decimals <<= np.uint64(24)
+    words |= decimals
+    words |= np.uint64(ord(".") << 32 | 0x3030 << 40)
+    words[per_value] = ord("%") | ord("s") << 8
+    words[0::2] |= np.uint64(ord(",") << 56)
+    words[1::2] |= np.uint64(ord(" ") << 56)
+    text = words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+    if per_value.any():
+        text %= tuple("%.2f" % value for value in values[per_value].tolist())
+    return text
+
+
 def _polyline(mapper: _Mapper, xs: np.ndarray, ys: np.ndarray, color: str) -> str:
-    pixels = np.stack((mapper.x(xs), mapper.y(ys)), axis=1)
-    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels.ravel().tolist())
+    points = _points(np.stack((mapper.x(xs), mapper.y(ys)), axis=1))
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
         f'points="{points}"/>'

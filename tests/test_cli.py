@@ -935,6 +935,55 @@ class TestParserReuse:
         assert self._call(capsys, calls[2][0], series)[0] == 0
         assert json.loads(series.read_text())["metadata"]["epsilon_tail"] == 1e-11
 
+    @staticmethod
+    def _helps(capsys, names):
+        """The top-level help, then each subcommand's, asked for in ``names`` order."""
+        texts = {}
+        for argv in [["--help"]] + [[name, "--help"] for name in names]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            texts[argv[0]] = capsys.readouterr().out
+        return texts
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_help_does_not_depend_on_when_flags_are_added(self, capsys, seed):
+        names = list(cli._SUBCOMMANDS)
+        _build_parser.cache_clear()
+        parser = _build_parser()
+        for name in names:  # every subcommand's flags at once, before any call
+            cli._add_flags(parser.unflagged.pop(name), cli._SUBCOMMANDS[name][1])
+        at_once = self._helps(capsys, names)
+        np.random.default_rng(seed).shuffle(names)
+        _build_parser.cache_clear()
+        try:
+            assert self._helps(capsys, names) == at_once  # each added lazily
+        finally:
+            _build_parser.cache_clear()
+        assert all(f"thermaljc {name} [-h]" in at_once[name] for name in names)
+        assert "--config FILE" in at_once["plot"] and "--times" in at_once["validate"]
+
+    @pytest.mark.parametrize(
+        "argv, flagged",
+        [
+            (["validate", "--times", "2"], {"validate"}),
+            (["--", "validate"], {"validate"}),
+            (["-h"], set()),
+            (["--bogus", "epe", "--title", "scan"], {"epe"}),
+            (["transmogrify", "validate"], set()),
+        ],
+    )
+    def test_only_the_named_subcommand_gets_its_flags(self, capsys, argv, flagged):
+        _build_parser.cache_clear()
+        try:
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            assert set(cli._SUBCOMMANDS) - set(_build_parser().unflagged) == flagged
+        finally:
+            _build_parser.cache_clear()
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -1116,7 +1165,9 @@ class TestColumnWriter:
         [3, _READ_ROWS - 1, _READ_ROWS, _READ_ROWS + 1, 2 * _READ_ROWS + 1]
         # the encoder's blocks: BLOCK values of one JSON column, or BLOCK // 11
         # rows of the eleven CSV columns
-        + [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK // 11 - 1, BLOCK // 11, BLOCK // 11 + 1],
+        + [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK // 11 - 1, BLOCK // 11, BLOCK // 11 + 1]
+        # and half of each: a short last block, whose rows past it are blanked
+        + [BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, BLOCK // 22 - 1, BLOCK // 22, BLOCK // 22 + 1],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("timestamp", [True, False], ids=["timestamp", "no-timestamp"])

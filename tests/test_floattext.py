@@ -86,3 +86,32 @@ def test_text_rows_equal_the_per_text_loop(width):
     texts = [text for text in texts if len(text) <= width]
     got, want = floattext._text_rows(texts, width), text_rows_per_text(texts, width)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# One value of every layout case: the sign; the prefixes 0. to 0.000 (decpt 0
+# to -3); the point after digit 1 to 16; integral with '.0' up to 16 digits;
+# the exponent with one digit and with 17, from e-308 to e+308; and zero.
+LAYOUTS = [
+    0.5, 0.05, 0.005, 0.0005, 0.0001, 0.12345678901234568, 0.00012345678901234567,
+    *(float("7" * p + "." + "3" * (17 - p)) for p in range(1, 17)),
+    *(float("9" * p + ".5") for p in range(1, 16)),
+    1234567890123456.8, 1.0, 10.0, 1e15, 9007199254740993.0, 123456789012345.0,
+    1e16, 1e17, 1.2345678901234567e16, 1e-05, 2.5e-05, 1.2345678901234567e-5,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e100, 1e-100,
+    0.0,
+]
+LAYOUTS += [-value for value in LAYOUTS]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+@pytest.mark.parametrize("separators", [[b",", b",", b"\n"], [b",\n      "]], ids=["csv", "json"])
+def test_every_layout_case_at_the_block_edges(separators, offset):
+    text = FloatText(separators, json=len(separators) == 1)
+    rows = text.rows + offset
+    values = np.resize(np.array(LAYOUTS), rows * len(separators))
+    columns = list(values.reshape(rows, len(separators)).T)
+    for _ in range(2):  # a writer's second use sees the separators of its first
+        got = b"".join(text.encode(columns, lo) for lo in range(0, rows, text.rows))
+        spelled = (repr(value) + sep.decode() for value, sep in
+                   zip(values.tolist(), separators * rows))
+        assert got.decode("ascii") == "".join(spelled)

@@ -252,7 +252,7 @@ class TestEvolvedAmplitudes:
         assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
-class TestEvolveSubsystem:
+class TestEvolvedBasisStates:
     @pytest.mark.parametrize("atom, n", [("g", 0), ("g", 2), ("e", 0), ("e", 3)])
     @pytest.mark.parametrize("t", [0.0, 0.8, 3.1])
     def test_pure_inputs_stay_normalized(self, atom, n, t):

@@ -105,3 +105,44 @@ def test_titles_and_labels_are_escaped_as_xml_text():
     root = ET.fromstring(svg)
     texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
     assert all(text in texts for text in labels.values())
+
+
+def _points_reference(pixels):
+    return " ".join("%.2f,%.2f" % (x, y) for x, y in pixels.tolist())
+
+
+def _as_points(values):
+    """Each value as an x and as a y pixel: (v, 1), (1, v) ..."""
+    values = np.asarray(values, float)
+    ones = np.ones_like(values)
+    return np.concatenate([np.stack((values, ones), 1), np.stack((ones, values), 1)])
+
+
+TIES = [0.125, 72.125, 439.875]  # exact half cents, which '%.2f' rounds half to even
+NEAR_TIES = TIES + [np.nextafter(v, side) for v in TIES for side in (-np.inf, np.inf)]
+SIGNED = [-0.0, -0.001, -0.005, -3.0, -1e300]
+LARGE = [9999.994, 9999.995, 9999.996, 1e4, 12345.678, 2.0**53, 1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("values", [NEAR_TIES, SIGNED, LARGE], ids=["ties", "signed", "large"])
+def test_array_text_equals_percent_formatting(values):
+    pixels = _as_points(values)
+    assert svgplot._points(pixels) == _points_reference(pixels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+def test_any_finite_values_are_formatted_as_percent_two_f(values):
+    pixels = _as_points(values)
+    assert svgplot._points(pixels) == _points_reference(pixels)
+
+
+def test_only_ties_signs_and_large_values_take_the_per_value_fallback():
+    _, per_value = svgplot._cents(np.array(NEAR_TIES + SIGNED + LARGE[1:]))
+    assert per_value.all()
+    mapper = svgplot._Mapper((0.0, 25.0), (-1.0, 1.0))
+    t = np.linspace(0.0, 25.0, 2001)
+    ordinary = np.concatenate([mapper.x(t), mapper.y(np.sin(t)), [0.0, 72.12, 439.88, 9999.99]])
+    cents, per_value = svgplot._cents(ordinary)
+    assert not per_value.any()
+    assert np.array_equal(cents, [int(("%.2f" % v).replace(".", "")) for v in ordinary.tolist()])
