@@ -30,22 +30,16 @@ import tracemalloc
 import numpy as np
 
 from thermaljc import SystemParams, ThermalDistribution, svgplot
-from thermaljc.cli import _JSON_ITEM_END, EPE_HEADER, TIMESERIES_HEADER
+from thermaljc.cli import _JSON_ITEM_END, EPE_HEADER, TIMESERIES_HEADER, _series_columns
 from thermaljc.floattext import FloatText
 from thermaljc.sweep import time_series
-
-
-def columns(series, header: str) -> list[np.ndarray]:
-    """The header's columns of a series, as ``thermaljc.cli`` names them."""
-    state = series.state
-    named = {**vars(series), **state._asdict(), "x3_re": state.x3.real, "x3_im": state.x3.imag}
-    return [np.asarray(named[name], float) for name in header.split(",")]
 
 
 def hot_bath() -> list[np.ndarray]:
     params = SystemParams(delta=1.0)
     dist_a, dist_b = ThermalDistribution.from_mean(50.0), ThermalDistribution.from_mean(0.5)
-    return columns(time_series(params, dist_a, dist_b, 25.0, 20000), TIMESERIES_HEADER)
+    series = time_series(params, dist_a, dist_b, 25.0, 20000)
+    return list(_series_columns(series, TIMESERIES_HEADER).values())
 
 
 def figure_curves() -> list[tuple[svgplot._Mapper, np.ndarray, np.ndarray]]:
@@ -53,7 +47,7 @@ def figure_curves() -> list[tuple[svgplot._Mapper, np.ndarray, np.ndarray]]:
     def run(kbar: float, delta: float, gt_max: float, steps: int, header: str):
         dist = ThermalDistribution.from_mean(kbar)
         series = time_series(SystemParams(delta=delta), dist, dist, gt_max, steps)
-        return dict(zip(header.split(","), columns(series, header)))
+        return _series_columns(series, header)
 
     observables = ("concurrence", "purity", "energy")
     plots = [(run(0.0, 0.0, 7.0, 2000, TIMESERIES_HEADER), "gt", observables)]

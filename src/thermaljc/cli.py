@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import itertools
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from .core import (
 )
 from .oracle import ORACLE_TOL, max_route_deviation, validation_times
 from .svgplot import render_plot
-from .sweep import scan, time_series
+from .sweep import TimeSeries, scan, time_series
 
 if TYPE_CHECKING:
     from .floattext import FloatText
@@ -131,13 +130,6 @@ def _parse_utf8(text: str) -> str:
     return text
 
 
-def _parse_columns(text: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not items:
-        raise ValueError(f"expected a comma-separated column list, got {text!r}")
-    return items
-
-
 def _default_epsilon() -> float:
     raw = os.environ.get(ENV_EPSILON)
     if raw is None:
@@ -222,7 +214,7 @@ _VALIDATE_KEYS: KeyTable = {
 _PLOT_KEYS: KeyTable = {
     "input": (str, None, "CSV file to read"),
     "output": (str, None, "SVG file to write"),
-    "columns": (_parse_columns, None, "comma list of columns to draw against gt "
+    "columns": (_list_of(str.strip), None, "comma list of columns to draw against gt "
                 "(default: concurrence,purity,energy)"),
     "projection": (_parse_projection, None, "draw one planar trajectory "
                    f"projection instead: {' or '.join(sorted(PROJECTIONS))}"),
@@ -287,10 +279,7 @@ def _build_problem(
     epsilon_tail = resolved["epsilon_tail"]
     params = SystemParams(g=resolved["g"], delta=delta, p=p, motion_enabled=resolved["motion"])
     dist_a = ThermalDistribution.from_mean(kbar, epsilon_tail)
-    # equal means share one distribution, but -0.0 and 0.0 keep their own labels
-    same = lbar == kbar and math.copysign(1.0, lbar) == math.copysign(1.0, kbar)
-    dist_b = dist_a if same else ThermalDistribution.from_mean(lbar, epsilon_tail)
-    return params, dist_a, dist_b
+    return params, dist_a, ThermalDistribution.from_mean(lbar, epsilon_tail)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -405,6 +394,14 @@ def _require_output(resolved: dict[str, object]) -> str:
 _SERIES_HEADERS = {"timeseries": TIMESERIES_HEADER, "epe": EPE_HEADER}
 
 
+def _series_columns(series: TimeSeries, header: str) -> dict[str, np.ndarray]:
+    """The columns a header names, by name: the series' fields, the state's
+    elements, and x3 as x3_re and x3_im."""
+    state = series.state
+    named = {**vars(series), **state._asdict(), "x3_re": state.x3.real, "x3_im": state.x3.imag}
+    return {name: named[name] for name in header.split(",")}
+
+
 def _run_series(command: str, resolved: dict[str, object]) -> int:
     """timeseries and epe: one grid run, written as the columns of the header."""
     if resolved["lbar"] is None:
@@ -415,11 +412,7 @@ def _run_series(command: str, resolved: dict[str, object]) -> int:
     )
     series = time_series(params, dist_a, dist_b, resolved["gt_max"], resolved["steps"])
     header = _SERIES_HEADERS[command]
-    state = series.state
-    named = {**vars(series), **state._asdict(),
-             "x3_re": state.x3.real, "x3_im": state.x3.imag}
-    columns = {name: named[name] for name in header.split(",")}
-    _write_columns(output, resolved, command, header, columns)
+    _write_columns(output, resolved, command, header, _series_columns(series, header))
     return EXIT_OK
 
 
@@ -611,13 +604,22 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[str, dict], int], KeyTable, str]] = {
 }
 
 
+class _LazyFlags(argparse._SubParsersAction):
+    """The subcommand action: argparse calls it with the name it chose, and
+    that subcommand gets its flags then, so a run pays for its own only."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] in parser.unflagged:
+            _add_flags(parser.unflagged.pop(values[0]), _SUBCOMMANDS[values[0]][1])
+        super().__call__(parser, namespace, values, option_string)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser of the process: it holds no defaults, so calls share it.
-    A subcommand gets its flags when an argv first names it (``_parse_args``),
-    so a run pays for its own subcommand's flags only."""
+    Its subparsers start without flags; see ``_LazyFlags``."""
     parser = _Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, action=_LazyFlags)
     parser.unflagged = {
         name: commands.add_parser(name, allow_abbrev=False, help=help_text)
         for name, (_, _, help_text) in _SUBCOMMANDS.items()
@@ -625,27 +627,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """``argv`` parsed, once the subcommand it names has its flags: its first
-    argument that is no option, or the one after a leading ``--``.  An argv
-    that names none, or names another than argparse reads, is a usage error
-    either way."""
-    parser = _build_parser()
-    args = list(sys.argv[1:] if argv is None else argv)
-    rest = itertools.dropwhile(lambda arg: arg.startswith("-") and arg != "--", args)
-    name = next(rest, None)
-    if name == "--":
-        name = next(rest, None)
-    if name in parser.unflagged:
-        _add_flags(parser.unflagged.pop(name), _SUBCOMMANDS[name][1])
-    return parser.parse_args(args)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     global _written
     kept, _written = _written, None
     try:
-        args = _parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "plot":
             _written = kept
         runner, keys, _ = _SUBCOMMANDS[args.command]

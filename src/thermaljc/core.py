@@ -4,7 +4,7 @@ two-qubit X-state container used by every other module."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +33,14 @@ PARAM_LIMIT = 1e150
 
 class TruncationError(RuntimeError):
     """A truncated Fock sum left out more probability mass than tolerated."""
+
+
+def check_times(t: np.ndarray) -> None:
+    """Raise ValueError at the first time of the array ``t`` that is not
+    finite and >= 0: the one rule both routes apply to their times."""
+    valid = np.isfinite(t) & (t >= 0.0)
+    if not valid.all():
+        raise ValueError(f"time must be finite and >= 0, got {float(t[~valid][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -106,19 +114,19 @@ def truncation_index(mean: float, epsilon: float) -> int:
     if mean == 0.0:
         return 0
     ratio = mean / (mean + 1.0)
-    # log estimate, then exact discrete adjustment so boundary cases round right;
-    # log1p stays nonzero where ratio rounds to 1
-    estimate = math.log(epsilon) / math.log1p(-1.0 / (mean + 1.0))
-    if estimate > MAX_SECTORS:
+    # log estimate capped at the limit, then exact steps so boundaries round right;
+    # -log(ratio) = log1p(1/mean) is nonzero where ratio rounds to 1, finite at mean ~ 0
+    estimate = -math.log(epsilon) / math.log1p(1.0 / mean)
+    n = max(0, math.ceil(min(estimate, MAX_SECTORS)) - 1)
+    while n < MAX_SECTORS and ratio ** (n + 1) > epsilon:
+        n += 1
+    while n > 0 and ratio ** n <= epsilon:
+        n -= 1
+    if n >= MAX_SECTORS:
         raise ValueError(
             f"mean photon number {mean} needs more than the limit of {MAX_SECTORS} "
             f"sectors for tail tolerance {epsilon:.3e}"
         )
-    n = max(0, math.ceil(estimate) - 1)
-    while ratio ** (n + 1) > epsilon:
-        n += 1
-    while n > 0 and ratio ** n <= epsilon:
-        n -= 1
     return n
 
 
@@ -126,41 +134,20 @@ def truncation_index(mean: float, epsilon: float) -> int:
 class ThermalDistribution:
     """Geometric photon-number weights P_n = mean**n / (mean+1)**(n+1), truncated.
 
-    The truncation is certified: construction fails unless the retained weights
-    account for at least ``1 - epsilon_tail`` of the full distribution.
+    The cutoff ``n_max`` is derived, not given: the smallest whose retained
+    weights account for at least ``1 - epsilon_tail`` of the full distribution
+    (:func:`truncation_index`, which also judges both arguments).
     """
 
     mean_photons: float
-    n_max: int
     epsilon_tail: float = DEFAULT_EPSILON_TAIL
+    n_max: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mean_photons < math.inf:
-            raise ValueError(
-                f"mean photon number must be finite and >= 0, got {self.mean_photons}"
-            )
-        if not 0.0 < self.epsilon_tail < 1.0:
-            raise ValueError(f"epsilon_tail must lie in (0, 1), got {self.epsilon_tail}")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        if self.n_max >= MAX_SECTORS:
-            raise ValueError(
-                f"cutoff n_max={self.n_max} needs more than the limit of "
-                f"{MAX_SECTORS} sectors"
-            )
-        tail = (self.mean_photons / (self.mean_photons + 1.0)) ** (self.n_max + 1)
-        if tail > self.epsilon_tail:
-            raise TruncationError(
-                f"cutoff n_max={self.n_max} leaves tail mass {tail:.3e} above the "
-                f"allowed {self.epsilon_tail:.3e} for mean={self.mean_photons}"
-            )
+        object.__setattr__(self, "n_max", truncation_index(self.mean_photons, self.epsilon_tail))
 
-    @classmethod
-    def from_mean(
-        cls, mean: float, epsilon_tail: float = DEFAULT_EPSILON_TAIL
-    ) -> "ThermalDistribution":
-        """Distribution with the smallest certified cutoff for the given tail bound."""
-        return cls(mean, truncation_index(mean, epsilon_tail), epsilon_tail)
+    # ThermalDistribution(mean, epsilon_tail) under the name callers already use
+    from_mean = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))
 
     def probabilities(self) -> np.ndarray:
         """Weights P_0 .. P_{n_max}."""

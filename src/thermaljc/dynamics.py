@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SystemParams, ThermalDistribution, XStates, check_x_states
+from .core import SystemParams, ThermalDistribution, XStates, check_times, check_x_states
 
 # Entries of one (times x sectors) factor block.  It bounds the working memory
 # for any grid length and cutoff.  Each numpy call on a block hands the
@@ -35,12 +35,6 @@ _SECTOR_BLOCK = 1 << 12
 _BAND_ROWS = 1 << 10
 
 
-def _check_times(t: np.ndarray) -> None:
-    valid = np.isfinite(t) & (t >= 0.0)
-    if not valid.all():
-        raise ValueError(f"time must be finite and >= 0, got {float(t[~valid][0])!r}")
-
-
 def effective_coupling(
     params: SystemParams, t: float | np.ndarray
 ) -> float | np.ndarray:
@@ -54,7 +48,7 @@ def effective_coupling(
     Returns a float for a scalar ``t`` and an array for an array.
     """
     t = np.asarray(t, dtype=float)
-    _check_times(t)
+    check_times(t)
     if not params.motion_enabled:
         g_eff = np.full(t.shape, params.g)
     else:
@@ -161,7 +155,7 @@ def states(
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
-    _check_times(t)
+    check_times(t)
     delta = params.delta
     probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
     totals = [float(np.sum(p)) for p in probs]

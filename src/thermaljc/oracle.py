@@ -36,6 +36,7 @@ from .core import (
     SystemParams,
     ThermalDistribution,
     XStates,
+    check_times,
     check_x_states,
 )
 from .dynamics import states
@@ -67,9 +68,7 @@ def _mean_coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
     both routes alike.  1 - cos cancels near t = 0 and at the revivals, which
     costs about 1e-16 in the pulse area g'*t, what the state depends on at
     delta = 0."""
-    valid = np.isfinite(t) & (t >= 0.0)
-    if not valid.all():
-        raise ValueError(f"time must be finite and >= 0, got {float(t[~valid][0])!r}")
+    check_times(t)
     if not params.motion_enabled:
         return np.full(t.shape, params.g)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -407,6 +407,29 @@ class TestConfigFileAndEnvironment:
                      "--output", str(tmp_path / "x.csv")]) == 1
         assert "expected key=value" in capsys.readouterr().err
 
+    def test_a_boolean_config_value_is_read_as_a_flag_would_be(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "x.json"
+        argv = ["timeseries", "--config", str(cfg), "--steps", "10", "--format", "json",
+                "--no-timestamp", "--output", str(out)]
+        for text, motion in (("yes", True), ("off", False)):
+            cfg.write_text(f"motion = {text}\n")
+            assert main(argv) == 0
+            assert json.loads(out.read_text())["metadata"]["motion"] is motion
+        cfg.write_text("motion = maybe\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: config key motion: expected a boolean, got 'maybe'\n"
+        )
+
+    def test_a_bad_environment_tail_names_the_variable(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("THERMALJC_EPSILON_TAIL", "abc")
+        assert main(["timeseries", "--output", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: THERMALJC_EPSILON_TAIL: expected a number, got 'abc'\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unparseable_config_value_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps=abc\n")
@@ -422,6 +445,8 @@ class TestConfigFileAndEnvironment:
             (["scan"], "p", "1,x", "expected an integer, got 'x'"),
             (["scan"], "kbar", ",", "expected a comma-separated list, got ','"),
             (["timeseries"], "format", "xml", "format must be csv or json, got 'xml'"),
+            (["timeseries"], "kbar", "abc", "expected a number, got 'abc'"),
+            (["plot"], "columns", ",", "expected a comma-separated list, got ','"),
         ],
     )
     def test_flag_gives_the_config_file_reason(
@@ -540,6 +565,18 @@ class TestPlot:
         assert main(["plot", "--input", str(sample_csv), "--columns", "bogus",
                      "--output", str(tmp_path / "x.svg")]) == 1
         assert "no column" in capsys.readouterr().err
+
+    def test_missing_input_flag_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["plot", "--output", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == "usage error: --input is required\n"
+
+    def test_an_empty_header_name_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("gt,,energy\n0,1,2\n")
+        assert main(["plot", "--input", str(bad), "--output", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {bad}:1: malformed header 'gt,,energy'\n"
+        )
 
     def test_missing_input_file_is_an_io_error(self, tmp_path):
         assert main(["plot", "--input", str(tmp_path / "absent.csv"),
@@ -967,7 +1004,7 @@ class TestParserReuse:
         "argv, flagged",
         [
             (["validate", "--times", "2"], {"validate"}),
-            (["--", "validate"], {"validate"}),
+            (["--", "validate"], set()),
             (["-h"], set()),
             (["--bogus", "epe", "--title", "scan"], {"epe"}),
             (["transmogrify", "validate"], set()),
@@ -981,6 +1018,18 @@ class TestParserReuse:
             except SystemExit:
                 pass
             assert set(cli._SUBCOMMANDS) - set(_build_parser().unflagged) == flagged
+        finally:
+            _build_parser.cache_clear()
+
+    def test_a_leading_double_dash_is_a_usage_error(self, capsys):
+        # argparse (Python 3.11) reads "--" as the subcommand's name, so no
+        # subcommand is chosen and none gets its flags
+        _build_parser.cache_clear()
+        try:
+            assert main(["--", "validate", "--times", "2"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and err.count("\n") == 1
+            assert set(_build_parser().unflagged) == set(cli._SUBCOMMANDS)
         finally:
             _build_parser.cache_clear()
 

@@ -134,7 +134,9 @@ class TestTruncationIndex:
     # frozen against the direct tail inequality (mean/(mean+1))**(n+1) <= eps
     @pytest.mark.parametrize(
         "mean, expected",
-        [(0.0, 0), (0.05, 9), (0.08, 10), (0.1, 11), (0.5, 25), (5.0, 151)],
+        [(0.0, 0), (0.05, 9), (0.08, 10), (0.1, 11), (0.5, 25), (5.0, 151),
+         # mean + 1 rounds to 1 here, which once made the estimate divide by log(0)
+         (1e-20, 0), (5e-324, 0)],
     )
     def test_frozen_cutoffs(self, mean, expected):
         assert truncation_index(mean, 1e-12) == expected
@@ -155,6 +157,27 @@ class TestTruncationIndex:
         # 1e17 and above round mean/(mean+1) to 1, which once divided by log(1)
         with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
             truncation_index(mean, DEFAULT_EPSILON_TAIL)
+
+    @pytest.mark.parametrize(
+        "mean, eps, expected",
+        [(1.0, math.nextafter(0.0625, 0.0), 4), (0.5, 1.0 / 3.0, 0)],
+        ids=["estimate-low", "estimate-high"],
+    )
+    def test_exact_adjustment_corrects_the_log_estimate(self, mean, eps, expected):
+        # the log estimate rounds one sector short, then one too many; the
+        # discrete loops land on the exact cutoff either way
+        estimate = -math.log(eps) / math.log1p(1.0 / mean)
+        assert abs(math.ceil(estimate) - 1 - expected) == 1
+        assert truncation_index(mean, eps) == expected
+        ratio = mean / (mean + 1.0)
+        assert ratio ** (expected + 1) <= eps
+        assert expected == 0 or ratio**expected > eps
+
+    def test_a_ratio_that_rounds_to_one_is_refused_not_looped_on(self):
+        # mean/(mean+1) is 1.0, so no cutoff reaches a tail bound below 1; the
+        # estimate (about 11 sectors) once started a loop that never ended
+        with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
+            truncation_index(1e17, math.nextafter(1.0, 0.0))
 
     def test_largest_documented_mean_fits_the_limit(self):
         assert truncation_index(1.5e5, DEFAULT_EPSILON_TAIL) + 1 <= MAX_SECTORS
@@ -188,25 +211,40 @@ class TestThermalDistribution:
         dist = ThermalDistribution.from_mean(0.1, 1e-12)
         assert dist.n_max == truncation_index(0.1, 1e-12)
 
-    def test_uncertified_cutoff_is_rejected(self):
-        with pytest.raises(TruncationError):
-            ThermalDistribution(5.0, 5, 1e-2)
+    @given(
+        mean=st.floats(min_value=0.0, max_value=1e4),
+        eps=st.floats(min_value=1e-15, max_value=0.99),
+    )
+    def test_uncertified_cutoff_is_rejected(self, mean, eps):
+        # the cutoff is derived, so no instance holds an uncertified one: its
+        # tail is within the bound and one fewer sector would not be
+        dist = ThermalDistribution(mean, eps)
+        ratio = mean / (mean + 1.0)
+        assert ratio ** (dist.n_max + 1) <= eps
+        assert dist.n_max == 0 or ratio**dist.n_max > eps
+        assert dist == ThermalDistribution.from_mean(mean, eps)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mean_photons": -0.1, "n_max": 0},
-            {"mean_photons": 0.1, "n_max": -1},
-            {"mean_photons": 0.1, "n_max": 20, "epsilon_tail": 0.0},
-            {"mean_photons": 0.1, "n_max": 20, "epsilon_tail": 1.5},
-            {"mean_photons": math.nan, "n_max": 5},
-            {"mean_photons": math.inf, "n_max": 5},
-            {"mean_photons": 0.1, "n_max": 20, "epsilon_tail": math.nan},
+            {"mean_photons": -0.1},
+            {"mean_photons": 0.1, "epsilon_tail": 1.0},
+            {"mean_photons": 0.1, "epsilon_tail": 0.0},
+            {"mean_photons": 0.1, "epsilon_tail": 1.5},
+            {"mean_photons": math.nan},
+            {"mean_photons": math.inf},
+            {"mean_photons": 0.1, "epsilon_tail": math.nan},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             ThermalDistribution(**kwargs)
+
+    def test_only_the_mean_and_the_tail_bound_are_given(self):
+        with pytest.raises(TypeError):
+            ThermalDistribution(5.0, 0.5, 3)
+        dist = ThermalDistribution(5.0, 0.5)
+        assert dist.n_max == truncation_index(5.0, 0.5) == 3
 
     @pytest.mark.parametrize("mean", [math.inf, math.nan])
     def test_from_mean_names_a_non_finite_mean(self, mean):
@@ -214,10 +252,15 @@ class TestThermalDistribution:
             ThermalDistribution.from_mean(mean)
 
     def test_cutoff_beyond_the_sector_limit_is_rejected(self):
-        # construction allocates nothing; only probabilities() would
-        assert ThermalDistribution(0.5, MAX_SECTORS - 1).n_max == MAX_SECTORS - 1
+        # two neighbouring means whose cutoffs at tail 0.5 are MAX_SECTORS - 1
+        # and MAX_SECTORS; construction allocates nothing, only probabilities()
+        # would
+        fits, over = 6051101.082463012, 6051101.082463013
+        assert ThermalDistribution(fits, 0.5).n_max == MAX_SECTORS - 1
+        ratio = over / (over + 1.0)
+        assert ratio**MAX_SECTORS > 0.5 >= ratio ** (MAX_SECTORS + 1)
         with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
-            ThermalDistribution(0.5, MAX_SECTORS)
+            ThermalDistribution(over, 0.5)
         with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
             ThermalDistribution.from_mean(1e9)
 
@@ -269,7 +312,7 @@ def _truncation_message(trace: str) -> str:
             "(decrease epsilon_tail)")
 
 
-class TestAtomicDensityMatrix:
+class TestCheckXStates:
     """The X-state container and :func:`check_x_states`, the one check of the
     state that both routes return."""
 

@@ -179,11 +179,12 @@ class TestDressedParams:
         assert (rho.x1, rho.x6) == (0.0, 0.0)
         assert rho.x2 == rho.x5 == rho.x3
 
-    @pytest.mark.parametrize("g_eff, n", [(-0.1, 1), (1.0, -1)])
-    def test_rejects_bad_arguments(self, g_eff, n):
-        # neither a negative coupling nor a negative sector reaches the kernel
+    @pytest.mark.parametrize("g_eff, mean", [(-0.1, 1), (1.0, -1)])
+    def test_rejects_bad_arguments(self, g_eff, mean):
+        # neither a negative coupling nor a negative mean photon number (whose
+        # cutoff would be a negative sector) reaches the kernel
         with pytest.raises(ValueError):
-            dist = ThermalDistribution(0.0, n)
+            dist = ThermalDistribution(mean)
             states(SystemParams(g=g_eff), dist, dist, np.array([1.0]))
 
     @given(
@@ -359,7 +360,7 @@ class TestDensityMatrix:
 
     def test_loose_truncation_fails_the_trace_gate(self):
         # certified only to 0.5: fine for construction, fatal for the trace
-        coarse = ThermalDistribution(5.0, 3, 0.5)
+        coarse = ThermalDistribution(5.0, 0.5)
         with pytest.raises(TruncationError):
             density_matrix(SystemParams(), coarse, coarse, 1.0)
 
@@ -503,7 +504,7 @@ class TestStates:
             states(SystemParams(), _dist(0.1), _dist(0.1), np.zeros((2, 2)))
 
     def test_trace_gate_names_the_first_failing_row(self):
-        coarse = ThermalDistribution(5.0, 3, 0.5)
+        coarse = ThermalDistribution(5.0, 0.5)
         with pytest.raises(TruncationError, match="trace is"):
             states(SystemParams(), coarse, coarse, np.array([0.0, 1.0, 2.0]))
 

@@ -456,7 +456,7 @@ def test_both_routes_refuse_a_coarse_truncation_alike(route):
     # certified only to 0.5: fine for construction, fatal for the trace.  The
     # routes once named it "reduced-state" and "joint-state"; the trace itself
     # may differ in its last bit between them (gt 0.3: ...175 and ...164)
-    coarse = ThermalDistribution(5.0, 3, 0.5)
+    coarse = ThermalDistribution(5.0, 0.5)
     with pytest.raises(TruncationError) as raised:
         route(SystemParams(), coarse, coarse, 1.0)
     match = re.fullmatch(
@@ -467,6 +467,17 @@ def test_both_routes_refuse_a_coarse_truncation_alike(route):
     assert match is not None, str(raised.value)
     retained = float(np.sum(coarse.probabilities()))
     assert float(match[1]) == pytest.approx(retained * retained, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, math.nan])
+def test_both_routes_refuse_a_bad_time_with_one_text(bad):
+    params, dist = SystemParams(), _dist(0.1)
+    t = np.array([0.5, bad])
+    with pytest.raises(ValueError) as closed:
+        states(params, dist, dist, t)
+    with pytest.raises(ValueError) as oracle:
+        oracle_joint_density(params, dist, dist, t)
+    assert str(oracle.value) == str(closed.value) == f"time must be finite and >= 0, got {bad!r}"
 
 
 @pytest.fixture(scope="module")
