@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Time the closed-form kernel at the ``hot_bath`` size on one CPU, then on all.
+"""Time the closed-form kernel at two grid sizes on one CPU, then on all.
 
-The grid is the one of the ``hot_bath`` benchmark call: kbar 50 against 0.5,
-delta 1, gt from 0 to 25 in 20001 times (cutoffs 1395 and 25).  The kernel
-sizes its thread pool from the CPU affinity set, so the script pins its own
-process to the first CPU of that set with ``os.sched_setaffinity``, times
-``dynamics.states``, and then times it again on the full set.  Each side gets
-one untimed call first, then ``--runs`` timed calls, then one call under
-``tracemalloc``; the script prints the median and quartiles of the timed calls
-in seconds, the traced call's peak in MB (the kernel's workspaces grow with its
-thread count), and the ratio of the two medians (one CPU over all CPUs, the
-speed-up of the extra threads).
+The grids are those of two benchmark calls.  ``hot_bath``: kbar 50 against
+0.5, delta 1, gt from 0 to 25 in 20001 times (cutoffs 1395 and 25, about 430
+factor blocks).  ``figure``: kbar 5 in both cavities, p 1, delta 0, gt from 0
+to 25 in 2001 times (cutoff 151, 4.7 blocks), the size of fig. 2 at kbar 5
+and of the scan's kbar-5 configurations.  The kernel sizes its thread pool
+from the CPU affinity set and the grid (one thread per three blocks), so the
+script pins its own process to the first CPU of that set with
+``os.sched_setaffinity``, times ``dynamics.states``, and then times it again
+on the full set.  Each grid and side gets one untimed call first, then
+``--runs`` timed calls, then one call under ``tracemalloc``; the script prints
+the median and quartiles of the timed calls in seconds, the traced call's peak
+in MB (the kernel's workspaces grow with its thread count), and per grid the
+ratio of the two medians (one CPU over all CPUs, the speed-up of the extra
+threads).
 
 Run it from the repository root:
 
@@ -28,11 +32,17 @@ import numpy as np
 
 from thermaljc import SystemParams, ThermalDistribution, dynamics
 
+# grid name -> (params, mean photon numbers of cavities A and B, number of times)
+GRIDS = {
+    "hot_bath": (SystemParams(delta=1.0), (50.0, 0.5), 20001),
+    "figure": (SystemParams(p=1), (5.0, 5.0), 2001),
+}
 
-def timed(runs: int) -> tuple[list[float], int]:
-    params = SystemParams(delta=1.0)
-    dist_a, dist_b = ThermalDistribution.from_mean(50.0), ThermalDistribution.from_mean(0.5)
-    t = params.times(np.linspace(0.0, 25.0, 20001))
+
+def timed(grid: str, runs: int) -> tuple[list[float], int]:
+    params, means, times = GRIDS[grid]
+    dist_a, dist_b = (ThermalDistribution.from_mean(mean) for mean in means)
+    t = params.times(np.linspace(0.0, 25.0, times))
     dynamics.states(params, dist_a, dist_b, t)  # warm caches and lazy imports
     seconds = []
     for _ in range(runs):
@@ -67,11 +77,12 @@ def main(argv: list[str] | None = None) -> int:
     cpus = os.sched_getaffinity(0)
     try:
         os.sched_setaffinity(0, {min(cpus)})
-        one = report("1 CPU", *timed(args.runs))
+        one = {grid: report(f"{grid}, 1 CPU", *timed(grid, args.runs)) for grid in GRIDS}
     finally:
         os.sched_setaffinity(0, cpus)
-    every = report(f"{len(cpus)} CPUs", *timed(args.runs))
-    print(f"ratio 1 CPU / {len(cpus)} CPUs: {one / every:.3f}")
+    for grid in GRIDS:
+        every = report(f"{grid}, {len(cpus)} CPUs", *timed(grid, args.runs))
+        print(f"{grid}, ratio 1 CPU / {len(cpus)} CPUs: {one[grid] / every:.3f}")
     return 0
 
 

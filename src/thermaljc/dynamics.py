@@ -23,6 +23,13 @@ from .core import SystemParams, ThermalDistribution, XStates, check_times, check
 # second worker earn more; on 2 vCPUs with 2 MB of L2 cache per core, 2^16
 # beat both 2^15 and 2^17.
 _BLOCK_ELEMENTS = 1 << 16
+# Whole factor blocks of the grid per worker thread.  A worker beyond the
+# caller costs a thread start, a fresh malloc arena and a 2 MiB workspace,
+# which a grid of a few blocks does not earn back: on 2 vCPUs, in a fresh
+# process's first call, a second worker lost time at 2 to 5 blocks, tied at 6
+# and won from 9, and on the figure pipeline's 4.7-block grids (2001 times x
+# 153 sectors) it added about 1.9 MB to the pass's peak RSS.
+_BLOCKS_PER_WORKER = 3
 # Most worker threads, whatever the CPU count.  einsum, which holds the
 # interpreter lock, takes about 40 % of the one-thread kernel, so by Amdahl's
 # law more workers would add workspaces but little speed.
@@ -138,7 +145,8 @@ def states(
     thermal sums are ``np.einsum`` reductions (survival = sum(P) - sum(P*swap)).
     Photon numbers are cut into slices at every ``_SECTOR_BLOCK`` and at each
     cavity's cutoff, so each cavity sums over its own slices only.  The grid
-    goes to one worker per ``_BLOCK_ELEMENTS`` factors, up to the CPUs in the
+    goes to one worker per ``_BLOCKS_PER_WORKER`` whole blocks of
+    ``_BLOCK_ELEMENTS`` factors, at least one, up to the CPUs in the
     affinity set and at most ``_MAX_WORKERS`` (``taskset -c 0`` gives one
     thread; see :func:`_spread`), in bands of ``_BAND_ROWS`` rows or one
     full-width block; band k goes to worker k mod W.  A worker forms g'(t) of
@@ -163,7 +171,8 @@ def states(
     ends = sorted({*range(0, count - 1, _SECTOR_BLOCK), *(p.size for p in probs)})
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = max(1, min(cpus, _MAX_WORKERS, t.size, -(-t.size * count // _BLOCK_ELEMENTS)))
+    workers = max(1, min(cpus, _MAX_WORKERS, t.size,
+                         t.size * count // (_BLOCKS_PER_WORKER * _BLOCK_ELEMENTS)))
     band_rows = max(_BAND_ROWS, _BLOCK_ELEMENTS // count)  # most rows in one band
     bands = min(t.size, workers * -(-t.size // (workers * band_rows)))
     tall = -(-t.size // max(bands, 1))

@@ -175,9 +175,11 @@ class TestTruncationIndex:
 
     def test_a_ratio_that_rounds_to_one_is_refused_not_looped_on(self):
         # mean/(mean+1) is 1.0, so no cutoff reaches a tail bound below 1; the
-        # estimate (about 11 sectors) once started a loop that never ended
-        with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
-            truncation_index(1e17, math.nextafter(1.0, 0.0))
+        # estimate (about 11 sectors) once started a loop that never ended, and
+        # later one that walked to the sector limit (0.5-0.7 s a refusal)
+        for mean, eps in ((1e17, math.nextafter(1.0, 0.0)), (1e16, 1 - 1e-15)):
+            with pytest.raises(ValueError, match=f"limit of {MAX_SECTORS} sectors"):
+                truncation_index(mean, eps)
 
     def test_largest_documented_mean_fits_the_limit(self):
         assert truncation_index(1.5e5, DEFAULT_EPSILON_TAIL) + 1 <= MAX_SECTORS

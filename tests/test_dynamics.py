@@ -530,26 +530,32 @@ class _WorkerFailure(Exception):
 
 
 def _grid_of_blocks(dist, blocks):
-    """Times from 0 to 12 that fill ``blocks`` factor blocks of ``dist``'s sectors."""
-    return np.linspace(0.0, 12.0, (blocks - 1) * dynamics._BLOCK_ELEMENTS // (dist.n_max + 2) + 1)
+    """Times from 0 to 12 that fill ``blocks`` whole factor blocks of ``dist``'s
+    sectors, and part of one more."""
+    return np.linspace(0.0, 12.0, blocks * dynamics._BLOCK_ELEMENTS // (dist.n_max + 2) + 1)
+
+
+def _whole_blocks(grid, dist):
+    return grid.size * (dist.n_max + 2) // dynamics._BLOCK_ELEMENTS
 
 
 class TestWorkers:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, tmp_path, cpus):
         params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
-        grid = _grid_of_blocks(b, dynamics._MAX_WORKERS + 2)
+        grid = _grid_of_blocks(b, 3 * (dynamics._MAX_WORKERS + 2))
         reference = states(params, a, b, grid)
+        # 8001 times x 153 sectors: 18 whole blocks, enough for every worker count
         flags = ["--kbar", "5", "--lbar", "0.5", "--delta", "1", "--p", "2",
-                 "--gt-max", "20", "--steps", "2000", "--no-timestamp"]
+                 "--gt-max", "20", "--steps", "8000", "--no-timestamp"]
         outputs = {}
         for fmt in ("csv", "json"):
             outputs[fmt] = tmp_path / f"one.{fmt}"
             assert main(["timeseries", *flags, "--format", fmt, "--output", str(outputs[fmt])]) == 0
-        # one thread per _BLOCK_ELEMENTS factors of the grid, at most one per CPU
-        # and at most _MAX_WORKERS
-        blocks = -(-grid.size * (b.n_max + 2) // dynamics._BLOCK_ELEMENTS)
-        assert blocks == dynamics._MAX_WORKERS + 2
+        # one thread per three whole blocks of _BLOCK_ELEMENTS factors of the
+        # grid, at most one per CPU and at most _MAX_WORKERS
+        blocks = _whole_blocks(grid, b)
+        assert blocks == 3 * (dynamics._MAX_WORKERS + 2)
         workers = set()
         factors = dynamics._factors
 
@@ -563,7 +569,7 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
         try:
             spread = states(params, a, b, grid)
-            assert len(workers) == min(cpus, blocks, dynamics._MAX_WORKERS)
+            assert len(workers) == min(cpus, blocks // 3, dynamics._MAX_WORKERS)
             for fmt, path in outputs.items():
                 again = tmp_path / f"spread.{fmt}"
                 assert main(["timeseries", *flags, "--format", fmt, "--output", str(again)]) == 0
@@ -593,10 +599,38 @@ class TestWorkers:
         _set_cpus(monkeypatch, 3)
         monkeypatch.setattr(dynamics, "_factors", failing)
         with pytest.raises(_WorkerFailure) as excinfo:
-            states(params, a, b, _grid_of_blocks(b, 3))
+            states(params, a, b, _grid_of_blocks(b, 9))
         assert excinfo.value is raised[0]
         assert len(workers) == 3
         assert not any(thread.is_alive() for thread in workers - {threading.main_thread()})
+
+    def test_a_figure_grid_runs_on_the_caller_alone(self, monkeypatch):
+        # fig. 2 at kbar 5 and the scan's kbar-5 configurations: 2001 times x 153
+        # sectors, 4.7 blocks.  A second worker there saved no time and held a
+        # second 2 MiB workspace: 4.60 MB traced on 2 CPUs, 4.4-8.8 MB on 4 or more
+        params, dist = SystemParams(p=1), _dist(5.0)
+        grid = np.linspace(0.0, 25.0, 2001)
+        assert _whole_blocks(grid, dist) == 4
+        workers, peaks = set(), {}
+        factors = dynamics._factors
+
+        def recording(*args):
+            workers.add(threading.current_thread())
+            factors(*args)
+
+        monkeypatch.setattr(dynamics, "_factors", recording)
+        for cpus in (1, 2, 4, 64):
+            _set_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                states(params, dist, dist, grid)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert workers == {threading.main_thread()}
+        # one workspace, 2.38 MB in all; a second worker's would add 2 MiB
+        assert max(peaks.values()) - peaks[1] <= 8 * dynamics._BLOCK_ELEMENTS
+        assert max(peaks.values()) <= 3_000_000
 
     def test_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
         # hot_bath: each worker holds a 2 MiB workspace, so one worker per CPU
