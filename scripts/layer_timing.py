@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Time the closed-form kernel and the text layer, case by case.
+
+Each case gets one untimed call, then ``--runs`` timed calls, then one call
+under ``tracemalloc``; the script prints the median and quartiles of the timed
+calls and the traced call's peak in MB.
+
+- Kernel: ``dynamics.states`` at two grids, in s.  ``hot_bath``: kbar 50
+  against 0.5, delta 1, gt from 0 to 25 in 20001 times (cutoffs 1395 and 25,
+  about 430 factor blocks), as in the benchmark call of that name.
+  ``figure``: kbar 5 in both cavities, p 1, delta 0, gt from 0 to 25 in 2001
+  times (cutoff 151, 4.7 blocks), the size of fig. 2 at kbar 5 and of the
+  scan's kbar-5 configurations.  The kernel sizes its thread pool from the CPU
+  affinity set and the grid, so each grid is timed with the process pinned to
+  the first CPU of that set (``os.sched_setaffinity``; where the platform has
+  none, this pass is skipped), then on the full set, and per grid the ratio of
+  the two medians follows: the speed-up of the extra threads, whose
+  workspaces raise the peak.
+- Encoder: ``FloatText.encode`` on the 11 ``timeseries`` columns of the
+  ``hot_bath`` call, as the CSV writer calls it (a new encoder, one row of
+  every column per block) and as the JSON writer does (one column at a time),
+  in ns per value.
+- Polylines: ``svgplot._polyline`` on the 17 curves (42 417 points) that the
+  ``plot`` calls of ``scripts/reproduce_figures.py`` draw, mapped to pixels as
+  ``svgplot.render_plot`` maps them, in ns per coordinate.
+
+Run it from the repository root:
+
+    PYTHONPATH=src python scripts/layer_timing.py --runs 9
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+import tracemalloc
+from typing import Callable
+
+import numpy as np
+
+from thermaljc import SystemParams, ThermalDistribution, dynamics, svgplot
+from thermaljc.cli import _JSON_ITEM_END, EPE_HEADER, TIMESERIES_HEADER, _series_columns
+from thermaljc.floattext import FloatText
+from thermaljc.sweep import time_series
+
+# grid name -> (params, mean photon numbers of cavities A and B, number of times)
+GRIDS = {
+    "hot_bath": (SystemParams(delta=1.0), (50.0, 0.5), 20001),
+    "figure": (SystemParams(p=1), (5.0, 5.0), 2001),
+}
+
+
+def report(label: str, work: Callable[[], object], runs: int, values: int = 0) -> float:
+    """Time ``work`` and print one line: the median and quartiles, in ns per
+    value when ``values`` is given and in s otherwise, and the traced peak.
+    Returns the median in s."""
+    work()  # warm caches and lazy tables
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        work()
+        seconds.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        work()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q1, median, q3 = statistics.quantiles(seconds, n=4) if runs > 1 else seconds * 3
+    scale, unit, digits = (1e9 / values, " ns/value", 1) if values else (1.0, " s", 4)
+    print(f"{label}: median {median * scale:.{digits}f}{unit}, quartiles"
+          f" {q1 * scale:.{digits}f}-{q3 * scale:.{digits}f}{unit}, {runs} runs;"
+          f" traced peak {peak / 1e6:.2f} MB")
+    return median
+
+
+def kernel(grid: str) -> Callable[[], object]:
+    params, means, times = GRIDS[grid]
+    dist_a, dist_b = (ThermalDistribution.from_mean(mean) for mean in means)
+    t = params.times(np.linspace(0.0, 25.0, times))
+    return lambda: dynamics.states(params, dist_a, dist_b, t)
+
+
+def hot_bath_columns() -> list[np.ndarray]:
+    params, (mean_a, mean_b), times = GRIDS["hot_bath"]
+    series = time_series(params, ThermalDistribution.from_mean(mean_a),
+                         ThermalDistribution.from_mean(mean_b), 25.0, times - 1)
+    return list(_series_columns(series, TIMESERIES_HEADER).values())
+
+
+def figure_curves() -> list[tuple[svgplot._Mapper, np.ndarray, np.ndarray]]:
+    """(mapper, x, y) of every curve the figure script plots."""
+    def run(kbar: float, delta: float, gt_max: float, steps: int, header: str):
+        dist = ThermalDistribution.from_mean(kbar)
+        series = time_series(SystemParams(delta=delta), dist, dist, gt_max, steps)
+        return _series_columns(series, header)
+
+    observables = ("concurrence", "purity", "energy")
+    plots = [(run(0.0, 0.0, 7.0, 2000, TIMESERIES_HEADER), "gt", observables)]
+    plots += [(run(kbar, 0.0, 25.0, 2000, TIMESERIES_HEADER), "gt", observables)
+              for kbar in (0.1, 0.5, 5.0)]
+    plots += [(run(0.1, delta, 60.0, 4800, TIMESERIES_HEADER), "gt", ("concurrence",))
+              for delta in (0.1, 1.0, 5.0)]
+    epe = run(0.1, 0.0, 25.0, 2000, EPE_HEADER)
+    plots += [(epe, "purity", ("concurrence",)), (epe, "energy", ("concurrence",))]
+    curves = []
+    for data, x_name, names in plots:
+        mapper = svgplot._Mapper(svgplot._data_range([data[x_name]]),
+                                 svgplot._data_range([data[name] for name in names]))
+        curves += [(mapper, data[x_name], data[name]) for name in names]
+    return curves
+
+
+def encode_all(text: FloatText, data: list[np.ndarray]) -> None:
+    for lo in range(0, len(data[0]), text.rows):
+        text.encode(data, lo)
+
+
+def as_json(data: list[np.ndarray]) -> None:
+    text = FloatText([_JSON_ITEM_END], json=True)
+    for column in data:
+        encode_all(text, [column])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=9, help="timed calls per case (default 9)")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be >= 1, got {args.runs}")
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    one = {}
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, {min(cpus)})
+            one = {grid: report(f"{grid}, 1 CPU", kernel(grid), args.runs) for grid in GRIDS}
+        finally:
+            os.sched_setaffinity(0, cpus)
+    else:
+        print("this platform has no os.sched_setaffinity: the 1-CPU pass is skipped",
+              file=sys.stderr)
+    label = f"{len(cpus)} CPUs" if cpus else "all CPUs"
+    for grid in GRIDS:
+        every = report(f"{grid}, {label}", kernel(grid), args.runs)
+        if grid in one:
+            print(f"{grid}, ratio 1 CPU / {label}: {one[grid] / every:.3f}")
+    data = hot_bath_columns()
+    values = len(data) * len(data[0])
+    csv = [b","] * (len(data) - 1) + [b"\n"]
+    report(f"encoder, CSV ({values} values)",
+           lambda: encode_all(FloatText(csv), data), args.runs, values)
+    report(f"encoder, JSON ({values} values)", lambda: as_json(data), args.runs, values)
+    curves = figure_curves()
+    points = sum(len(xs) for _, xs, _ in curves)
+    report(f"polylines ({len(curves)} curves, {2 * points} values)",
+           lambda: [svgplot._polyline(mapper, xs, ys, "#000000") for mapper, xs, ys in curves],
+           args.runs, 2 * points)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

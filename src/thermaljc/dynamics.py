@@ -56,16 +56,18 @@ def effective_coupling(
     """
     t = np.asarray(t, dtype=float)
     check_times(t)
-    if not params.motion_enabled:
-        g_eff = np.full(t.shape, params.g)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_eff = np.where(
-                t > 0.0,
-                2.0 * np.sin(0.5 * (params.p * params.g * t)) ** 2 / (params.p * t),
-                0.0,
-            )
+    g_eff = _coupling(params, t)
     return float(g_eff) if g_eff.ndim == 0 else g_eff
+
+
+def _coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
+    """g'(t) of :func:`effective_coupling` at the checked times t."""
+    if not params.motion_enabled:
+        return np.full(t.shape, params.g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            t > 0.0, 2.0 * np.sin(0.5 * (params.p * params.g * t)) ** 2 / (params.p * t), 0.0
+        )
 
 
 def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarray,
@@ -192,7 +194,7 @@ def states(
         sums, part = np.zeros((2, len(probs), 6, tall))
         for k in range(worker, bands, workers):
             first, last = k * t.size // bands, (k + 1) * t.size // bands
-            g_eff = effective_coupling(params, t[first:last])
+            g_eff = _coupling(params, t[first:last])
             g4, quarter_t = 4.0 * g_eff * g_eff, 0.25 * t[first:last]
             for (n, h, cavities), block in zip(slices, blocks):
                 acc = part if n[0] else sums

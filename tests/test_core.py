@@ -19,28 +19,11 @@ from helpers import x_matrix, x_trace
 
 
 def thermal_probability(dist: ThermalDistribution, n: int) -> float:
-    """P_n of ``dist`` one index at a time.
-
-    ``n = -1`` denotes the annihilation channel below the vacuum and carries
-    weight 0 by convention, which keeps index-shifted sums uniform."""
-    if n < -1:
-        raise ValueError(f"photon index must be >= -1, got {n}")
-    if n == -1:
-        return 0.0
+    """P_n of ``dist`` one index at a time."""
+    if n < 0:
+        raise ValueError(f"photon index must be >= 0, got {n}")
     mean = dist.mean_photons
     return (mean / (mean + 1.0)) ** n / (mean + 1.0)
-
-
-def mean_photons_from_temperature(omega_c: float, temperature: float) -> float:
-    """Bose occupation 1/(exp(omega_c/T) - 1) of a mode at frequency omega_c."""
-    if omega_c <= 0.0:
-        raise ValueError(f"mode frequency must be positive, got {omega_c}")
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    x = omega_c / temperature
-    if x > 700.0:  # exp would overflow; the occupation is numerically zero
-        return 0.0
-    return 1.0 / math.expm1(x)
 
 
 def inner_block_min_eigenvalue(rho: XStates) -> float:
@@ -279,34 +262,10 @@ class TestThermalProbability:
             assert thermal_probability(dist, n) == pytest.approx(
                 probs[n], rel=1e-13, abs=0.0)
 
-    def test_annihilation_channel_below_vacuum_is_zero(self):
-        dist = ThermalDistribution.from_mean(0.3)
-        assert thermal_probability(dist, -1) == 0.0
-
     def test_rejects_indices_below_minus_one(self):
         dist = ThermalDistribution.from_mean(0.3)
         with pytest.raises(ValueError):
             thermal_probability(dist, -2)
-
-
-class TestMeanPhotonsFromTemperature:
-    def test_unit_frequency_unit_temperature(self):
-        # 1/(e - 1)
-        assert mean_photons_from_temperature(1.0, 1.0) == pytest.approx(
-            0.5819767068693265, abs=1e-15
-        )
-
-    def test_cold_limit_underflows_to_zero(self):
-        assert mean_photons_from_temperature(1.0, 1e-3) == 0.0
-
-    def test_hot_limit_is_classical(self):
-        # n(T) -> T/omega for T >> omega
-        assert mean_photons_from_temperature(1.0, 1e4) == pytest.approx(1e4, rel=1e-3)
-
-    @pytest.mark.parametrize("omega, temp", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_rejects_bad_arguments(self, omega, temp):
-        with pytest.raises(ValueError):
-            mean_photons_from_temperature(omega, temp)
 
 
 def _truncation_message(trace: str) -> str:

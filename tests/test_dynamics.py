@@ -137,7 +137,7 @@ class TestEffectiveCoupling:
         assert 0.0 <= g_eff * t <= 2.0 / p + 1e-15
 
 
-class TestDressedParams:
+class TestSectorAngles:
     @pytest.mark.parametrize(
         "g_eff, delta, n, expected",
         [
@@ -228,7 +228,7 @@ class TestDressedParams:
         assert x_trace(rho) == pytest.approx(1.0, abs=1e-14)
 
 
-class TestFactorCache:
+class TestSectorFactors:
     @pytest.mark.parametrize("delta", [0.0, 1.0, -2.5])
     def test_stay_and_swap_partition_unity(self, delta):
         # with stay + swap = 1 in every sector the trace is the product of the
@@ -260,7 +260,7 @@ def _reference_elements(params, dist_a, dist_b, t):
     """Literal double-sum evaluation of the X elements with arctan angles.
 
     Only valid for delta >= 0 and g_eff > 0 (the arctan expression is singular
-    otherwise); the production code handles those edges separately.
+    otherwise).
     """
     g_eff = effective_coupling(params, t)
     delta = params.delta
@@ -327,7 +327,7 @@ class TestDensityMatrix:
     @pytest.mark.parametrize("p", [1, 4])
     @pytest.mark.parametrize("mean", [0.1, 0.5])
     @pytest.mark.parametrize("gt", [0.3, 1.1, 2.7, 5.9])
-    def test_resonant_path_matches_general_path(self, p, mean, gt):
+    def test_resonance_matches_the_double_sum(self, p, mean, gt):
         # delta = 0, once a separate fast path, runs through the one kernel
         params = SystemParams(p=p)
         dist = _dist(mean)
@@ -603,6 +603,36 @@ class TestWorkers:
         assert excinfo.value is raised[0]
         assert len(workers) == 3
         assert not any(thread.is_alive() for thread in workers - {threading.main_thread()})
+
+    def test_no_worker_enters_a_public_function(self, monkeypatch):
+        # the bands form g'(t) with the private formula: the times are checked
+        # once, and a worker thread opens no span of a tracer that wraps the
+        # public functions
+        params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
+        grid = _grid_of_blocks(b, 6)
+        _set_cpus(monkeypatch, 2)
+        reference = states(params, a, b, grid)
+        calls = []
+        coupling = dynamics.effective_coupling
+
+        def counted(*args):
+            calls.append(threading.current_thread())
+            return coupling(*args)
+
+        workers = set()
+        factors = dynamics._factors
+
+        def recording(*args):
+            workers.add(threading.current_thread())
+            factors(*args)
+
+        monkeypatch.setattr(dynamics, "effective_coupling", counted)
+        monkeypatch.setattr(dynamics, "_factors", recording)
+        spread = states(params, a, b, grid)
+        assert len(workers) == 2
+        assert calls == []
+        for got, want in zip(spread, reference):
+            assert np.array_equal(got, want)
 
     def test_a_figure_grid_runs_on_the_caller_alone(self, monkeypatch):
         # fig. 2 at kbar 5 and the scan's kbar-5 configurations: 2001 times x 153

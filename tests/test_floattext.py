@@ -115,3 +115,9 @@ def test_every_layout_case_at_the_block_edges(separators, offset):
         spelled = (repr(value) + sep.decode() for value, sep in
                    zip(values.tolist(), separators * rows))
         assert got.decode("ascii") == "".join(spelled)
+
+
+def test_a_separator_longer_than_8_bytes_is_refused():
+    assert FloatText([b",", b",\n      "]).rows  # 8 bytes is the most
+    with pytest.raises(ValueError, match="a separator takes at most 8 bytes"):
+        FloatText([b",", b",\n       "])

@@ -694,21 +694,14 @@ class TestIndependence:
 
     def test_a_wrong_closed_form_coupling_fails_validation(self, monkeypatch, capsys):
         def mutated(params, t):  # sin(p*g*t) where the half angle belongs
-            t = np.asarray(t, dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
-                g_eff = np.where(
+                return np.where(
                     t > 0.0, 2.0 * np.sin(params.p * params.g * t) ** 2 / (params.p * t), 0.0
                 )
-            return float(g_eff) if g_eff.ndim == 0 else g_eff
 
-        bound = [
-            module for name, module in sys.modules.items()
-            if name.split(".")[0] == "thermaljc"
-            and getattr(module, "effective_coupling", None) is effective_coupling
-        ]
-        assert bound  # dynamics at least
-        for module in bound:
-            monkeypatch.setattr(module, "effective_coupling", mutated)
+        # the formula the kernel's bands evaluate; effective_coupling checks
+        # the times and calls it too
+        monkeypatch.setattr(dynamics, "_coupling", mutated)
         dist = _dist(0.1)
         t = np.linspace(0.0, 25.0, 50)
         assert max_route_deviation(SystemParams(), dist, dist, t) > ORACLE_TOL

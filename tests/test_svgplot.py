@@ -76,6 +76,11 @@ def test_a_non_finite_value_is_refused(bad, axis):
         render_plot([("a", xs, ys)], "gt", "y")
 
 
+def test_an_empty_curve_list_is_refused():
+    with pytest.raises(ValueError, match="at least one curve is required"):
+        render_plot([], "gt", "y")
+
+
 @pytest.mark.parametrize("value", [0.25, -3.0, 2.0**49, -(2.0**49)])
 def test_flat_data_is_framed_half_a_unit_either_side(value):
     assert svgplot._data_range([np.full(3, value)]) == (value - 0.5, value + 0.5)
