@@ -2,8 +2,9 @@
 """Time the closed-form kernel and the text layer, case by case.
 
 Each case gets one untimed call, then ``--runs`` timed calls, then one call
-under ``tracemalloc``; the script prints the median and quartiles of the timed
-calls and the traced call's peak in MB.
+under ``tracemalloc``; the script prints the median, quartiles and slowest of
+the timed calls and the traced call's peak in MB.  The slowest shows a run
+whose kernel threads shared one CPU, which the quartiles can hide.
 
 - Kernel: ``dynamics.states`` at two grids, in s.  ``hot_bath``: kbar 50
   against 0.5, delta 1, gt from 0 to 25 in 20001 times (cutoffs 1395 and 25,
@@ -52,9 +53,9 @@ GRIDS = {
 
 
 def report(label: str, work: Callable[[], object], runs: int, values: int = 0) -> float:
-    """Time ``work`` and print one line: the median and quartiles, in ns per
-    value when ``values`` is given and in s otherwise, and the traced peak.
-    Returns the median in s."""
+    """Time ``work`` and print one line: the median, quartiles and slowest, in
+    ns per value when ``values`` is given and in s otherwise, and the traced
+    peak.  Returns the median in s."""
     work()  # warm caches and lazy tables
     seconds = []
     for _ in range(runs):
@@ -70,7 +71,8 @@ def report(label: str, work: Callable[[], object], runs: int, values: int = 0) -
     q1, median, q3 = statistics.quantiles(seconds, n=4) if runs > 1 else seconds * 3
     scale, unit, digits = (1e9 / values, " ns/value", 1) if values else (1.0, " s", 4)
     print(f"{label}: median {median * scale:.{digits}f}{unit}, quartiles"
-          f" {q1 * scale:.{digits}f}-{q3 * scale:.{digits}f}{unit}, {runs} runs;"
+          f" {q1 * scale:.{digits}f}-{q3 * scale:.{digits}f}{unit}, slowest"
+          f" {max(seconds) * scale:.{digits}f}{unit}, {runs} runs;"
           f" traced peak {peak / 1e6:.2f} MB")
     return median
 

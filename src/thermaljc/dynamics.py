@@ -9,6 +9,7 @@ evaluated at once, as (times x sectors) blocks spread over a few CPU threads.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from typing import Callable
@@ -24,15 +25,17 @@ from .core import SystemParams, ThermalDistribution, XStates, check_times, check
 # beat both 2^15 and 2^17.
 _BLOCK_ELEMENTS = 1 << 16
 # Whole factor blocks of the grid per worker thread.  A worker beyond the
-# caller costs a thread start, a fresh malloc arena and a 2 MiB workspace,
+# caller costs a thread start, a fresh malloc arena and a 1.5 MiB workspace,
 # which a grid of a few blocks does not earn back: on 2 vCPUs, in a fresh
 # process's first call, a second worker lost time at 2 to 5 blocks, tied at 6
 # and won from 9, and on the figure pipeline's 4.7-block grids (2001 times x
-# 153 sectors) it added about 1.9 MB to the pass's peak RSS.
+# 153 sectors) it added about 1.9 MB to the pass's peak RSS (with a 2 MiB
+# workspace).
 _BLOCKS_PER_WORKER = 3
-# Most worker threads, whatever the CPU count.  einsum, which holds the
-# interpreter lock, takes about 40 % of the one-thread kernel, so by Amdahl's
-# law more workers would add workspaces but little speed.
+# Most worker threads, whatever the CPU count.  einsum holds the interpreter
+# lock and takes about half of the one-thread kernel (51 % at hot_bath size);
+# the other calls can overlap it, so no worker count runs more than about
+# twice as fast as one, and more workers would add workspaces but little speed.
 _MAX_WORKERS = 4
 # Widest slice of photon numbers in one block.  The slices depend on the cutoffs
 # alone, so a time's sums accumulate in the same order in any grid.
@@ -40,6 +43,9 @@ _SECTOR_BLOCK = 1 << 12
 # Rows in one band, a thread's unit of work, unless one full-width block holds
 # more.  A band's sums fill one buffer per worker and become x1..x6 at once.
 _BAND_ROWS = 1 << 10
+# A thermal sum over a block's rows: with one factor array (a transfer
+# probability at delta = 0) or with two, always weighted per sector.
+_SUMS = {2: "ij,j->i", 3: "ij,ij,j->i"}
 
 
 def effective_coupling(
@@ -73,57 +79,64 @@ def _coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
 def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarray,
              delta: float) -> None:
     """Factors of the sectors ``n`` at each row's 4*g'^2 and t/4, written into
-    the workspace ``ws`` = (swap, s, w, c), each of shape (rows, n.size).
+    the workspace ``ws`` = (v, l, c), each of shape (rows, n.size).
 
     With l = sqrt(delta^2 + 4*g'^2*n) and s, c = sin, cos(l*t/2), a sector
-    transfers with probability swap = s^2*sin^2(2*theta) and its other branch
-    has amplitude c + i*w, w = s*cos(2*theta).  With u = tan(l*t/4), one SIMD
-    loop where sin and cos are scalar, and d = 2/(1 + u^2): s = u*d, relatively
-    exact near 0, and c = d - 1.  The angle enters through sin^2(2*theta) =
-    4*g'^2*n/l^2 and cos(2*theta) = delta/l, sign(delta) at n = 0 for the exact
-    phase exp(i*delta*t/2).  When delta^2 is 0, swap = s^2 and w, unwritten, is 0.
+    transfers with probability 4*g'^2*n*(s/l)^2 and its other branch has
+    amplitude c + i*delta*s/l, exp(i*delta*t/2) at n = 0.  With u = tan(l*t/4),
+    one SIMD loop where sin and cos are scalar, and d = 2/(1 + u^2): s = u*d,
+    relatively exact near 0, and c = d - 1.  When delta^2 is not 0, v = s/l,
+    which holds no subtraction, and the factors 4*g'^2 and delta are left to
+    the sums; otherwise the transfer probability is s^2, written as v.
     """
-    swap, s, w, c = ws
+    v, l, c = ws
     # einsum forms the two row-times-column products in about half the time of
     # a broadcasting ufunc, and without its 64 KiB iterator buffer per operand
-    np.einsum("i,j->ij", g4, n, out=swap)
+    np.einsum("i,j->ij", g4, n, out=l)
     if delta * delta > 0.0:
-        np.add(swap, delta * delta, out=s)
-        np.divide(swap, s, out=swap)
-        np.sqrt(s, out=s)
-        np.divide(delta, s, out=w)
-    else:
-        np.sqrt(swap, out=s)
-    np.einsum("ij,i->ij", s, quarter_t, out=c)
-    np.tan(c, out=s)
-    np.multiply(s, s, out=c)
+        np.add(l, delta * delta, out=l)
+    np.sqrt(l, out=l)
+    np.einsum("ij,i->ij", l, quarter_t, out=c)
+    np.tan(c, out=v)
+    np.multiply(v, v, out=c)
     np.add(c, 1.0, out=c)
     np.divide(2.0, c, out=c)
-    np.multiply(s, c, out=s)
+    np.multiply(v, c, out=v)
     np.subtract(c, 1.0, out=c)
     if delta * delta > 0.0:
-        np.multiply(w, s, out=w)
-        np.multiply(s, s, out=s)
-        np.multiply(swap, s, out=swap)
+        np.divide(v, l, out=v)
     else:
-        np.multiply(s, s, out=swap)
+        np.multiply(v, v, out=v)
 
 
-def _spread(work: Callable[[int], None], workers: int) -> None:
+def _spread(work: Callable[[int], None], workers: int, cpus: list[int]) -> None:
     """Call ``work(k)`` for k < ``workers``: the caller is worker 0, the others
-    run on threads.  A worker's exception is raised here once all have ended."""
+    run on threads.  With two or more workers, worker k first pins itself to
+    CPU ``cpus[k]`` alone, or runs unpinned where the system refuses that CPU,
+    and the caller's mask returns to ``cpus`` at the end.  A worker's
+    exception is raised here once all have ended."""
     errors: list[BaseException | None] = [None] * workers
+    pin = workers > 1 and hasattr(os, "sched_setaffinity")
 
     def run(k: int) -> None:
         try:
+            if pin:
+                with contextlib.suppress(OSError):  # a CPU absent or not allowed here
+                    os.sched_setaffinity(threading.get_native_id(), {cpus[k]})
             work(k)
         except BaseException as exc:  # re-raised in the caller after the join
             errors[k] = exc
 
+    # the threads start before the caller pins itself: a thread inherits the
+    # mask of the thread that starts it
     threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
     for thread in threads:
         thread.start()
-    run(0)
+    try:
+        run(0)
+    finally:
+        if pin:
+            os.sched_setaffinity(threading.get_native_id(), cpus)
     for thread in threads:
         thread.join()
     if any(errors):
@@ -143,14 +156,15 @@ def states(
     at its running average g'(t).  ``t`` holds times, not gt: divide gt by
     ``params.g``.
 
-    Only ``swap`` and (c, w) of :func:`_factors` are formed per sector, and the
-    thermal sums are ``np.einsum`` reductions (survival = sum(P) - sum(P*swap)).
+    Only v and c of :func:`_factors` are formed per sector, and the thermal
+    sums are ``np.einsum`` reductions (survival = sum(P) - sum(P*swap)).
     Photon numbers are cut into slices at every ``_SECTOR_BLOCK`` and at each
     cavity's cutoff, so each cavity sums over its own slices only.  The grid
     goes to one worker per ``_BLOCKS_PER_WORKER`` whole blocks of
     ``_BLOCK_ELEMENTS`` factors, at least one, up to the CPUs in the
     affinity set and at most ``_MAX_WORKERS`` (``taskset -c 0`` gives one
-    thread; see :func:`_spread`), in bands of ``_BAND_ROWS`` rows or one
+    thread; two or more each run on their own CPU of the set, see
+    :func:`_spread`), in bands of ``_BAND_ROWS`` rows or one
     full-width block; band k goes to worker k mod W.  A worker forms g'(t) of
     a band, sums each slice over it in blocks of at most ``_BLOCK_ELEMENTS``
     factors, reusing one workspace, and forms the band's x1..x6 at once, so a
@@ -172,12 +186,13 @@ def states(
     count = max(p.size for p in probs) + 1  # sectors 0..N + 1 of the wider cavity
     ends = sorted({*range(0, count - 1, _SECTOR_BLOCK), *(p.size for p in probs)})
     affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = max(1, min(cpus, _MAX_WORKERS, t.size,
+    cpus = sorted(affinity(0)) if affinity else list(range(os.cpu_count() or 1))
+    workers = max(1, min(len(cpus), _MAX_WORKERS, t.size,
                          t.size * count // (_BLOCKS_PER_WORKER * _BLOCK_ELEMENTS)))
     band_rows = max(_BAND_ROWS, _BLOCK_ELEMENTS // count)  # most rows in one band
     bands = min(t.size, workers * -(-t.size // (workers * band_rows)))
     tall = -(-t.size // max(bands, 1))
+    detuned = delta * delta > 0.0
     # slice [lo, hi): its sectors n = lo..hi, rows per block, cavities reaching lo
     slices = [(np.arange(lo, hi + 1.0), max(1, min(tall, _BLOCK_ELEMENTS // (hi - lo + 1))),
                [(i, p[lo:hi]) for i, p in enumerate(probs) if p.size > lo])
@@ -186,11 +201,14 @@ def states(
     x3 = np.empty(t.size, dtype=complex)
 
     def work(worker: int) -> None:
-        # four arrays 64-byte apart, so that SIMD loops see them equally aligned
-        ws = np.empty((4, -(-max(h * n.size for n, h, _ in slices) // 8) * 8))
-        blocks = [ws[:, : h * n.size].reshape(4, h, n.size) for n, h, _ in slices]
-        # per cavity and band row: sum(P*swap) over ground and excited sectors,
-        # then sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over sectors n, n + 1
+        # three arrays 64-byte apart, so that SIMD loops see them equally aligned
+        ws = np.empty((3, -(-max(h * n.size for n, h, _ in slices) // 8) * 8))
+        blocks = [ws[:, : h * n.size].reshape(3, h, n.size) for n, h, _ in slices]
+        # per cavity and band row, with swap the transfer probability and
+        # w = delta*v: sum(P*swap) over ground and excited sectors, then
+        # sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over sectors n, n + 1,
+        # when detuned without their factors 4*g'^2, delta^2 or delta until
+        # the band's slices are summed
         sums, part = np.zeros((2, len(probs), 6, tall))
         for k in range(worker, bands, workers):
             first, last = k * t.size // bands, (k + 1) * t.size // bands
@@ -198,23 +216,33 @@ def states(
             g4, quarter_t = 4.0 * g_eff * g_eff, 0.25 * t[first:last]
             for (n, h, cavities), block in zip(slices, blocks):
                 acc = part if n[0] else sums
+                # per cavity: P_n and the weights of the two transfer sums,
+                # P_n*n and P_n*(n + 1) when detuned and P_n otherwise, formed
+                # per slice so that no buffer grows with the cutoff
+                weights = [(i, pk, pk * n[:-1], pk * n[1:]) if detuned else (i, pk, pk, pk)
+                           for i, pk in cavities]
                 for r0 in range(0, last - first, h):
                     rows = slice(r0, min(r0 + h, last - first))
-                    swap, _, w, c = view = block[:, : rows.stop - r0]
+                    v, _, c = view = block[:, : rows.stop - r0]
                     _factors(view, g4[rows], quarter_t[rows], n, delta)
-                    pairs = ((c, c), (w, w), (c, w), (w, c)) if delta * delta > 0.0 else ((c, c),)
-                    for i, pk in cavities:
-                        out = acc[i, :, rows]
-                        np.einsum("ij,j->i", swap[:, :-1], pk, out=out[0])
-                        np.einsum("ij,j->i", swap[:, 1:], pk, out=out[1])
-                        for total, (u, v) in zip(out[2:], pairs):
-                            np.einsum("ij,ij,j->i", u[:, :-1], v[:, 1:], pk, out=total)
+                    v0, v1, c0, c1 = v[:, :-1], v[:, 1:], c[:, :-1], c[:, 1:]
+                    for i, pk, ground, excited in weights:
+                        terms = (((v0, v0, ground), (v1, v1, excited), (c0, c1, pk),
+                                  (v0, v1, pk), (c0, v1, pk), (v0, c1, pk))
+                                 if detuned else ((v0, ground), (v1, excited), (c0, c1, pk)))
+                        for total, operands in zip(acc[i, :, rows], terms):
+                            np.einsum(_SUMS[len(operands)], *operands, out=total)
                 if n[0]:
                     for i, _ in cavities:
                         sums[i, :, : last - first] += part[i, :, : last - first]
+            band = sums[:, :, : last - first]
+            if detuned:
+                band[:, :2] *= g4
+                band[:, 3] *= delta * delta
+                band[:, 4:] *= delta
             sides = [
                 (total - sg, sg, total - se, se, cc - ww, cw + wc)
-                for total, (sg, se, cc, ww, cw, wc) in zip(totals, sums[:, :, : last - first])
+                for total, (sg, se, cc, ww, cw, wc) in zip(totals, band)
             ]
             (ad, af, aa, ab, ar, ai), (bd, bf, ba, bb, br, bi) = sides[0], sides[-1]
             rows = slice(first, last)
@@ -227,7 +255,7 @@ def states(
             x5[rows] = 0.5 * (aa * bd + af * bb)
             x6[rows] = 0.5 * (aa * bf + af * ba)
 
-    _spread(work, workers)
+    _spread(work, workers, cpus)
     state = XStates(x1, x2, x3, x5, x6)
     check_x_states(state)
     return state

@@ -10,6 +10,7 @@ sector 1 at coupling g'*sqrt(n).
 """
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -28,6 +29,7 @@ from thermaljc import (
     states,
 )
 from thermaljc.cli import main
+from thermaljc.core import PARAM_LIMIT
 from thermaljc.dynamics import effective_coupling
 from thermaljc.oracle import oracle_density_matrix
 
@@ -525,6 +527,10 @@ def _set_cpus(monkeypatch, cpus):
                         raising=False)
 
 
+# the CPUs this process may run on, where a thread can be pinned
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+
+
 class _WorkerFailure(Exception):
     pass
 
@@ -637,7 +643,8 @@ class TestWorkers:
     def test_a_figure_grid_runs_on_the_caller_alone(self, monkeypatch):
         # fig. 2 at kbar 5 and the scan's kbar-5 configurations: 2001 times x 153
         # sectors, 4.7 blocks.  A second worker there saved no time and held a
-        # second 2 MiB workspace: 4.60 MB traced on 2 CPUs, 4.4-8.8 MB on 4 or more
+        # second workspace: 4.60 MB traced on 2 CPUs, 4.4-8.8 MB on 4 or more,
+        # when a workspace held four arrays
         params, dist = SystemParams(p=1), _dist(5.0)
         grid = np.linspace(0.0, 25.0, 2001)
         assert _whole_blocks(grid, dist) == 4
@@ -658,16 +665,17 @@ class TestWorkers:
             finally:
                 tracemalloc.stop()
         assert workers == {threading.main_thread()}
-        # one workspace, 2.38 MB in all; a second worker's would add 2 MiB
+        # one workspace of three arrays, 1.86 MB in all (2.38 MB with four); a
+        # second worker's would add 1.5 MiB
         assert max(peaks.values()) - peaks[1] <= 8 * dynamics._BLOCK_ELEMENTS
-        assert max(peaks.values()) <= 3_000_000
+        assert max(peaks.values()) <= 2_200_000
 
     def test_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
-        # hot_bath: each worker holds a 2 MiB workspace, so one worker per CPU
-        # would grow with the machine (71.2 MB on 64 CPUs).  What varies between
-        # runs is how the workers' transient numpy buffers overlap, up to 142 KiB
-        # over 90 runs at 4 workers; a quarter of one workspace separates that
-        # from growth.
+        # hot_bath: each worker holds a 1.5 MiB workspace, so one worker per CPU
+        # would grow with the machine (71.2 MB on 64 CPUs with 2 MiB ones).
+        # What varies between runs is how the workers' transient numpy buffers
+        # overlap, up to 142 KiB over 90 runs at 4 workers; 512 KiB separates
+        # that from growth.
         params, a, b = SystemParams(delta=1.0), _dist(50.0), _dist(0.5)
         grid = np.linspace(0.0, 25.0, 20001)
         peaks = []
@@ -680,7 +688,85 @@ class TestWorkers:
             finally:
                 tracemalloc.stop()
         assert max(peaks) - min(peaks) <= 8 * dynamics._BLOCK_ELEMENTS
-        assert max(peaks) <= 12_000_000
+        # 8.5-8.7 MB at 4 workers; 10.5-10.7 MB with four-array workspaces
+        assert max(peaks) <= 9_500_000
+
+    @pytest.mark.skipif(not _CPUS, reason="no CPU affinity")
+    @pytest.mark.parametrize("failing", [None, "caller", "worker"])
+    def test_the_callers_cpu_mask_is_the_same_after_states(self, monkeypatch, failing):
+        # the real CPUs and three that no machine has, for three workers
+        real = os.sched_getaffinity
+        before = real(0)
+        absent = set(range(1 << 16, (1 << 16) + 3))
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: before | absent)
+        params, a, b = SystemParams(delta=0.7), _dist(0.3), _dist(1.5)
+        masks, lock = {}, threading.Lock()
+        factors = dynamics._factors
+
+        def recording(*args):
+            thread = threading.current_thread()
+            with lock:
+                masks.setdefault(thread, real(0))
+            caller = thread is threading.main_thread()
+            if failing is not None and (failing == "caller") == caller:
+                raise _WorkerFailure("block failed")
+            factors(*args)
+
+        monkeypatch.setattr(dynamics, "_factors", recording)
+        grid = _grid_of_blocks(b, 9)
+        if failing is None:
+            states(params, a, b, grid)
+        else:
+            with pytest.raises(_WorkerFailure):
+                states(params, a, b, grid)
+        # worker k on real CPU k alone; a worker left over keeps the mask it
+        # had when it started, before the caller pinned itself
+        cpus = sorted(before)[:3]
+        want = [{cpu} for cpu in cpus] + [before] * (3 - len(cpus))
+        assert sorted(map(sorted, masks.values())) == sorted(map(sorted, want))
+        assert masks[threading.main_thread()] == {min(before)}
+        assert real(0) == before
+
+    def test_pinning_to_absent_cpus_raises_nothing(self, monkeypatch):
+        # four workers on CPUs 0..3, of which a machine of fewer has not all
+        params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
+        grid = _grid_of_blocks(b, 3 * dynamics._MAX_WORKERS)
+        _set_cpus(monkeypatch, 1)
+        alone = states(params, a, b, grid)
+        workers = set()
+        factors = dynamics._factors
+
+        def recording(*args):
+            workers.add(threading.current_thread())
+            factors(*args)
+
+        _set_cpus(monkeypatch, 64)
+        monkeypatch.setattr(dynamics, "_factors", recording)
+        spread = states(params, a, b, grid)
+        assert len(workers) == dynamics._MAX_WORKERS
+        for got, want in zip(spread, alone):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(len(_CPUS) < 2, reason="fewer than two CPUs to run on")
+    def test_two_workers_run_on_distinct_cpus(self):
+        before = os.sched_getaffinity(0)
+        params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
+        masks, lock = {}, threading.Lock()
+        factors = dynamics._factors
+
+        def recording(*args):
+            with lock:
+                masks.setdefault(threading.current_thread(), os.sched_getaffinity(0))
+            factors(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_factors", recording)
+            states(params, a, b, _grid_of_blocks(b, 6))
+        assert len(masks) == 2
+        first, second = masks.values()
+        assert len(first) == len(second) == 1 and first != second
+        assert first | second <= before
+        assert os.sched_getaffinity(0) == before
 
 
 class TestSectorBlocks:
@@ -830,34 +916,31 @@ class TestBands:
 
 def _cos_sin_factors(ws, g4, half_t, n, delta):
     """The scalar cos + sin factors the half-angle tangent replaced, kept as the
-    reference: the same workspace (swap, s, w, c) at each row's t/2."""
-    swap, s, w, c = ws
-    np.multiply(g4[:, None], n, out=swap)
+    reference: the same workspace (v, l, c) at each row's t/2."""
+    v, l, c = ws
+    np.multiply(g4[:, None], n, out=l)
     detuned = delta * delta > 0.0
     if detuned:
-        np.add(swap, delta * delta, out=s)
-        np.divide(swap, s, out=swap)
-        np.sqrt(s, out=s)
-        np.divide(delta, s, out=w)
-    else:
-        np.sqrt(swap, out=s)
-        swap.fill(1.0)
-    np.multiply(s, half_t[:, None], out=s)
-    np.cos(s, out=c)
-    np.sin(s, out=s)
+        np.add(l, delta * delta, out=l)
+    np.sqrt(l, out=l)
+    np.multiply(l, half_t[:, None], out=c)
+    np.sin(c, out=v)
+    np.cos(c, out=c)
     if detuned:
-        np.multiply(w, s, out=w)
-    np.multiply(s, s, out=s)
-    np.multiply(swap, s, out=swap)
+        np.divide(v, l, out=v)
+    else:
+        np.multiply(v, v, out=v)
 
 
 def _sin_cos_of(x):
-    """(c, s) as ``_factors`` forms them for the angles x = l*t/2: a resonant
-    sector with 4*g'^2*n = 1 has l = 1, so its t/4 is x/2."""
+    """(c, s) as ``_factors`` forms them for the angles x = l*t/2: a detuned
+    sector with 4*g'^2*n = 3/4 and delta = 1/2 has l = 1, so its t/4 is x/2
+    and its v = s/l is s."""
     x = np.asarray(x, dtype=float)
-    ws = np.empty((4, x.size, 1))
-    dynamics._factors(ws, np.ones(x.size), 0.5 * x, np.ones(1), 0.0)
-    return ws[3, :, 0], ws[1, :, 0]
+    ws = np.empty((3, x.size, 1))
+    dynamics._factors(ws, np.full(x.size, 0.75), 0.5 * x, np.ones(1), 0.5)
+    assert np.all(ws[1] == 1.0)
+    return ws[2, :, 0], ws[0, :, 0]
 
 
 _ANGLES = np.concatenate([
@@ -893,6 +976,23 @@ class TestHalfAngleFactors:
             for value, got in zip(x.tolist(), s.tolist()):
                 exact = float(mpmath.sin(mpmath.mpf(value)))
                 assert abs(got - exact) <= 4 * np.spacing(exact), value
+
+    @pytest.mark.parametrize("delta", [1e-150, 1e-160, PARAM_LIMIT, -PARAM_LIMIT],
+                             ids=["1e-150", "1e-160", "limit", "-limit"])
+    @pytest.mark.parametrize("kbar, lbar", [(0.5, 2.0), (0.1, 0.1)])
+    def test_the_ends_of_the_detuning_range_match_the_oracle(self, delta, kbar, lbar):
+        # delta^2 is 1e-300, subnormal or 1e300.  Motion is off: with it, the
+        # oracle's populations cancel to 0 at these times.  The relative
+        # errors are a few ulps: 6.0e-16 at most, and 4.5e-16 with the
+        # four-array factors (swap, s, w, c) that v = s/l replaced.
+        params, a, b = SystemParams(delta=delta, motion_enabled=False), _dist(kbar), _dist(lbar)
+        grid = np.array([1e-300, 1e-12, 1e-8])
+        got = states(params, a, b, grid)
+        for i, t in enumerate(grid):
+            want = oracle_density_matrix(params, a, b, t)
+            for name in ("x1", "x6"):
+                value, exact = getattr(got, name)[i], getattr(want, name)
+                assert abs(value - exact) <= 1e-15 * abs(exact), (name, t)
 
     @pytest.mark.parametrize(
         "params, kbar, lbar, grid",
