@@ -33,7 +33,7 @@ _BLOCK_ELEMENTS = 1 << 16
 # workspace).
 _BLOCKS_PER_WORKER = 3
 # Most worker threads, whatever the CPU count.  einsum holds the interpreter
-# lock and takes about half of the one-thread kernel (51 % at hot_bath size);
+# lock and takes about half of the one-thread kernel (52 % at hot_bath size);
 # the other calls can overlap it, so no worker count runs more than about
 # twice as fast as one, and more workers would add workspaces but little speed.
 _MAX_WORKERS = 4
@@ -79,50 +79,63 @@ def _coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
 def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarray,
              delta: float) -> None:
     """Factors of the sectors ``n`` at each row's 4*g'^2 and t/4, written into
-    the workspace ``ws`` = (v, l, c), each of shape (rows, n.size).
+    the workspace ``ws`` = (scratch, v, c), each of shape (rows, n.size).
 
     With l = sqrt(delta^2 + 4*g'^2*n) and s, c = sin, cos(l*t/2), a sector
     transfers with probability 4*g'^2*n*(s/l)^2 and its other branch has
     amplitude c + i*delta*s/l, exp(i*delta*t/2) at n = 0.  With u = tan(l*t/4),
     one SIMD loop where sin and cos are scalar, and d = 2/(1 + u^2): s = u*d,
-    relatively exact near 0, and c = d - 1.  When delta^2 is not 0, v = s/l,
-    which holds no subtraction, and the factors 4*g'^2 and delta are left to
-    the sums; otherwise the transfer probability is s^2, written as v.
+    relatively exact near 0, and c = d - 1.  When delta^2 is not 0,
+    v = l1*(s/l), with l1 = sqrt(delta^2 + 4*g'^2) the l of sector 1, and the
+    factors 4*g'^2/l1^2 and delta/l1 are left to the sums.  v holds no
+    subtraction, is at most 1 from sector 1 on, and its square stays normal
+    wherever the transfer probability does, at any g; s/l alone is about
+    t/2, whose square underflows below t = 1e-154.  Otherwise v is the
+    transfer probability s^2.
     """
-    v, l, c = ws
-    # einsum forms the two row-times-column products in about half the time of
+    s, v, c = ws  # v holds l until the last pass
+    # einsum forms the row-times-column products in about half the time of
     # a broadcasting ufunc, and without its 64 KiB iterator buffer per operand
-    np.einsum("i,j->ij", g4, n, out=l)
+    np.einsum("i,j->ij", g4, n, out=v)
     if delta * delta > 0.0:
-        np.add(l, delta * delta, out=l)
-    np.sqrt(l, out=l)
-    np.einsum("ij,i->ij", l, quarter_t, out=c)
-    np.tan(c, out=v)
-    np.multiply(v, v, out=c)
+        np.add(v, delta * delta, out=v)
+    np.sqrt(v, out=v)
+    np.einsum("ij,i->ij", v, quarter_t, out=c)
+    np.tan(c, out=s)
+    np.multiply(s, s, out=c)
     np.add(c, 1.0, out=c)
     np.divide(2.0, c, out=c)
-    np.multiply(v, c, out=v)
+    np.multiply(s, c, out=s)
     np.subtract(c, 1.0, out=c)
     if delta * delta > 0.0:
-        np.divide(v, l, out=v)
+        np.divide(s, v, out=s)
+        np.einsum("ij,i->ij", s, np.sqrt(g4 + delta * delta), out=v)
     else:
-        np.multiply(v, v, out=v)
+        np.multiply(s, s, out=v)
+
+
+def _pin(cpus: set[int]) -> None:
+    """Keep the calling thread to ``cpus``, where the system allows it."""
+    with contextlib.suppress(OSError):  # a CPU absent or no longer allowed
+        os.sched_setaffinity(threading.get_native_id(), cpus)
 
 
 def _spread(work: Callable[[int], None], workers: int, cpus: list[int]) -> None:
     """Call ``work(k)`` for k < ``workers``: the caller is worker 0, the others
-    run on threads.  With two or more workers, worker k first pins itself to
-    CPU ``cpus[k]`` alone, or runs unpinned where the system refuses that CPU,
-    and the caller's mask returns to ``cpus`` at the end.  A worker's
-    exception is raised here once all have ended."""
+    run on threads.  When there are two or more workers and as many as
+    ``cpus``, worker k first pins itself to CPU ``cpus[k]`` alone, so that two
+    cannot share a CPU while another idles, and the caller gets its previous
+    mask back at the end.  With fewer workers than CPUs none is pinned: the
+    kernels of concurrent processes would all crowd onto the lowest CPUs.  A
+    worker's exception is raised here once all have ended."""
     errors: list[BaseException | None] = [None] * workers
-    pin = workers > 1 and hasattr(os, "sched_setaffinity")
+    pin = 1 < workers == len(cpus) and hasattr(os, "sched_setaffinity")
+    mask = os.sched_getaffinity(0) if pin else set()
 
     def run(k: int) -> None:
         try:
             if pin:
-                with contextlib.suppress(OSError):  # a CPU absent or not allowed here
-                    os.sched_setaffinity(threading.get_native_id(), {cpus[k]})
+                _pin({cpus[k]})
             work(k)
         except BaseException as exc:  # re-raised in the caller after the join
             errors[k] = exc
@@ -136,7 +149,7 @@ def _spread(work: Callable[[int], None], workers: int, cpus: list[int]) -> None:
         run(0)
     finally:
         if pin:
-            os.sched_setaffinity(threading.get_native_id(), cpus)
+            _pin(mask)
     for thread in threads:
         thread.join()
     if any(errors):
@@ -163,7 +176,7 @@ def states(
     goes to one worker per ``_BLOCKS_PER_WORKER`` whole blocks of
     ``_BLOCK_ELEMENTS`` factors, at least one, up to the CPUs in the
     affinity set and at most ``_MAX_WORKERS`` (``taskset -c 0`` gives one
-    thread; two or more each run on their own CPU of the set, see
+    thread; as many as the set each run on their own CPU of it, see
     :func:`_spread`), in bands of ``_BAND_ROWS`` rows or one
     full-width block; band k goes to worker k mod W.  A worker forms g'(t) of
     a band, sums each slice over it in blocks of at most ``_BLOCK_ELEMENTS``
@@ -205,10 +218,10 @@ def states(
         ws = np.empty((3, -(-max(h * n.size for n, h, _ in slices) // 8) * 8))
         blocks = [ws[:, : h * n.size].reshape(3, h, n.size) for n, h, _ in slices]
         # per cavity and band row, with swap the transfer probability and
-        # w = delta*v: sum(P*swap) over ground and excited sectors, then
+        # w = delta*s/l: sum(P*swap) over ground and excited sectors, then
         # sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over sectors n, n + 1,
-        # when detuned without their factors 4*g'^2, delta^2 or delta until
-        # the band's slices are summed
+        # when detuned without their factors 4*g'^2/l1^2, (delta/l1)^2 or
+        # delta/l1 until the band's slices are summed
         sums, part = np.zeros((2, len(probs), 6, tall))
         for k in range(worker, bands, workers):
             first, last = k * t.size // bands, (k + 1) * t.size // bands
@@ -218,16 +231,20 @@ def states(
                 acc = part if n[0] else sums
                 # per cavity: P_n and the weights of the two transfer sums,
                 # P_n*n and P_n*(n + 1) when detuned and P_n otherwise, formed
-                # per slice so that no buffer grows with the cutoff
-                weights = [(i, pk, pk * n[:-1], pk * n[1:]) if detuned else (i, pk, pk, pk)
-                           for i, pk in cavities]
+                # per slice so that no buffer grows with the cutoff.  Detuned,
+                # the ground sum leaves out sector 0: its weight is 0, but its
+                # v = l1*t/2 near 0 can square to infinity
+                skip = int(detuned and n[0] == 0.0)
+                weights = [(i, pk, pk[skip:] * n[skip:-1], pk * n[1:]) if detuned
+                           else (i, pk, pk, pk) for i, pk in cavities]
                 for r0 in range(0, last - first, h):
                     rows = slice(r0, min(r0 + h, last - first))
-                    v, _, c = view = block[:, : rows.stop - r0]
+                    _, v, c = view = block[:, : rows.stop - r0]
                     _factors(view, g4[rows], quarter_t[rows], n, delta)
                     v0, v1, c0, c1 = v[:, :-1], v[:, 1:], c[:, :-1], c[:, 1:]
+                    vg = v[:, skip:-1]
                     for i, pk, ground, excited in weights:
-                        terms = (((v0, v0, ground), (v1, v1, excited), (c0, c1, pk),
+                        terms = (((vg, vg, ground), (v1, v1, excited), (c0, c1, pk),
                                   (v0, v1, pk), (c0, v1, pk), (v0, c1, pk))
                                  if detuned else ((v0, ground), (v1, excited), (c0, c1, pk)))
                         for total, operands in zip(acc[i, :, rows], terms):
@@ -237,9 +254,10 @@ def states(
                         sums[i, :, : last - first] += part[i, :, : last - first]
             band = sums[:, :, : last - first]
             if detuned:
-                band[:, :2] *= g4
-                band[:, 3] *= delta * delta
-                band[:, 4:] *= delta
+                l1 = np.sqrt(g4 + delta * delta)
+                band[:, :2] *= g4 / (l1 * l1)
+                band[:, 3:] *= delta / l1
+                band[:, 3] *= delta / l1  # twice: (delta/l1)^2 alone can underflow
             sides = [
                 (total - sg, sg, total - se, se, cc - ww, cw + wc)
                 for total, (sg, se, cc, ww, cw, wc) in zip(totals, band)

@@ -35,25 +35,7 @@ _SHIFTS = 6  # bytes inserted after the digits before the point: up to '0.000'
 _DECPT = 400  # the layout table's column of decpt = 0 (decpt: digits before the point)
 _SCALES = np.array([[1.0], [2.0**64], [2.0**128]])  # the digit words' weights
 
-
-class _Constants(dict):
-    """0-d arrays of one dtype by value, made on first use.  A ufunc takes a
-    0-d operand in about half the time of a Python int, which it converts on
-    every call.  A 0-d array is not a weak scalar, so its dtype is that of the
-    array it meets: a uint64 array with an int64 constant gives float64."""
-
-    def __init__(self, dtype: type) -> None:
-        super().__init__()
-        self.dtype = dtype
-
-    def __missing__(self, value: int) -> np.ndarray:
-        constant = self[value] = np.array(value, self.dtype)
-        constant.flags.writeable = False
-        return constant
-
-
-_U, _I = _Constants(np.uint64), _Constants(np.int64)
-_U32 = _U[0xFFFFFFFF]
+_U32 = np.uint64(0xFFFFFFFF)
 # s (vb >> 2) is nearer than s + 1, or as near and even, by vb mod 8
 _NEARER = np.array([v % 4 + v // 4 < 3 for v in range(8)])
 
@@ -194,65 +176,65 @@ class FloatText:
         bits = x.view(np.uint64)
 
         # x = (-1)**sign c 2**q, where c = 2**52 + (the low 52 bits) when normal
-        np.right_shift(bits, _U[52], out=bq)
-        bq &= _U[0x7FF]
-        np.bitwise_and(bits, _U[(1 << 52) - 1], out=c)
-        np.equal(c, _U[0], out=irregular)  # c = 2**52 above the least normal:
-        np.greater(bq, _U[1], out=special)  # the lower neighbour is nearer
+        np.right_shift(bits, 52, out=bq)
+        bq &= 0x7FF
+        np.bitwise_and(bits, (1 << 52) - 1, out=c)
+        np.equal(c, 0, out=irregular)  # c = 2**52 above the least normal:
+        np.greater(bq, 1, out=special)  # the lower neighbour is nearer
         irregular &= special
-        np.left_shift(bits, _U[1], out=cp)
-        np.equal(cp, _U[0], out=zero)
-        np.subtract(bq, _U[1], out=cp)
-        np.greater_equal(cp, _U[2046], out=special)  # bq is 0 or 2047,
+        np.left_shift(bits, 1, out=cp)
+        np.equal(cp, 0, out=zero)
+        np.subtract(bq, 1, out=cp)
+        np.greater_equal(cp, 2046, out=special)  # bq is 0 or 2047,
         np.greater(special, zero, out=special)  # and x is not a zero
-        c |= _U[1 << 52]
+        c |= 1 << 52
         q = bq.view(np.int64)
-        q -= _I[1075]
+        q -= 1075
         # k = floor(log10 2**q), or floor(log10 (3/4 2**q)) when irregular
-        np.multiply(q, _I[661971961083], out=k)
-        np.subtract(k, _I[274743187321], out=k, where=irregular)
-        k >>= _I[41]
-        np.subtract(k, _I[_K_MIN], out=idx)
+        np.multiply(q, 661971961083, out=k)
+        np.subtract(k, 274743187321, out=k, where=irregular)
+        k >>= 41
+        np.subtract(k, _K_MIN, out=idx)
         np.take(tables["g"], idx, axis=1, out=g, mode="wrap")
         np.take(tables["log2"], idx, out=h.view(np.int64), mode="wrap")
-        q += _I[2]
+        q += 2
         h += q.view(np.uint64)
 
         # g cp for cp = 4c 2**h, as 128-bit words 2**64 hi + lo for the rows
         # [g0 cp, g1 cp], from the 32-bit halves of both factors
-        np.left_shift(c, _U[2], out=cp)
+        np.left_shift(c, 2, out=cp)
         cp <<= h
         np.bitwise_and(cp, _U32, out=c0)
-        np.right_shift(cp, _U[32], out=c1)
-        np.right_shift(g, _U[32], out=hi)
+        np.right_shift(cp, 32, out=c1)
+        np.right_shift(g, 32, out=hi)
         np.multiply(hi, c1, out=t)  # high x high
         hi *= c0
         np.bitwise_and(g, _U32, out=lo)
         np.multiply(lo, c1, out=sh)
         lo *= c0  # low x low
-        np.right_shift(sh, _U[32], out=hs)
+        np.right_shift(sh, 32, out=hs)
         t += hs
         sh &= _U32
-        np.right_shift(hi, _U[32], out=hs)
+        np.right_shift(hi, 32, out=hs)
         t += hs
         hi &= _U32
         sh += hi
-        np.right_shift(lo, _U[32], out=hs)
+        np.right_shift(lo, 32, out=hs)
         sh += hs  # the middle column
         lo &= _U32
-        np.right_shift(sh, _U[32], out=hi)
+        np.right_shift(sh, 32, out=hi)
         hi += t
-        sh <<= _U[32]
+        sh <<= 32
         lo |= sh
         vb, vbl, vbr = cp, c0, c1
         self._round_to_odd(hi, lo, vb, bq)
         # the interval's ends take cp + 2**(h + 1) and cp - 2**(h + 1), or
         # cp - 2**h when irregular (Giulietti, fig. 7): add g 2**j to g cp
         j = c
-        np.add(h, _U[1], out=j)
+        np.add(h, 1, out=j)
         for out, up in ((vbr, True), (vbl, False)):
             if not up:
-                np.subtract(j, _U[1], out=j, where=irregular)
+                np.subtract(j, 1, out=j, where=irregular)
             np.left_shift(g, j, out=sh)
             if up:
                 np.add(lo, sh, out=t)
@@ -260,7 +242,7 @@ class FloatText:
             else:
                 np.subtract(lo, sh, out=t)
                 np.greater(t, lo, out=carry)
-            np.subtract(_U[64], j, out=bq)
+            np.subtract(64, j, out=bq)
             np.right_shift(g, bq, out=sh)
             if up:
                 sh += hi
@@ -273,33 +255,33 @@ class FloatText:
         # the shortest digits in the interval (Giulietti, fig. 7): s = vb >> 2
         # or s + 1, whichever lies in it, the nearer when both do (s on a tie
         # when even); but 10 floor(s/10) or the next multiple of ten if in it
-        np.bitwise_and(bits, _U[1], out=bq)  # an odd c leaves the ends out
+        np.bitwise_and(bits, 1, out=bq)  # an odd c leaves the ends out
         vbl += bq
         vbr -= bq
         s, low, down, d = bq, c, h, t[0]
         s_in, up_in = carry
-        np.right_shift(vb, _U[2], out=s)
-        np.bitwise_and(vb, _U[(1 << 64) - 4], out=low)  # vb & ~3
+        np.right_shift(vb, 2, out=s)
+        np.bitwise_and(vb, ~np.uint64(3), out=low)
         np.less_equal(vbl, low, out=s_in)
-        low += _U[4]
+        low += 4
         np.less_equal(low, vbr, out=up_in)
-        np.bitwise_and(vb, _U[7], out=d)
+        np.bitwise_and(vb, 7, out=d)
         np.take(_NEARER, d.view(np.int64), out=pick, mode="wrap")
         np.less_equal(up_in, pick, out=pick)
         pick &= s_in
-        np.add(s, _U[1], out=vb)
+        np.add(s, 1, out=vb)
         vb -= pick
-        np.floor_divide(s, _U[10], out=down)
-        down *= _U[10]
-        np.left_shift(down, _U[2], out=low)
+        np.floor_divide(s, 10, out=down)
+        down *= 10
+        np.left_shift(down, 2, out=low)
         np.less_equal(vbl, low, out=s_in)
         np.putmask(vb, s_in, down)  # copyto(where=) branches per value
-        low += _U[40]
+        low += 40
         np.less_equal(low, vbr, out=up_in)
-        down += _U[10]
+        down += 10
         np.putmask(vb, up_in, down)
-        np.copyto(vb, _U[0], where=zero)
-        np.copyto(k, _I[-15], where=zero)  # 0 as the digit at 10**15
+        np.copyto(vb, 0, where=zero)
+        np.copyto(k, -15, where=zero)  # 0 as the digit at 10**15
         self._layout(x, vb.view(np.int64), k, m, tables)
         return special
 
@@ -307,12 +289,12 @@ class FloatText:
     def _round_to_odd(hi, lo, out, z) -> None:
         """out = g cp / 2**127 rounded to odd, from the words of g0 cp and
         g1 cp (Giulietti, fig. 8: the low word of g0 cp cannot change it)."""
-        np.right_shift(lo[1], _U[1], out=z)
+        np.right_shift(lo[1], 1, out=z)
         z += hi[0]
-        np.right_shift(z, _U[63], out=out)
+        np.right_shift(z, 63, out=out)
         out += hi[1]
-        z <<= _U[1]  # the bits below the result:
-        np.minimum(z, _U[1], out=z)
+        z <<= 1  # the bits below the result:
+        np.minimum(z, 1, out=z)
         out |= z  # odd when any is set
 
     def _layout(self, x, d, k, m, tables) -> None:
@@ -324,19 +306,19 @@ class FloatText:
         r = self._words[: 10 * m].reshape(10, m)  # contiguous, for take
         short, point = self._b[0][:m], self._b[3][:m]
         # 10**16 <= d < 10**17 once a 16-digit d is scaled; decpt + _DECPT
-        np.less(d, _I[10**16], out=short)
-        np.multiply(d, _I[10], out=s[1].view(np.int64))
+        np.less(d, 10**16, out=short)
+        np.multiply(d, 10, out=s[1].view(np.int64))
         np.putmask(d, short, s[1].view(np.int64))  # copyto(where=) branches per value
         decpt = k
-        decpt += _I[17 + _DECPT]
+        decpt += 17 + _DECPT
         decpt -= short
         # the digits (0..9, not yet ASCII) of the chunks d = c0 10**14 +
         # c1 10**10 + c2 10**6 + c3 10**2 + c4 in bytes 1 to 17 of the words
         # (c0 < 1000 leaves byte 0, the sign's, zero): c0, c2 in r[5:7] give
         # the low halves of w[0] and w[1], c1, c3 in r[7:9] the high halves
         for whole, quot, rest, power in (
-            (d.view(np.uint64), r[7], r[9], _U[10**10]), (r[7], r[5], r[7], _U[10**4]),
-            (r[9], r[8], r[9], _U[100]), (r[8], r[6], r[8], _U[10**4]),
+            (d.view(np.uint64), r[7], r[9], 10**10), (r[7], r[5], r[7], 10**4),
+            (r[9], r[8], r[9], 100), (r[8], r[6], r[8], 10**4),
         ):
             np.floor_divide(whole, power, out=quot)
             np.multiply(quot, power, out=s[2])
@@ -344,19 +326,19 @@ class FloatText:
         digits = tables["digits"]
         np.take(digits, r[5:7].view(np.int64), out=w[:2], mode="wrap")
         np.take(digits, r[7:9].view(np.int64), out=s[:2], mode="wrap")
-        s[:2] <<= _U[32]
+        s[:2] <<= 32
         w[:2] |= s[:2]
         np.take(digits, r[9].view(np.int64), out=w[2], mode="wrap")
-        w[2] >>= _U[16]
+        w[2] >>= 16
         # nd, the digits through the last nonzero one: the byte of the highest
         # set bit of the words, from the exponent of the largest as a float
         f, nd = r[:3].view(np.float64), r[3].view(np.int64)
         np.copyto(f, w, casting="unsafe")
         f *= _SCALES
         np.maximum.reduce(f, axis=0, out=nd.view(np.float64))
-        nd >>= _I[52]
-        nd -= _I[1023]
-        nd >>= _I[3]  # negative when d = 0
+        nd >>= 52
+        nd -= 1023
+        nd >>= 3  # negative when d = 0
         # p digits before the point, e digits printed; `shift` bytes inserted
         # after digit p: the point when p < e, with 0.000 when p = 0; the
         # suffix '.0' when fixed and p = e, 'e±XX' when not fixed
@@ -370,14 +352,14 @@ class FloatText:
         # ASCII digits through the e-th, then the sign
         np.take(tables["ascii"], e, axis=1, out=r[:3], mode="wrap")
         w |= r[:3]
-        np.right_shift(x.view(np.uint64), _U[63], out=s[0])
-        s[0] *= _U[ord("-")]
+        np.right_shift(x.view(np.uint64), 63, out=s[0])
+        s[0] *= ord("-")
         w[0] |= s[0]
         # the words shifted by `shift` bytes, and the suffix from byte _SUFFIX
         bits = r[3]
-        np.left_shift(shift.view(np.uint64), _U[3], out=bits)
+        np.left_shift(shift.view(np.uint64), 3, out=bits)
         np.left_shift(w, bits, out=s)
-        np.subtract(_U[64], bits, out=bits)
+        np.subtract(64, bits, out=bits)
         np.right_shift(w[:2], bits, out=r[:2])
         s[1:] |= r[:2]
         np.take(tables["tail"], suffix, out=r[0], mode="wrap")
@@ -385,7 +367,7 @@ class FloatText:
         # the text: the words below byte p + 1, the inserted bytes, and the
         # shifted words above them
         column = k
-        np.multiply(p, _I[_SHIFTS], out=column)
+        np.multiply(p, _SHIFTS, out=column)
         column += shift
         np.take(tables["insert"], column, axis=1, out=r[:9], mode="wrap")
         w &= r[:3]

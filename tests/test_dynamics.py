@@ -522,8 +522,11 @@ def _fields(params, t, grid):
 
 
 def _set_cpus(monkeypatch, cpus):
-    # the kernel sizes its worker pool from the CPU affinity set
+    # the kernel sizes its worker pool from the CPU affinity set; pinning is
+    # made a no-op, so that workers placed on these CPUs leave the real mask
     monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(dynamics.os, "sched_setaffinity", lambda pid, mask: None,
                         raising=False)
 
 
@@ -691,82 +694,93 @@ class TestWorkers:
         # 8.5-8.7 MB at 4 workers; 10.5-10.7 MB with four-array workspaces
         assert max(peaks) <= 9_500_000
 
-    @pytest.mark.skipif(not _CPUS, reason="no CPU affinity")
+    @pytest.mark.skipif(len(_CPUS) < 2, reason="fewer than two CPUs to run on")
     @pytest.mark.parametrize("failing", [None, "caller", "worker"])
-    def test_the_callers_cpu_mask_is_the_same_after_states(self, monkeypatch, failing):
-        # the real CPUs and three that no machine has, for three workers
-        real = os.sched_getaffinity
-        before = real(0)
-        absent = set(range(1 << 16, (1 << 16) + 3))
-        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: before | absent)
-        params, a, b = SystemParams(delta=0.7), _dist(0.3), _dist(1.5)
+    def test_two_workers_on_two_cpus_each_run_on_their_own(self, failing):
+        # the process is held to two real CPUs, and a grid of six blocks has
+        # two workers; the caller has its mask back, also when a worker raises
+        before = os.sched_getaffinity(0)
+        pair = set(sorted(before)[:2])
+        params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
+        grid = _grid_of_blocks(b, 6)
         masks, lock = {}, threading.Lock()
         factors = dynamics._factors
 
         def recording(*args):
             thread = threading.current_thread()
             with lock:
-                masks.setdefault(thread, real(0))
-            caller = thread is threading.main_thread()
-            if failing is not None and (failing == "caller") == caller:
+                masks.setdefault(thread, os.sched_getaffinity(0))
+            if failing is not None and (failing == "caller") == (thread is threading.main_thread()):
                 raise _WorkerFailure("block failed")
             factors(*args)
 
-        monkeypatch.setattr(dynamics, "_factors", recording)
-        grid = _grid_of_blocks(b, 9)
+        os.sched_setaffinity(0, {min(pair)})
+        try:
+            alone = states(params, a, b, grid)
+            os.sched_setaffinity(0, pair)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "_factors", recording)
+                if failing is None:
+                    spread = states(params, a, b, grid)
+                else:
+                    with pytest.raises(_WorkerFailure):
+                        states(params, a, b, grid)
+            after = os.sched_getaffinity(0)
+        finally:
+            os.sched_setaffinity(0, before)
+        assert after == pair
+        assert masks[threading.main_thread()] == {min(pair)}
+        assert sorted(map(sorted, masks.values())) == [[cpu] for cpu in sorted(pair)]
         if failing is None:
-            states(params, a, b, grid)
-        else:
-            with pytest.raises(_WorkerFailure):
-                states(params, a, b, grid)
-        # worker k on real CPU k alone; a worker left over keeps the mask it
-        # had when it started, before the caller pinned itself
-        cpus = sorted(before)[:3]
-        want = [{cpu} for cpu in cpus] + [before] * (3 - len(cpus))
-        assert sorted(map(sorted, masks.values())) == sorted(map(sorted, want))
-        assert masks[threading.main_thread()] == {min(before)}
-        assert real(0) == before
+            assert all(np.array_equal(got, want) for got, want in zip(spread, alone))
 
+    @pytest.mark.skipif(not _CPUS, reason="no CPU affinity")
     def test_pinning_to_absent_cpus_raises_nothing(self, monkeypatch):
-        # four workers on CPUs 0..3, of which a machine of fewer has not all
+        # two workers on two CPUs that no machine has: both run where they
+        # were, and the caller's mask, which reads as those two, stays as it is
+        real = os.sched_getaffinity
+        before = real(0)
         params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
-        grid = _grid_of_blocks(b, 3 * dynamics._MAX_WORKERS)
+        grid = _grid_of_blocks(b, 6)
         _set_cpus(monkeypatch, 1)
         alone = states(params, a, b, grid)
-        workers = set()
+        monkeypatch.undo()
+        masks = {}
         factors = dynamics._factors
 
         def recording(*args):
-            workers.add(threading.current_thread())
+            masks.setdefault(threading.current_thread(), real(0))
             factors(*args)
 
-        _set_cpus(monkeypatch, 64)
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {1 << 16, (1 << 16) + 1})
         monkeypatch.setattr(dynamics, "_factors", recording)
         spread = states(params, a, b, grid)
-        assert len(workers) == dynamics._MAX_WORKERS
+        assert list(masks.values()) == [before, before]
+        assert real(0) == before
         for got, want in zip(spread, alone):
             assert np.array_equal(got, want)
 
-    @pytest.mark.skipif(len(_CPUS) < 2, reason="fewer than two CPUs to run on")
-    def test_two_workers_run_on_distinct_cpus(self):
+    @pytest.mark.skipif(not _CPUS, reason="no CPU affinity")
+    def test_fewer_workers_than_cpus_stay_unpinned(self, monkeypatch):
+        # pinned to the lowest CPUs of the set, the kernels of concurrent
+        # processes would crowd there: two workers on a set of more CPUs keep
+        # the process's mask.  The set is the real one and three absent CPUs.
         before = os.sched_getaffinity(0)
+        real = os.sched_getaffinity
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity",
+                            lambda pid: real(pid) | set(range(1 << 16, (1 << 16) + 3)))
         params, a, b = SystemParams(p=2, delta=0.7), _dist(0.3), _dist(1.5)
-        masks, lock = {}, threading.Lock()
+        masks = {}
         factors = dynamics._factors
 
         def recording(*args):
-            with lock:
-                masks.setdefault(threading.current_thread(), os.sched_getaffinity(0))
+            masks.setdefault(threading.current_thread(), real(0))
             factors(*args)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_factors", recording)
-            states(params, a, b, _grid_of_blocks(b, 6))
-        assert len(masks) == 2
-        first, second = masks.values()
-        assert len(first) == len(second) == 1 and first != second
-        assert first | second <= before
-        assert os.sched_getaffinity(0) == before
+        monkeypatch.setattr(dynamics, "_factors", recording)
+        states(params, a, b, _grid_of_blocks(b, 6))
+        assert list(masks.values()) == [before, before]
+        assert real(0) == before
 
 
 class TestSectorBlocks:
@@ -886,8 +900,10 @@ class TestBands:
         states(params, a, b, grid)
         bands = 2 * -(-grid.size // (2 * dynamics._BAND_ROWS))
         narrow, wide = b.n_max + 1, a.n_max - b.n_max
-        assert set(sizes) == {narrow, wide}
-        assert sizes.count(narrow) == 6 * 2 * bands  # both cavities, six sums
+        # detuned, the ground transfer sum of the slice from sector 0 leaves it out
+        assert set(sizes) == {narrow - 1, narrow, wide}
+        assert sizes.count(narrow - 1) == 2 * bands
+        assert sizes.count(narrow) == 5 * 2 * bands  # both cavities, six sums
         # the wide slice holds sectors 26..1396, so a block holds this many rows
         rows = dynamics._BLOCK_ELEMENTS // (wide + 1)
         edges = [k * grid.size // bands for k in range(bands + 1)]
@@ -916,31 +932,32 @@ class TestBands:
 
 def _cos_sin_factors(ws, g4, half_t, n, delta):
     """The scalar cos + sin factors the half-angle tangent replaced, kept as the
-    reference: the same workspace (v, l, c) at each row's t/2."""
-    v, l, c = ws
-    np.multiply(g4[:, None], n, out=l)
+    reference: the same workspace (scratch, v, c) at each row's t/2."""
+    s, v, c = ws
+    np.multiply(g4[:, None], n, out=v)
     detuned = delta * delta > 0.0
     if detuned:
-        np.add(l, delta * delta, out=l)
-    np.sqrt(l, out=l)
-    np.multiply(l, half_t[:, None], out=c)
-    np.sin(c, out=v)
+        np.add(v, delta * delta, out=v)
+    np.sqrt(v, out=v)
+    np.multiply(v, half_t[:, None], out=c)
+    np.sin(c, out=s)
     np.cos(c, out=c)
     if detuned:
-        np.divide(v, l, out=v)
+        np.divide(s, v, out=s)
+        np.multiply(s, np.sqrt(g4 + delta * delta)[:, None], out=v)
     else:
-        np.multiply(v, v, out=v)
+        np.multiply(s, s, out=v)
 
 
 def _sin_cos_of(x):
     """(c, s) as ``_factors`` forms them for the angles x = l*t/2: a detuned
-    sector with 4*g'^2*n = 3/4 and delta = 1/2 has l = 1, so its t/4 is x/2
-    and its v = s/l is s."""
+    sector 1 with 4*g'^2 = 3/4 and delta = 1/2 has l = l1 = 1, so its t/4 is
+    x/2 and its v = l1*(s/l) is s, as the scratch s/l is."""
     x = np.asarray(x, dtype=float)
     ws = np.empty((3, x.size, 1))
     dynamics._factors(ws, np.full(x.size, 0.75), 0.5 * x, np.ones(1), 0.5)
-    assert np.all(ws[1] == 1.0)
-    return ws[2, :, 0], ws[0, :, 0]
+    assert np.array_equal(ws[0], ws[1])
+    return ws[2, :, 0], ws[1, :, 0]
 
 
 _ANGLES = np.concatenate([
@@ -983,8 +1000,8 @@ class TestHalfAngleFactors:
     def test_the_ends_of_the_detuning_range_match_the_oracle(self, delta, kbar, lbar):
         # delta^2 is 1e-300, subnormal or 1e300.  Motion is off: with it, the
         # oracle's populations cancel to 0 at these times.  The relative
-        # errors are a few ulps: 6.0e-16 at most, and 4.5e-16 with the
-        # four-array factors (swap, s, w, c) that v = s/l replaced.
+        # errors are a few ulps: 6.1e-16 at most, and 4.5e-16 with the
+        # four-array factors (swap, s, w, c) that v = l1*(s/l) replaced.
         params, a, b = SystemParams(delta=delta, motion_enabled=False), _dist(kbar), _dist(lbar)
         grid = np.array([1e-300, 1e-12, 1e-8])
         got = states(params, a, b, grid)
@@ -993,6 +1010,24 @@ class TestHalfAngleFactors:
             for name in ("x1", "x6"):
                 value, exact = getattr(got, name)[i], getattr(want, name)
                 assert abs(value - exact) <= 1e-15 * abs(exact), (name, t)
+
+    @pytest.mark.parametrize("g", [1e10, PARAM_LIMIT], ids=["1e10", "limit"])
+    @pytest.mark.parametrize("delta", [1.0, -1e-150, 1e-160, PARAM_LIMIT],
+                             ids=["1", "-1e-150", "1e-160", "limit"])
+    @pytest.mark.parametrize("kbar, lbar", [(0.5, 2.0), (0.1, 0.1)])
+    def test_a_strong_coupling_keeps_the_transfer_relatively_exact(self, g, delta, kbar, lbar):
+        # at gt 1e-10 and g 1e150, t is 1e-160: (s/l)^2, about t^2/4, is
+        # subnormal, while the transfer 4*g'^2*n*(s/l)^2 is about 1e-20.  The
+        # four-array factors (swap, s, w, c) that v replaced reach 1.07e-15
+        # here, and so does v; unscaled, s/l was 7.9e-3 off at g 1e150.
+        params, a, b = SystemParams(g=g, delta=delta, motion_enabled=False), _dist(kbar), _dist(lbar)
+        grid = np.array([1e-10, 1e-6, 1e-3]) / g
+        got = states(params, a, b, grid)
+        for i, t in enumerate(grid):
+            want = oracle_density_matrix(params, a, b, t)
+            for name in ("x1", "x5", "x6"):
+                value, exact = getattr(got, name)[i], getattr(want, name)
+                assert abs(value - exact) <= 1.5e-15 * abs(exact), (name, t)
 
     @pytest.mark.parametrize(
         "params, kbar, lbar, grid",
