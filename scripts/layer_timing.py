@@ -24,6 +24,12 @@ whose kernel threads shared one CPU, which the quartiles can hide.
 - Polylines: ``svgplot._polyline`` on the 17 curves (42 417 points) that the
   ``plot`` calls of ``scripts/reproduce_figures.py`` draw, mapped to pixels as
   ``svgplot.render_plot`` maps them, in ns per coordinate.
+- Validate: both routes over the default ``validate`` grid (18
+  configurations) at 50 times, as ``validate --gt-max 25`` runs them, in ns
+  per (configuration, time) row.  Each route is timed configuration by
+  configuration (``dynamics.states``, ``oracle.oracle_joint_density``) and
+  stacked, one call per (dist_a, dist_b, delta) group
+  (``dynamics.stacked_states``, ``oracle.stacked_joint_density``).
 
 Run it from the repository root:
 
@@ -40,8 +46,9 @@ from typing import Callable
 
 import numpy as np
 
-from thermaljc import SystemParams, ThermalDistribution, dynamics, svgplot
+from thermaljc import SystemParams, ThermalDistribution, cli, dynamics, oracle, svgplot
 from thermaljc.cli import _JSON_ITEM_END, EPE_HEADER, TIMESERIES_HEADER, _series_columns
+from thermaljc.core import DEFAULT_EPSILON_TAIL
 from thermaljc.floattext import FloatText
 from thermaljc.sweep import time_series
 
@@ -125,6 +132,31 @@ def as_json(data: list[np.ndarray]) -> None:
         encode_all(text, [column])
 
 
+def validate_cases() -> tuple[int, dict[str, Callable[[], list]]]:
+    """The rows of the default validate grid at 50 times, and per case a call
+    that evaluates them all and returns its results in grid order."""
+    resolved = {"g": 1.0, "motion": True, "epsilon_tail": DEFAULT_EPSILON_TAIL,
+                **cli._VALIDATE_GRID}
+    configs = cli._scan_configs(resolved)
+    t = oracle.validation_times(configs[0][0], 25.0, 50)
+    groups: dict[tuple, list[SystemParams]] = {}
+    for params, dist_a, dist_b in configs:
+        groups.setdefault((dist_a, dist_b, params.delta), []).append(params)
+
+    def alone(route: Callable) -> Callable[[], list]:
+        return lambda: [route(*config, t) for config in configs]
+
+    def stacked(route: Callable) -> Callable[[], list]:
+        return lambda: [route(params, a, b, t) for (a, b, _), params in groups.items()]
+
+    return len(configs) * t.size, {
+        "closed form, by configuration": alone(dynamics.states),
+        "closed form, stacked": stacked(dynamics.stacked_states),
+        "oracle, by configuration": alone(oracle.oracle_joint_density),
+        "oracle, stacked": stacked(oracle.stacked_joint_density),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=9, help="timed calls per case (default 9)")
@@ -158,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     report(f"polylines ({len(curves)} curves, {2 * points} values)",
            lambda: [svgplot._polyline(mapper, xs, ys, "#000000") for mapper, xs, ys in curves],
            args.runs, 2 * points)
+    rows, cases = validate_cases()
+    for label, work in cases.items():
+        report(f"validate, {label} ({rows} rows)", work, args.runs, rows)
     return 0
 
 

@@ -26,7 +26,7 @@ from .core import (
     ThermalDistribution,
     TruncationError,
 )
-from .oracle import ORACLE_TOL, max_route_deviation, validation_times
+from .oracle import ORACLE_TOL, config_deviations, validation_times
 from .svgplot import render_plot
 from .sweep import TimeSeries, scan, time_series
 
@@ -62,8 +62,7 @@ class CsvFormatError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # the subparsers whose flags are not added yet, by subcommand
-    unflagged: dict[str, argparse.ArgumentParser]
+    commands: _LazyFlags  # the subcommand action of the top-level parser
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -471,13 +470,11 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
     # every configuration shares g and motion, hence the times
     times = validation_times(configs[0][0], resolved["gt_max"], resolved["times"])
     all_ok = True
-    for params, dist_a, dist_b in configs:
-        try:
-            deviation = max_route_deviation(params, dist_a, dist_b, times)
-        except (TruncationError, ValueError) as exc:
+    for (params, dist_a, dist_b), deviation in zip(configs, config_deviations(configs, times)):
+        if isinstance(deviation, Exception):
             if single:
-                raise
-            status, ok = f"FAILED ({exc})", False
+                raise deviation
+            status, ok = f"FAILED ({deviation})", False
         else:
             ok = deviation <= ORACLE_TOL
             status = f"max_deviation={deviation:.3e} {'ok' if ok else 'FAILED'}"
@@ -605,25 +602,38 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[str, dict], int], KeyTable, str]] = {
 
 
 class _LazyFlags(argparse._SubParsersAction):
-    """The subcommand action: argparse calls it with the name it chose, and
-    that subcommand gets its flags then, so a run pays for its own only."""
+    """The subcommand action.  It lists each subcommand by its name and help
+    alone; argparse calls it with the name it chose, and that subcommand's
+    parser and flags are built then, so a run pays for its own only."""
+
+    def add_subcommand(self, name: str, help_text: str) -> None:
+        """List ``name`` as ``add_parser(name, help=help_text)`` does, with its
+        parser left to be built."""
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_text))
+        self._name_parser_map[name] = None
+
+    def build(self, name: str) -> None:
+        """Build the parser of the listed ``name`` with its flags, once.  It
+        takes the name's place in the map, which keeps the listing's order."""
+        if self._name_parser_map[name] is None:
+            sub = self._name_parser_map[name] = self._parser_class(
+                prog=f"{self._prog_prefix} {name}", allow_abbrev=False)
+            _add_flags(sub, _SUBCOMMANDS[name][1])
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values[0] in parser.unflagged:
-            _add_flags(parser.unflagged.pop(values[0]), _SUBCOMMANDS[values[0]][1])
+        self.build(values[0])  # a name argparse has checked against the listing
         super().__call__(parser, namespace, values, option_string)
 
 
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser of the process: it holds no defaults, so calls share it.
-    Its subparsers start without flags; see ``_LazyFlags``."""
+    Its subcommands start without parsers; see ``_LazyFlags``."""
     parser = _Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, action=_LazyFlags)
-    parser.unflagged = {
-        name: commands.add_parser(name, allow_abbrev=False, help=help_text)
-        for name, (_, _, help_text) in _SUBCOMMANDS.items()
-    }
+    for name, (_, _, help_text) in _SUBCOMMANDS.items():
+        commands.add_subcommand(name, help_text)
+    parser.commands = commands
     return parser
 
 

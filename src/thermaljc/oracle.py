@@ -26,7 +26,7 @@ two routes checks the algebra rather than restating it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,11 +35,12 @@ from .core import (
     TRACE_TOL,
     SystemParams,
     ThermalDistribution,
+    TruncationError,
     XStates,
     check_times,
     check_x_states,
 )
-from .dynamics import states
+from .dynamics import stacked_states
 
 ORACLE_TOL = 1e-9
 X_STRUCTURE_TOL = 1e-12
@@ -58,6 +59,11 @@ _CHUNK_ELEMENTS = 1 << 15
 _SECTOR_BLOCK = 1 << 12
 # photon number of level l in the evolved |a, n>, less n, at [a, l]
 _PHOTON_SHIFT = np.array([[0, -1], [1, 0]])
+# Most rows of one stacked call of each route in config_deviations.  Stacking
+# saves the fixed cost of a call (about 0.1 ms per route at 50 times); a
+# budget keeps the stacked arrays small and lets a long grid run one
+# configuration at a time, as without stacking.
+_STACK_ROWS = 1 << 10
 
 
 def _mean_coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
@@ -219,20 +225,38 @@ def oracle_joint_density(
     a single time needs more.  A time's state is bit-identical in any grid.
     Returns the (times, 4, 4) stack in the basis (|gg>, |ge>, |eg>, |ee>), not
     validated; see :func:`joint_x_states`."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1:
-        raise ValueError(f"times must be a one-dimensional array, got shape {t.shape}")
-    g_eff = _mean_coupling(params, t)
+    return stacked_joint_density([params], dist_a, dist_b, t)
+
+
+def stacked_joint_density(
+    params: Sequence[SystemParams],
+    dist_a: ThermalDistribution,
+    dist_b: ThermalDistribution,
+    t: np.ndarray,
+) -> np.ndarray:
+    """:func:`oracle_joint_density` of every configuration ``params[j]`` at
+    every time of t, in one call: row j*t.size + i holds configuration j at
+    time i, bit-identical to that call.  Each configuration's g'(t) is formed
+    by the oracle's own formula; they must share delta, or ValueError is
+    raised.  A chunk holds one configuration's rows at most, so the working
+    memory is that of one configuration's call."""
+    grid = np.asarray(t, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
+    if len({config.delta for config in params}) != 1:
+        raise ValueError("stacked configurations must share one delta")
+    g_eff = np.concatenate([_mean_coupling(config, grid) for config in params])
+    t = np.tile(grid, len(params))
     probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
     count = max(p.size for p in probs)
-    step = max(1, _CHUNK_ELEMENTS // (4 * (min(count, _SECTOR_BLOCK) + 1)))
+    step = max(1, min(grid.size, _CHUNK_ELEMENTS // (4 * (min(count, _SECTOR_BLOCK) + 1))))
     rho = np.empty((t.size, 4, 4), dtype=complex)
     for lo in range(0, t.size, step):
         rows = slice(lo, lo + step)
         channels = [0.0] * len(probs)
         for first in range(0, count, _SECTOR_BLOCK):
             last = min(first + _SECTOR_BLOCK, count)
-            amp, photon = evolve_basis(g_eff[rows], params.delta, t[rows], first, last)
+            amp, photon = evolve_basis(g_eff[rows], params[0].delta, t[rows], first, last)
             for i, p in enumerate(probs):
                 if p.size > first:
                     channels[i] += field_traced_channel(amp, photon, p[first:last])
@@ -260,13 +284,66 @@ def max_route_deviation(
 ) -> float:
     """Largest elementwise gap between the closed form and the brute force,
     each evaluated over all times in one grid call."""
+    return float(route_deviations([params], dist_a, dist_b, times)[0])
+
+
+def route_deviations(
+    params: Sequence[SystemParams],
+    dist_a: ThermalDistribution,
+    dist_b: ThermalDistribution,
+    times: Iterable[float],
+) -> np.ndarray:
+    """:func:`max_route_deviation` of every configuration ``params[j]``, which
+    share delta, from one stacked call of each route over all their rows."""
     times = np.fromiter(times, dtype=float)
-    closed = states(params, dist_a, dist_b, times)
-    gap = oracle_joint_density(params, dist_a, dist_b, times)
+    closed = stacked_states(params, dist_a, dist_b, times)
+    gap = stacked_joint_density(params, dist_a, dist_b, times)
     for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
                       ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
         gap[:, i, j] -= x
-    return float(np.max(np.abs(gap), initial=0.0))
+    return np.max(np.abs(gap).reshape(len(params), -1), axis=1, initial=0.0)
+
+
+_Config = tuple[SystemParams, ThermalDistribution, ThermalDistribution]
+
+
+def config_deviations(configs: Sequence[_Config], times: np.ndarray) -> list[float | Exception]:
+    """:func:`max_route_deviation` of each configuration (params, dist_a,
+    dist_b), in order, or the TruncationError or ValueError its routes raise.
+
+    Configurations that share (dist_a, dist_b, delta) differ only where each
+    route forms g'(t), so :func:`route_deviations` stacks them, as many as
+    fit in ``_STACK_ROWS`` rows per call: a grid longer than half of that
+    runs one configuration at a time.  A stacked call that raises is re-run
+    one configuration at a time, so a failure is reported, with its own
+    text, by the configurations that raise it."""
+    per_call = max(1, _STACK_ROWS // max(len(times), 1))
+    groups: dict[tuple, list[int]] = {}
+    for index, (params, dist_a, dist_b) in enumerate(configs):
+        groups.setdefault((dist_a, dist_b, params.delta), []).append(index)
+    results: list[float | Exception] = [0.0] * len(configs)
+    for (dist_a, dist_b, _), members in groups.items():
+        for lo in range(0, len(members), per_call):
+            chunk = members[lo : lo + per_call]
+            params = [configs[index][0] for index in chunk]
+            for index, result in zip(chunk, _deviations(params, dist_a, dist_b, times)):
+                results[index] = result
+    return results
+
+
+def _deviations(
+    params: list[SystemParams],
+    dist_a: ThermalDistribution,
+    dist_b: ThermalDistribution,
+    times: np.ndarray,
+) -> list[float | Exception]:
+    try:
+        return route_deviations(params, dist_a, dist_b, times).tolist()
+    except (TruncationError, ValueError) as exc:
+        if len(params) == 1:
+            return [exc]
+        return [result for config in params
+                for result in _deviations([config], dist_a, dist_b, times)]
 
 
 def validation_times(params: SystemParams, gt_max: float, times: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermaljc
-from thermaljc import cli
+from thermaljc import cli, oracle
 from thermaljc.cli import (
     _READ_ROWS,
     EPE_HEADER,
@@ -210,7 +210,7 @@ class TestValidate:
         def broken(*args):
             raise ValueError("populations outside [0, 1]")
 
-        monkeypatch.setattr(cli, "max_route_deviation", broken)
+        monkeypatch.setattr(oracle, "route_deviations", broken)
         assert main(["validate", "--kbar", "0.1", "--times", "2"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "usage error: populations outside [0, 1]\n")
@@ -933,6 +933,11 @@ class TestBlockReader:
         }
 
 
+def _unbuilt(parser) -> set[str]:
+    """The subcommands whose parsers are not built yet."""
+    return {name for name, sub in parser.commands.choices.items() if sub is None}
+
+
 class TestParserReuse:
     """One parser serves every call of a process; it keeps nothing between them."""
 
@@ -989,7 +994,7 @@ class TestParserReuse:
         _build_parser.cache_clear()
         parser = _build_parser()
         for name in names:  # every subcommand's flags at once, before any call
-            cli._add_flags(parser.unflagged.pop(name), cli._SUBCOMMANDS[name][1])
+            parser.commands.build(name)
         at_once = self._helps(capsys, names)
         np.random.default_rng(seed).shuffle(names)
         _build_parser.cache_clear()
@@ -999,6 +1004,27 @@ class TestParserReuse:
             _build_parser.cache_clear()
         assert all(f"thermaljc {name} [-h]" in at_once[name] for name in names)
         assert "--config FILE" in at_once["plot"] and "--times" in at_once["validate"]
+
+    def test_help_and_an_unknown_name_read_as_with_every_parser_built(self, capsys):
+        # argparse's own way: every subparser made up front by add_parser
+        eager = cli._Parser(prog="thermaljc", allow_abbrev=False, description=cli.__doc__)
+        commands = eager.add_subparsers(dest="command", required=True)
+        subs = {name: commands.add_parser(name, allow_abbrev=False, help=help_text)
+                for name, (_, _, help_text) in cli._SUBCOMMANDS.items()}
+        for name, sub in subs.items():
+            cli._add_flags(sub, cli._SUBCOMMANDS[name][1])
+        _build_parser.cache_clear()
+        try:
+            texts = self._helps(capsys, list(subs))
+            assert texts["--help"] == eager.format_help()
+            assert all(texts[name] == sub.format_help() for name, sub in subs.items())
+            for argv in (["transmogrify"], ["tim", "--help"], []):
+                with pytest.raises(cli.UsageError) as expected:
+                    eager.parse_args(argv)
+                assert main(argv) == 1
+                assert capsys.readouterr().err == f"usage error: {expected.value}\n"
+        finally:
+            _build_parser.cache_clear()
 
     @pytest.mark.parametrize(
         "argv, flagged",
@@ -1017,7 +1043,7 @@ class TestParserReuse:
                 main(argv)
             except SystemExit:
                 pass
-            assert set(cli._SUBCOMMANDS) - set(_build_parser().unflagged) == flagged
+            assert set(cli._SUBCOMMANDS) - _unbuilt(_build_parser()) == flagged
         finally:
             _build_parser.cache_clear()
 
@@ -1029,7 +1055,7 @@ class TestParserReuse:
             assert main(["--", "validate", "--times", "2"]) == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error: ") and err.count("\n") == 1
-            assert set(_build_parser().unflagged) == set(cli._SUBCOMMANDS)
+            assert _unbuilt(_build_parser()) == set(cli._SUBCOMMANDS)
         finally:
             _build_parser.cache_clear()
 

@@ -1011,6 +1011,28 @@ class TestHalfAngleFactors:
                 value, exact = getattr(got, name)[i], getattr(want, name)
                 assert abs(value - exact) <= 1e-15 * abs(exact), (name, t)
 
+    @pytest.mark.parametrize("delta", [1e-160, -1e-160])
+    @pytest.mark.parametrize("kbar", [0.0, 0.1])
+    def test_sector_zero_keeps_its_frequency_where_delta_squared_is_subnormal(
+        self, delta, kbar
+    ):
+        # at phases delta*t of order 1, sqrt(delta^2) as sector 0's frequency
+        # (5.6e-6 off) made the coherence outgrow the populations and states
+        # raise; |delta| meets the oracle to 2.2e-16 here
+        params, dist = SystemParams(delta=delta, motion_enabled=False), _dist(kbar)
+        grid = np.array([1e159, 3e159])
+        got = states(params, dist, dist, grid)
+        for i, t in enumerate(grid):
+            want = oracle_density_matrix(params, dist, dist, t)
+            for name, exact in want._asdict().items():
+                assert abs(getattr(got, name)[i] - exact) <= 4.5e-16, (name, t)
+
+    def test_sector_zero_frequency_is_sqrt_delta_squared_where_that_is_normal(self):
+        # so |delta| moves no bit of a state whose delta^2 is normal
+        delta = np.concatenate([10.0 ** np.random.default_rng(12).uniform(-150, 150, 10**5),
+                                [1.5e-154, PARAM_LIMIT]])
+        assert np.array_equal(np.sqrt(delta * delta), delta)
+
     @pytest.mark.parametrize("g", [1e10, PARAM_LIMIT], ids=["1e10", "limit"])
     @pytest.mark.parametrize("delta", [1.0, -1e-150, 1e-160, PARAM_LIMIT],
                              ids=["1", "-1e-150", "1e-160", "limit"])

@@ -4,6 +4,11 @@ Headers, JSON keys, strings, integer cells and blank cells must match the
 stored file exactly; floats must agree to 1e-14 (relative above 1).  Exact
 bytes are not required because ``np.tan`` is a SIMD loop on some hosts and
 libm on others, so the last digit of a float may differ between machines.
+
+The standard output of ``validate`` is compared byte for byte: it shows each
+route gap to three digits, so a change in how the routes group their calls
+shows as a changed line.  The gaps are a few ulps, so a host whose ``np.tan``
+rounds differently may print other digits there.
 """
 
 import json
@@ -37,6 +42,14 @@ RUNS = {
     "scan_crossed.csv": [
         "scan", "--p", "1,4", "--kbar", "0,0.1,0.5", "--delta", "0,1", "--gt-max", "25",
         *STEPS,
+    ],
+}
+
+# stored file -> the validate call whose standard output it holds
+VALIDATE_RUNS = {
+    "validate_grid.txt": ["validate", "--gt-max", "25"],
+    "validate_p4_kbar0.5_lbar0.1_delta1.txt": [
+        "validate", "--kbar", "0.5", "--lbar", "0.1", "--delta", "1", "--p", "4",
     ],
 }
 
@@ -84,7 +97,7 @@ def _compare_json(actual: object, expected: object, where: str = "$") -> None:
 
 def test_the_golden_set_stays_small():
     stored = sorted(path.name for path in GOLDEN.iterdir())
-    assert stored == sorted(RUNS)
+    assert stored == sorted([*RUNS, *VALIDATE_RUNS])
     assert sum(path.stat().st_size for path in GOLDEN.iterdir()) < 100_000
 
 
@@ -99,3 +112,10 @@ def test_the_cli_reproduces_the_golden_run(name, tmp_path, monkeypatch):
         _compare_json(json.loads(actual), json.loads(expected))
     else:
         _compare_csv(actual, expected)
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_RUNS))
+def test_validate_prints_the_golden_lines(name, capsys, monkeypatch):
+    monkeypatch.delenv("THERMALJC_EPSILON_TAIL", raising=False)
+    assert main(VALIDATE_RUNS[name]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -1,10 +1,11 @@
-"""The layer-timing harness ``scripts/layer_timing.py``, without the kernel."""
+"""The layer-timing harness ``scripts/layer_timing.py``, on its small cases."""
 
 import importlib.util
 import pathlib
 import re
 import time
 
+import numpy as np
 import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "layer_timing.py"
@@ -45,3 +46,26 @@ def test_report_prints_the_median_quartiles_slowest_and_traced_peak(capsys, valu
     assert slowest >= 0.05 * (1e9 / values if values else 1.0)
     assert median > 0.0
     assert float(match[5]) >= 1.0  # the megabyte each call allocates
+
+
+def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
+    rows, cases = _script().validate_cases()
+    assert rows == 18 * 50
+    assert list(cases) == ["closed form, by configuration", "closed form, stacked",
+                           "oracle, by configuration", "oracle, stacked"]
+    results = {label: work() for label, work in cases.items()}
+    assert len(results["closed form, by configuration"]) == 18
+    assert len(results["closed form, stacked"]) == 9  # one call per (cavities, delta)
+    # the stacked groups hold p 1 and 4 of each (cavities, delta), in grid order
+    alone = results["oracle, by configuration"]
+    stacked = np.concatenate(results["oracle, stacked"])
+    assert stacked.tobytes() == np.concatenate(
+        [matrix for k in range(9) for matrix in (alone[k], alone[k + 9])]).tobytes()
+    closed = [np.concatenate(fields) for fields in zip(*results["closed form, stacked"])]
+    pairs = [(results["closed form, by configuration"][k],
+              results["closed form, by configuration"][k + 9]) for k in range(9)]
+    for field, got in enumerate(closed):
+        want = np.concatenate([x[field] for pair in pairs for x in pair])
+        assert got.tobytes() == want.tobytes()
+    _script().report("validate, oracle, stacked", cases["oracle, stacked"], 2, rows)
+    assert capsys.readouterr().out.startswith("validate, oracle, stacked: median ")

@@ -23,6 +23,7 @@ from thermaljc import (
     density_matrix,
     states,
 )
+from thermaljc.core import DEFAULT_EPSILON_TAIL
 from thermaljc.dynamics import effective_coupling
 from thermaljc.oracle import (
     _CHUNK_ELEMENTS,
@@ -37,7 +38,7 @@ from thermaljc.oracle import (
     sector_hamiltonians,
     validation_times,
 )
-from thermaljc import cli, dynamics
+from thermaljc import cli, dynamics, oracle
 from thermaljc.cli import main as cli_main
 
 from helpers import (
@@ -667,7 +668,8 @@ class TestRouteAgreement:
     def test_validation_result_failure_handling(self, monkeypatch, capsys):
         for deviation, verdict in ((1e-12, "ok"), (1e-6, "FAILED"),
                                    (math.nan, "FAILED"), (math.inf, "FAILED")):
-            monkeypatch.setattr(cli, "max_route_deviation", lambda *args: deviation)
+            monkeypatch.setattr(oracle, "route_deviations",
+                                lambda params, *args: np.full(len(params), deviation))
             rc = cli_main(["validate", "--kbar", "0.1", "--times", "2"])
             assert capsys.readouterr().out == (
                 f"p=1 kbar=0.1 lbar=0.1 delta=0.0 max_deviation={deviation:.3e} {verdict}\n"
@@ -677,7 +679,7 @@ class TestRouteAgreement:
         def broken(*args):
             raise TruncationError("tail")
 
-        monkeypatch.setattr(cli, "max_route_deviation", broken)
+        monkeypatch.setattr(oracle, "route_deviations", broken)
         assert cli_main(["validate", "--times", "2"]) == 3  # grid mode: every line FAILED
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 19
@@ -686,6 +688,114 @@ class TestRouteAgreement:
         assert cli_main(["validate", "--kbar", "0.1", "--times", "2"]) == 3  # single mode
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "validation failure: tail\n")
+
+
+def _validate_grid(times=50):
+    """The configurations and times of ``validate --gt-max 25``, with the
+    configurations by (dist_a, dist_b, delta)."""
+    resolved = {"g": 1.0, "motion": True, "epsilon_tail": DEFAULT_EPSILON_TAIL,
+                **cli._VALIDATE_GRID}
+    configs = cli._scan_configs(resolved)
+    groups = {}
+    for params, dist_a, dist_b in configs:
+        groups.setdefault((dist_a, dist_b, params.delta), []).append(params)
+    return configs, groups, validation_times(configs[0][0], 25.0, times)
+
+
+class TestStackedRoutes:
+    """validate stacks the configurations that share the cavities and delta
+    into one call of each route, up to oracle._STACK_ROWS rows."""
+
+    def test_stacked_rows_are_each_configuration_alone_bit_for_bit(self):
+        _, groups, t = _validate_grid()
+        assert len(groups) == 9 and all(len(params) == 2 for params in groups.values())
+        for (dist_a, dist_b, _), params in groups.items():
+            closed = dynamics.stacked_states(params, dist_a, dist_b, t)
+            brute = oracle.stacked_joint_density(params, dist_a, dist_b, t)
+            for j, config in enumerate(params):
+                rows = slice(j * t.size, (j + 1) * t.size)
+                alone = states(config, dist_a, dist_b, t)
+                for name, stacked, x in zip(XStates._fields, closed, alone):
+                    assert stacked[rows].tobytes() == x.tobytes(), (config, name)
+                alone = oracle_joint_density(config, dist_a, dist_b, t)
+                assert brute[rows].tobytes() == alone.tobytes(), config
+
+    def test_deviations_are_those_of_each_configuration_alone(self):
+        configs, _, t = _validate_grid()
+        alone = [max_route_deviation(params, dist_a, dist_b, t)
+                 for params, dist_a, dist_b in configs]
+        assert oracle.config_deviations(configs, t) == alone
+
+    def test_stacked_configurations_must_share_delta(self):
+        dist, t = _dist(0.1), np.linspace(0.0, 2.0, 3)
+        mixed = [SystemParams(delta=0.0), SystemParams(delta=1.0)]
+        for stacked in (dynamics.stacked_states, oracle.stacked_joint_density):
+            with pytest.raises(ValueError, match="share one delta"):
+                stacked(mixed, dist, dist, t)
+            with pytest.raises(ValueError, match="share one delta"):
+                stacked([], dist, dist, t)
+
+    def test_the_grid_makes_one_call_per_group_within_the_row_budget(self, monkeypatch, capsys):
+        sizes = []
+        route_deviations = oracle.route_deviations
+
+        def spy(params, *args):
+            sizes.append(len(params))
+            return route_deviations(params, *args)
+
+        monkeypatch.setattr(oracle, "route_deviations", spy)
+        assert cli_main(["validate", "--gt-max", "25"]) == 0
+        assert sizes == [2] * 9
+        sizes.clear()
+        # two configurations of 513 times pass the 1024-row budget
+        assert cli_main(["validate", "--gt-max", "25", "--times", "513"]) == 0
+        assert sizes == [1] * 18
+        assert capsys.readouterr().out.count(" ok\n") == 36
+
+    def test_past_the_row_budget_the_peak_does_not_grow_with_the_p_values(self):
+        dist, t, peaks = _dist(0.5), np.linspace(0.0, 25.0, 1025), []
+        for count in (1, 2, 4, 8):
+            configs = [(SystemParams(p=p, delta=1.0), dist, dist) for p in range(1, count + 1)]
+            oracle.config_deviations(configs, t)  # warm caches
+            tracemalloc.start()
+            try:
+                oracle.config_deviations(configs, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 2.02 MB at each count: the kernel's workspace and one configuration
+        assert max(peaks) - min(peaks) <= 4096, peaks
+
+    @pytest.mark.parametrize("failure", ["nan-coupling", "truncation", "wrong-coupling"])
+    def test_a_failing_configuration_reads_as_it_does_alone(self, monkeypatch, capsys, failure):
+        # p = 4 fails in every group, p = 1 does not; a budget of one row
+        # runs every configuration alone, as before stacking
+        coupling, check = dynamics._coupling, dynamics.check_x_states
+
+        def mutated(params, t):
+            scale = {"wrong-coupling": 1.001}.get(failure, math.nan)
+            return coupling(params, t) * (scale if params.p == 4 else 1.0)
+
+        def check_trace(state):
+            if np.isnan(state.x1).any():
+                raise TruncationError("trace is nan")
+            check(state)
+
+        monkeypatch.setattr(dynamics, "_coupling", mutated)
+        if failure == "truncation":
+            monkeypatch.setattr(dynamics, "check_x_states", check_trace)
+        outputs = []
+        for budget in (oracle._STACK_ROWS, 1):
+            monkeypatch.setattr(oracle, "_STACK_ROWS", budget)
+            assert cli_main(["validate", "--gt-max", "25"]) == 3
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert [line.endswith(" ok") for line in lines[:18]] == [True] * 9 + [False] * 9
+        reason = {"nan-coupling": "FAILED (populations outside [0, 1]: (nan, nan, nan, nan))",
+                  "truncation": "FAILED (trace is nan)"}.get(failure, "FAILED")
+        assert all(line.endswith(" " + reason) for line in lines[9:18])
+        assert lines[-1] == f"validate: FAILURES above (tolerance {ORACLE_TOL:g})"
 
 
 class TestIndependence:
