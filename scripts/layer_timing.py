@@ -26,10 +26,10 @@ whose kernel threads shared one CPU, which the quartiles can hide.
   ``svgplot.render_plot`` maps them, in ns per coordinate.
 - Validate: both routes over the default ``validate`` grid (18
   configurations) at 50 times, as ``validate --gt-max 25`` runs them, in ns
-  per (configuration, time) row.  Each route is timed configuration by
-  configuration (``dynamics.states``, ``oracle.oracle_joint_density``) and
-  stacked, one call per (dist_a, dist_b, delta) group
-  (``dynamics.stacked_states``, ``oracle.stacked_joint_density``).
+  per (configuration, time) row.  Each route is timed by configuration
+  (``dynamics.states``, ``oracle.oracle_joint_density``) and stacked per
+  delta, one call per delta (``dynamics.stacked_states``,
+  ``oracle.stacked_joint_density``).
 
 Run it from the repository root:
 
@@ -139,21 +139,21 @@ def validate_cases() -> tuple[int, dict[str, Callable[[], list]]]:
                 **cli._VALIDATE_GRID}
     configs = cli._scan_configs(resolved)
     t = oracle.validation_times(configs[0][0], 25.0, 50)
-    groups: dict[tuple, list[SystemParams]] = {}
-    for params, dist_a, dist_b in configs:
-        groups.setdefault((dist_a, dist_b, params.delta), []).append(params)
+    groups: dict[float, list[tuple]] = {}
+    for config in configs:
+        groups.setdefault(config[0].delta, []).append(config)
 
     def alone(route: Callable) -> Callable[[], list]:
         return lambda: [route(*config, t) for config in configs]
 
     def stacked(route: Callable) -> Callable[[], list]:
-        return lambda: [route(params, a, b, t) for (a, b, _), params in groups.items()]
+        return lambda: [route(group, t) for group in groups.values()]
 
     return len(configs) * t.size, {
         "closed form, by configuration": alone(dynamics.states),
-        "closed form, stacked": stacked(dynamics.stacked_states),
+        "closed form, stacked per delta": stacked(dynamics.stacked_states),
         "oracle, by configuration": alone(oracle.oracle_joint_density),
-        "oracle, stacked": stacked(oracle.stacked_joint_density),
+        "oracle, stacked per delta": stacked(oracle.stacked_joint_density),
     }
 
 

@@ -193,40 +193,50 @@ def states(
     is not a valid X state: TruncationError for a trace off 1 (the Fock
     truncation is too coarse), ValueError otherwise.
     """
-    return stacked_states([params], dist_a, dist_b, t)
+    return stacked_states([(params, dist_a, dist_b)], t)
 
 
 def stacked_states(
-    params: Sequence[SystemParams],
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
+    configs: Sequence[tuple[SystemParams, ThermalDistribution, ThermalDistribution]],
     t: np.ndarray,
 ) -> XStates:
-    """:func:`states` of every configuration ``params[j]`` at every time of
-    t, in one call: row j*t.size + i holds configuration j at time i, and
-    its elements are bit-identical to that call of :func:`states`.  The
-    configurations differ only where g'(t) is formed (p, g, motion), which a
-    band forms over each configuration's rows in it; they must share delta,
-    or ValueError is raised.  Raises what :func:`states` raises for any row."""
+    """:func:`states` of every configuration (params, dist_a, dist_b) of
+    ``configs`` at every time of t, in one call: row j*t.size + i holds
+    configuration j at time i, and its elements are bit-identical to that
+    call of :func:`states`.  The configurations must share delta, or
+    ValueError is raised.  A band forms g'(t) over each configuration's rows
+    in it.  The rows of one cavity pair run together and sum over the slices
+    of that pair's own call, cut at its two cutoffs alone.  Raises what
+    :func:`states` raises for any row."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
     check_times(grid)
-    if len({config.delta for config in params}) != 1:
+    if len({params.delta for params, _, _ in configs}) != 1:
         raise ValueError("stacked configurations must share one delta")
+    pairs: dict[tuple, list[int]] = {}
+    for j, (_, dist_a, dist_b) in enumerate(configs):
+        pairs.setdefault((dist_a, dist_b), []).append(j)
+    order = [j for members in pairs.values() for j in members]  # configurations by row
+    params = [configs[j][0] for j in order]
     delta, size = params[0].delta, grid.size
     t = grid if len(params) == 1 else np.tile(grid, len(params))  # the rows
 
     def coupling(first: int, last: int) -> np.ndarray:
-        """g'(t) of the rows [first, last)."""
-        parts = [_coupling(params[j], grid[max(first - j * size, 0) : last - j * size])
-                 for j in range(first // size, -(-last // size))]
+        """g'(t) of the rows [first, last), formed once per params and times."""
+        parts, known = [], {}
+        for j in range(first // size, -(-last // size)):
+            key = (params[j], max(first - j * size, 0), min(last - j * size, size))
+            if key not in known:
+                known[key] = _coupling(params[j], grid[key[1] : key[2]])
+            parts.append(known[key])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
-    totals = [float(np.sum(p)) for p in probs]
-    count = max(p.size for p in probs) + 1  # sectors 0..N + 1 of the wider cavity
-    ends = sorted({*range(0, count - 1, _SECTOR_BLOCK), *(p.size for p in probs)})
+    # per pair, the probabilities of each distinct cavity; a band holds the
+    # sums of one cavity per row, or of two when any pair is unequal
+    cavities = [[a.probabilities()] + ([] if b == a else [b.probabilities()]) for a, b in pairs]
+    slots = max(map(len, cavities))
+    count = max(p.size for probs in cavities for p in probs) + 1  # sectors 0..N + 1 of the widest
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = sorted(affinity(0)) if affinity else list(range(os.cpu_count() or 1))
     workers = max(1, min(len(cpus), _MAX_WORKERS, t.size,
@@ -235,52 +245,75 @@ def stacked_states(
     bands = min(t.size, workers * -(-t.size // (workers * band_rows)))
     tall = -(-t.size // max(bands, 1))
     detuned = delta * delta > 0.0
-    # slice [lo, hi): its sectors n = lo..hi, rows per block, cavities reaching lo
-    slices = [(np.arange(lo, hi + 1.0), max(1, min(tall, _BLOCK_ELEMENTS // (hi - lo + 1))),
-               [(i, p[lo:hi]) for i, p in enumerate(probs) if p.size > lo])
-              for lo, hi in zip(ends, ends[1:])]
+    # per pair: its rows [first, last), its cavity count, sum(P) per slot, and
+    # per slice [lo, hi) of photon numbers (cut at every _SECTOR_BLOCK and at
+    # the pair's cutoffs) its sectors n = lo..hi, rows per block and cavities
+    # reaching lo
+    spans = []
+    for probs, members in zip(cavities, pairs.values()):
+        first = spans[-1][1] if spans else 0
+        last = first + len(members) * size
+        mass = [[float(np.sum(p))] for p in (probs[0], probs[-1])[:slots]]
+        ends = sorted({*range(0, max(p.size for p in probs), _SECTOR_BLOCK),
+                       *(p.size for p in probs)})
+        slices = [(np.arange(lo, hi + 1.0),
+                   max(1, min(tall, last - first, _BLOCK_ELEMENTS // (hi - lo + 1))),
+                   [(i, p[lo:hi]) for i, p in enumerate(probs) if p.size > lo])
+                  for lo, hi in zip(ends, ends[1:])]
+        spans.append((first, last, len(probs), mass, slices))
     x1, x2, x5, x6 = (np.empty(t.size) for _ in range(4))
     x3 = np.empty(t.size, dtype=complex)
 
     def work(worker: int) -> None:
         # three arrays 64-byte apart, so that SIMD loops see them equally aligned
-        ws = np.empty((3, -(-max(h * n.size for n, h, _ in slices) // 8) * 8))
-        blocks = [ws[:, : h * n.size].reshape(3, h, n.size) for n, h, _ in slices]
-        # per cavity and band row, with swap the transfer probability and
-        # w = delta*s/l: sum(P*swap) over ground and excited sectors, then
-        # sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over sectors n, n + 1,
-        # when detuned without their factors 4*g'^2/l1^2, (delta/l1)^2 or
-        # delta/l1 until the band's slices are summed
-        sums, part = np.zeros((2, len(probs), 6, tall))
+        ws = np.empty((3, -(-max(h * n.size for *_, slices in spans for n, h, _ in slices)
+                             // 8) * 8))
+        # per slot (cavity A, then B) and band row, with swap the transfer
+        # probability and w = delta*s/l: sum(P*swap) over ground and excited
+        # sectors, then sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over
+        # sectors n, n + 1, when detuned without their factors 4*g'^2/l1^2,
+        # (delta/l1)^2 or delta/l1 until the band's slices are summed
+        sums = np.zeros((slots, 6, tall))
+        part = np.zeros_like(sums) if max(len(slices) for *_, slices in spans) > 1 else None
+        totals = np.empty((slots, tall if len(spans) > 1 else 1))  # one column broadcasts
         for k in range(worker, bands, workers):
             first, last = k * t.size // bands, (k + 1) * t.size // bands
             g_eff = coupling(first, last)
             g4, quarter_t = 4.0 * g_eff * g_eff, 0.25 * t[first:last]
-            for (n, h, cavities), block in zip(slices, blocks):
-                acc = part if n[0] else sums
-                # per cavity: P_n and the weights of the two transfer sums,
-                # P_n*n and P_n*(n + 1) when detuned and P_n otherwise, formed
-                # per slice so that no buffer grows with the cutoff.  Detuned,
-                # the ground sum leaves out sector 0: its weight is 0, but its
-                # v = l1*t/2 near 0 can square to infinity
-                skip = int(detuned and n[0] == 0.0)
-                weights = [(i, pk, pk[skip:] * n[skip:-1], pk * n[1:]) if detuned
-                           else (i, pk, pk, pk) for i, pk in cavities]
-                for r0 in range(0, last - first, h):
-                    rows = slice(r0, min(r0 + h, last - first))
-                    _, v, c = view = block[:, : rows.stop - r0]
-                    _factors(view, g4[rows], quarter_t[rows], n, delta)
-                    v0, v1, c0, c1 = v[:, :-1], v[:, 1:], c[:, :-1], c[:, 1:]
-                    vg = v[:, skip:-1]
-                    for i, pk, ground, excited in weights:
-                        terms = (((vg, vg, ground), (v1, v1, excited), (c0, c1, pk),
-                                  (v0, v1, pk), (c0, v1, pk), (v0, c1, pk))
-                                 if detuned else ((v0, ground), (v1, excited), (c0, c1, pk)))
-                        for total, operands in zip(acc[i, :, rows], terms):
-                            np.einsum(_SUMS[len(operands)], *operands, out=total)
-                if n[0]:
-                    for i, _ in cavities:
-                        sums[i, :, : last - first] += part[i, :, : last - first]
+            for start, stop, kinds, mass, slices in spans:
+                lo_row, hi_row = max(start, first) - first, min(stop, last) - first
+                if lo_row >= hi_row:
+                    continue
+                totals[:, lo_row:hi_row] = mass
+                for n, h, reaching in slices:
+                    acc = part if n[0] else sums
+                    block = ws[:, : h * n.size].reshape(3, h, n.size)
+                    # per cavity: P_n and the weights of the two transfer
+                    # sums, P_n*n and P_n*(n + 1) when detuned and P_n
+                    # otherwise, formed per slice so that no buffer grows with
+                    # the cutoff.  Detuned, the ground sum leaves out sector 0:
+                    # its weight is 0, but its v = l1*t/2 near 0 can square to
+                    # infinity
+                    skip = int(detuned and n[0] == 0.0)
+                    weights = [(i, pk, pk[skip:] * n[skip:-1], pk * n[1:]) if detuned
+                               else (i, pk, pk, pk) for i, pk in reaching]
+                    for r0 in range(lo_row, hi_row, h):
+                        rows = slice(r0, min(r0 + h, hi_row))
+                        _, v, c = view = block[:, : rows.stop - r0]
+                        _factors(view, g4[rows], quarter_t[rows], n, delta)
+                        v0, v1, c0, c1 = v[:, :-1], v[:, 1:], c[:, :-1], c[:, 1:]
+                        vg = v[:, skip:-1]
+                        for i, pk, ground, excited in weights:
+                            terms = (((vg, vg, ground), (v1, v1, excited), (c0, c1, pk),
+                                      (v0, v1, pk), (c0, v1, pk), (v0, c1, pk))
+                                     if detuned else ((v0, ground), (v1, excited), (c0, c1, pk)))
+                            for total, operands in zip(acc[i, :, rows], terms):
+                                np.einsum(_SUMS[len(operands)], *operands, out=total)
+                    if n[0]:
+                        for i, _ in reaching:
+                            sums[i, :, lo_row:hi_row] += part[i, :, lo_row:hi_row]
+                if kinds < slots:  # equal cavities among unequal: B's sums are A's
+                    sums[1, :, lo_row:hi_row] = sums[0, :, lo_row:hi_row]
             band = sums[:, :, : last - first]
             if detuned:
                 l1 = np.sqrt(g4 + delta * delta)
@@ -289,7 +322,7 @@ def stacked_states(
                 band[:, 3] *= delta / l1  # twice: (delta/l1)^2 alone can underflow
             sides = [
                 (total - sg, sg, total - se, se, cc - ww, cw + wc)
-                for total, (sg, se, cc, ww, cw, wc) in zip(totals, band)
+                for total, (sg, se, cc, ww, cw, wc) in zip(totals[:, : last - first], band)
             ]
             (ad, af, aa, ab, ar, ai), (bd, bf, ba, bb, br, bi) = sides[0], sides[-1]
             rows = slice(first, last)
@@ -304,6 +337,10 @@ def stacked_states(
 
     _spread(work, workers, cpus)
     state = XStates(x1, x2, x3, x5, x6)
+    if order != sorted(order):  # back to the order of configs
+        back = np.argsort(order)
+        for x in state:
+            x[:] = x.reshape(len(order), size)[back].ravel()
     check_x_states(state)
     return state
 

@@ -65,20 +65,25 @@ _PHOTON_SHIFT = np.array([[0, -1], [1, 0]])
 # configuration at a time, as without stacking.
 _STACK_ROWS = 1 << 10
 
+_Config = tuple[SystemParams, ThermalDistribution, ThermalDistribution]
+
 
 def _mean_coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
     """The paper's g'(t) = (1 - cos(p*g*t))/(p*t), the average of g*sin(p*g*tau)
     over [0, t] and 0 at t = 0, or g with motion off.
 
     The oracle's own formula: a wrong g'(t) in the closed form does not enter
-    both routes alike.  1 - cos cancels near t = 0 and at the revivals, which
-    costs about 1e-16 in the pulse area g'*t, what the state depends on at
-    delta = 0."""
+    both routes alike.  1 - cos cancels near t = 0 and at the revivals, so
+    where cos > 0.9 it is formed as sin^2/(1 + cos), which keeps the small
+    populations of early times relatively exact."""
     check_times(t)
     if not params.motion_enabled:
         return np.full(t.shape, params.g)
+    x = params.p * params.g * t
+    cos = np.cos(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t > 0.0, (1.0 - np.cos(params.p * params.g * t)) / (params.p * t), 0.0)
+        versine = np.where(cos > 0.9, np.sin(x) ** 2 / (1.0 + cos), 1.0 - cos)
+        return np.where(t > 0.0, versine / (params.p * t), 0.0)
 
 
 def sector_hamiltonians(g_eff: np.ndarray, delta: float, n: np.ndarray) -> np.ndarray:
@@ -225,43 +230,54 @@ def oracle_joint_density(
     a single time needs more.  A time's state is bit-identical in any grid.
     Returns the (times, 4, 4) stack in the basis (|gg>, |ge>, |eg>, |ee>), not
     validated; see :func:`joint_x_states`."""
-    return stacked_joint_density([params], dist_a, dist_b, t)
+    return stacked_joint_density([(params, dist_a, dist_b)], t)
 
 
-def stacked_joint_density(
-    params: Sequence[SystemParams],
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
-    t: np.ndarray,
-) -> np.ndarray:
-    """:func:`oracle_joint_density` of every configuration ``params[j]`` at
-    every time of t, in one call: row j*t.size + i holds configuration j at
-    time i, bit-identical to that call.  Each configuration's g'(t) is formed
-    by the oracle's own formula; they must share delta, or ValueError is
-    raised.  A chunk holds one configuration's rows at most, so the working
-    memory is that of one configuration's call."""
+def stacked_joint_density(configs: Sequence[_Config], t: np.ndarray) -> np.ndarray:
+    """:func:`oracle_joint_density` of every configuration (params, dist_a,
+    dist_b) of ``configs`` at every time of t, in one call: row j*t.size + i
+    holds configuration j at time i, bit-identical to that call.  They must
+    share delta, or ValueError is raised.  Per chunk of the times, the
+    configurations that share params share one evolution, over the widest of
+    their cutoffs, each distinct cavity's channel and one Bell product."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
-    if len({config.delta for config in params}) != 1:
+    if len({params.delta for params, _, _ in configs}) != 1:
         raise ValueError("stacked configurations must share one delta")
-    g_eff = np.concatenate([_mean_coupling(config, grid) for config in params])
-    t = np.tile(grid, len(params))
-    probs = [dist_a.probabilities()] + ([] if dist_b == dist_a else [dist_b.probabilities()])
-    count = max(p.size for p in probs)
-    step = max(1, min(grid.size, _CHUNK_ELEMENTS // (4 * (min(count, _SECTOR_BLOCK) + 1))))
-    rho = np.empty((t.size, 4, 4), dtype=complex)
-    for lo in range(0, t.size, step):
-        rows = slice(lo, lo + step)
-        channels = [0.0] * len(probs)
-        for first in range(0, count, _SECTOR_BLOCK):
-            last = min(first + _SECTOR_BLOCK, count)
-            amp, photon = evolve_basis(g_eff[rows], params[0].delta, t[rows], first, last)
-            for i, p in enumerate(probs):
-                if p.size > first:
-                    channels[i] += field_traced_channel(amp, photon, p[first:last])
-        rho[rows] = _bell_state(channels[0], channels[-1])
-    return rho
+    by_params: dict[SystemParams, list[int]] = {}
+    for j, (params, _, _) in enumerate(configs):
+        by_params.setdefault(params, []).append(j)
+    rho = np.empty((len(configs), grid.size, 4, 4), dtype=complex)
+    for params, members in by_params.items():
+        # widest first, so that no other channel is held while it is traced
+        dists = sorted(dict.fromkeys(dist for j in members for dist in configs[j][1:]),
+                       key=lambda dist: -dist.n_max)
+        sides = [[dists.index(dist) for dist in configs[j][1:]] for j in members]
+        probs = [dist.probabilities() for dist in dists]
+        g_eff = _mean_coupling(params, grid)
+        width = min(probs[0].size, _SECTOR_BLOCK) + 1  # sectors of one slice
+        step = max(1, min(grid.size, _CHUNK_ELEMENTS // (4 * width)))
+        for lo in range(0, grid.size, step):
+            rows = slice(lo, lo + step)
+            rho[members, rows] = _bell_state(
+                *_channels(g_eff[rows], params.delta, grid[rows], probs, sides)
+            ).reshape(len(members), -1, 4, 4)
+    return rho.reshape(-1, 4, 4)
+
+
+def _channels(g_eff: np.ndarray, delta: float, t: np.ndarray, probs: list, sides: list) -> list:
+    """Channels of cavities A and B, ``probs[sides[j]]``, of each configuration
+    j, each side stacked over j.  One evolution over the widest cutoff,
+    ``probs[0]``, serves every cavity, each over its own slices."""
+    channels = [0.0] * len(probs)
+    for first in range(0, probs[0].size, _SECTOR_BLOCK):
+        last = min(first + _SECTOR_BLOCK, probs[0].size)
+        amp, photon = evolve_basis(g_eff, delta, t, first, last)
+        for i, p in enumerate(probs):
+            if p.size > first:
+                channels[i] += field_traced_channel(amp, photon, p[first:last])
+    return [np.concatenate([channels[i] for i in side]) for side in zip(*sides)]
 
 
 def oracle_density_matrix(
@@ -284,66 +300,52 @@ def max_route_deviation(
 ) -> float:
     """Largest elementwise gap between the closed form and the brute force,
     each evaluated over all times in one grid call."""
-    return float(route_deviations([params], dist_a, dist_b, times)[0])
+    return float(route_deviations([(params, dist_a, dist_b)], times)[0])
 
 
-def route_deviations(
-    params: Sequence[SystemParams],
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
-    times: Iterable[float],
-) -> np.ndarray:
-    """:func:`max_route_deviation` of every configuration ``params[j]``, which
-    share delta, from one stacked call of each route over all their rows."""
+def route_deviations(configs: Sequence[_Config], times: Iterable[float]) -> np.ndarray:
+    """:func:`max_route_deviation` of every configuration (params, dist_a,
+    dist_b), which share delta, from one stacked call of each route over all
+    their rows."""
     times = np.fromiter(times, dtype=float)
-    closed = stacked_states(params, dist_a, dist_b, times)
-    gap = stacked_joint_density(params, dist_a, dist_b, times)
+    closed = stacked_states(configs, times)
+    gap = stacked_joint_density(configs, times)
     for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
                       ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
         gap[:, i, j] -= x
-    return np.max(np.abs(gap).reshape(len(params), -1), axis=1, initial=0.0)
-
-
-_Config = tuple[SystemParams, ThermalDistribution, ThermalDistribution]
+    return np.max(np.abs(gap).reshape(len(configs), -1), axis=1, initial=0.0)
 
 
 def config_deviations(configs: Sequence[_Config], times: np.ndarray) -> list[float | Exception]:
     """:func:`max_route_deviation` of each configuration (params, dist_a,
     dist_b), in order, or the TruncationError or ValueError its routes raise.
 
-    Configurations that share (dist_a, dist_b, delta) differ only where each
-    route forms g'(t), so :func:`route_deviations` stacks them, as many as
-    fit in ``_STACK_ROWS`` rows per call: a grid longer than half of that
-    runs one configuration at a time.  A stacked call that raises is re-run
-    one configuration at a time, so a failure is reported, with its own
-    text, by the configurations that raise it."""
+    Configurations that share delta are stacked by :func:`route_deviations`,
+    as many as fit in ``_STACK_ROWS`` rows per call: a grid longer than half
+    of that runs one configuration at a time.  A stacked call that raises is
+    re-run one configuration at a time, so a failure is reported, with its
+    own text, by the configurations that raise it."""
     per_call = max(1, _STACK_ROWS // max(len(times), 1))
-    groups: dict[tuple, list[int]] = {}
-    for index, (params, dist_a, dist_b) in enumerate(configs):
-        groups.setdefault((dist_a, dist_b, params.delta), []).append(index)
+    groups: dict[float, list[int]] = {}
+    for index, (params, _, _) in enumerate(configs):
+        groups.setdefault(params.delta, []).append(index)
     results: list[float | Exception] = [0.0] * len(configs)
-    for (dist_a, dist_b, _), members in groups.items():
+    for members in groups.values():
         for lo in range(0, len(members), per_call):
             chunk = members[lo : lo + per_call]
-            params = [configs[index][0] for index in chunk]
-            for index, result in zip(chunk, _deviations(params, dist_a, dist_b, times)):
+            deviations = _deviations([configs[index] for index in chunk], times)
+            for index, result in zip(chunk, deviations):
                 results[index] = result
     return results
 
 
-def _deviations(
-    params: list[SystemParams],
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
-    times: np.ndarray,
-) -> list[float | Exception]:
+def _deviations(configs: list[_Config], times: np.ndarray) -> list[float | Exception]:
     try:
-        return route_deviations(params, dist_a, dist_b, times).tolist()
+        return route_deviations(configs, times).tolist()
     except (TruncationError, ValueError) as exc:
-        if len(params) == 1:
+        if len(configs) == 1:
             return [exc]
-        return [result for config in params
-                for result in _deviations([config], dist_a, dist_b, times)]
+        return [result for config in configs for result in _deviations([config], times)]
 
 
 def validation_times(params: SystemParams, gt_max: float, times: int) -> np.ndarray:

@@ -51,6 +51,7 @@ VALIDATE_RUNS = {
     "validate_p4_kbar0.5_lbar0.1_delta1.txt": [
         "validate", "--kbar", "0.5", "--lbar", "0.1", "--delta", "1", "--p", "4",
     ],
+    "validate_no_motion_g1.7.txt": ["validate", "--no-motion", "--g", "1.7", "--gt-max", "25"],
 }
 
 

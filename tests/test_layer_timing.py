@@ -51,21 +51,22 @@ def test_report_prints_the_median_quartiles_slowest_and_traced_peak(capsys, valu
 def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
     rows, cases = _script().validate_cases()
     assert rows == 18 * 50
-    assert list(cases) == ["closed form, by configuration", "closed form, stacked",
-                           "oracle, by configuration", "oracle, stacked"]
+    assert list(cases) == ["closed form, by configuration", "closed form, stacked per delta",
+                           "oracle, by configuration", "oracle, stacked per delta"]
     results = {label: work() for label, work in cases.items()}
     assert len(results["closed form, by configuration"]) == 18
-    assert len(results["closed form, stacked"]) == 9  # one call per (cavities, delta)
-    # the stacked groups hold p 1 and 4 of each (cavities, delta), in grid order
+    assert len(results["closed form, stacked per delta"]) == 3  # one call per delta
+    # the grid runs delta fastest, so configuration 3*k + d has delta number d
+    # and is number k of that delta's call
+    order = [3 * k + d for d in range(3) for k in range(6)]
     alone = results["oracle, by configuration"]
-    stacked = np.concatenate(results["oracle, stacked"])
-    assert stacked.tobytes() == np.concatenate(
-        [matrix for k in range(9) for matrix in (alone[k], alone[k + 9])]).tobytes()
-    closed = [np.concatenate(fields) for fields in zip(*results["closed form, stacked"])]
-    pairs = [(results["closed form, by configuration"][k],
-              results["closed form, by configuration"][k + 9]) for k in range(9)]
+    stacked = np.concatenate(results["oracle, stacked per delta"])
+    assert stacked.tobytes() == np.concatenate([alone[i] for i in order]).tobytes()
+    closed = [np.concatenate(fields) for fields in zip(*results["closed form, stacked per delta"])]
+    by_configuration = results["closed form, by configuration"]
     for field, got in enumerate(closed):
-        want = np.concatenate([x[field] for pair in pairs for x in pair])
+        want = np.concatenate([by_configuration[i][field] for i in order])
         assert got.tobytes() == want.tobytes()
-    _script().report("validate, oracle, stacked", cases["oracle, stacked"], 2, rows)
-    assert capsys.readouterr().out.startswith("validate, oracle, stacked: median ")
+    _script().report("validate, oracle, stacked per delta", cases["oracle, stacked per delta"],
+                     2, rows)
+    assert capsys.readouterr().out.startswith("validate, oracle, stacked per delta: median ")

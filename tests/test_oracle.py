@@ -584,15 +584,20 @@ class TestChunking:
 class TestBlasThreads:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         # the field trace and the Bell assembly go through np.matmul, and so
-        # through BLAS; one grid at kbar 50 and 0.5 (N = 1395 and 25)
+        # through BLAS; one grid at kbar 50 and 0.5 (N = 1395 and 25), then a
+        # per-delta call whose Bell product spans two pairs at p 1 and 4
         script = (
             "import hashlib, numpy as np\n"
             "from thermaljc import SystemParams, ThermalDistribution\n"
-            "from thermaljc.oracle import oracle_joint_density\n"
-            "rho = oracle_joint_density(SystemParams(delta=1.0),\n"
-            "    ThermalDistribution.from_mean(50.0), ThermalDistribution.from_mean(0.5),\n"
-            "    np.linspace(0.0, 25.0, 200))\n"
-            "print(hashlib.sha256(rho.tobytes()).hexdigest())\n"
+            "from thermaljc.oracle import oracle_joint_density, stacked_joint_density\n"
+            "hot, warm = ThermalDistribution.from_mean(50.0), ThermalDistribution.from_mean(0.5)\n"
+            "t = np.linspace(0.0, 25.0, 200)\n"
+            "rho = oracle_joint_density(SystemParams(delta=1.0), hot, warm, t)\n"
+            "configs = [(SystemParams(p=p, delta=1.0), a, b)\n"
+            "           for p in (1, 4) for a, b in ((hot, warm), (warm, warm))]\n"
+            "digest = hashlib.sha256(rho.tobytes())\n"
+            "digest.update(stacked_joint_density(configs, t).tobytes())\n"
+            "print(digest.hexdigest())\n"
         )
         src = str(Path(dynamics.__file__).resolve().parents[1])
         digests = []
@@ -640,6 +645,17 @@ class TestRouteAgreement:
         t = np.linspace(0.0, 25.0, 50) / params.g
         assert max_route_deviation(params, dist_a, dist_b, t) <= ORACLE_TOL
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_early_populations_agree_relatively_with_motion_on(self, delta):
+        # x1 grows as (g't)^2, 5.6e-49 at t = 1e-12, where a g'(t) formed as
+        # (1 - cos)/(pt) is 0 and costs 2e-4 relative at t = 1e-6
+        params, t = SystemParams(delta=delta), np.array([1e-12, 1e-8, 1e-6, 1e-3])
+        dist_a, dist_b = _dist(0.5), _dist(2.0)
+        closed = states(params, dist_a, dist_b, t).x1
+        brute = oracle_joint_density(params, dist_a, dist_b, t)[:, 0, 0].real
+        assert closed[0] == pytest.approx(5.625e-49, rel=1e-12)
+        assert np.all(np.abs(brute / closed - 1.0) <= 2e-15), brute / closed - 1.0
+
     def test_validation_grid_covers_all_configurations(self, capsys):
         assert cli_main(["validate", "--gt-max", "2", "--times", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -669,7 +685,7 @@ class TestRouteAgreement:
         for deviation, verdict in ((1e-12, "ok"), (1e-6, "FAILED"),
                                    (math.nan, "FAILED"), (math.inf, "FAILED")):
             monkeypatch.setattr(oracle, "route_deviations",
-                                lambda params, *args: np.full(len(params), deviation))
+                                lambda configs, *args: np.full(len(configs), deviation))
             rc = cli_main(["validate", "--kbar", "0.1", "--times", "2"])
             assert capsys.readouterr().out == (
                 f"p=1 kbar=0.1 lbar=0.1 delta=0.0 max_deviation={deviation:.3e} {verdict}\n"
@@ -692,33 +708,47 @@ class TestRouteAgreement:
 
 def _validate_grid(times=50):
     """The configurations and times of ``validate --gt-max 25``, with the
-    configurations by (dist_a, dist_b, delta)."""
+    configurations by delta."""
     resolved = {"g": 1.0, "motion": True, "epsilon_tail": DEFAULT_EPSILON_TAIL,
                 **cli._VALIDATE_GRID}
     configs = cli._scan_configs(resolved)
     groups = {}
-    for params, dist_a, dist_b in configs:
-        groups.setdefault((dist_a, dist_b, params.delta), []).append(params)
+    for config in configs:
+        groups.setdefault(config[0].delta, []).append(config)
     return configs, groups, validation_times(configs[0][0], 25.0, times)
 
 
+def _assert_rows_alone(configs, t):
+    """Both routes' stacked rows of ``configs`` equal each configuration's own
+    call, bit for bit."""
+    closed = dynamics.stacked_states(configs, t)
+    brute = oracle.stacked_joint_density(configs, t)
+    for j, config in enumerate(configs):
+        rows = slice(j * t.size, (j + 1) * t.size)
+        for name, stacked, x in zip(XStates._fields, closed, states(*config, t)):
+            assert stacked[rows].tobytes() == x.tobytes(), (config, name)
+        assert brute[rows].tobytes() == oracle_joint_density(*config, t).tobytes(), config
+
+
 class TestStackedRoutes:
-    """validate stacks the configurations that share the cavities and delta
-    into one call of each route, up to oracle._STACK_ROWS rows."""
+    """validate stacks the configurations that share delta into one call of
+    each route, up to oracle._STACK_ROWS rows."""
 
     def test_stacked_rows_are_each_configuration_alone_bit_for_bit(self):
         _, groups, t = _validate_grid()
-        assert len(groups) == 9 and all(len(params) == 2 for params in groups.values())
-        for (dist_a, dist_b, _), params in groups.items():
-            closed = dynamics.stacked_states(params, dist_a, dist_b, t)
-            brute = oracle.stacked_joint_density(params, dist_a, dist_b, t)
-            for j, config in enumerate(params):
-                rows = slice(j * t.size, (j + 1) * t.size)
-                alone = states(config, dist_a, dist_b, t)
-                for name, stacked, x in zip(XStates._fields, closed, alone):
-                    assert stacked[rows].tobytes() == x.tobytes(), (config, name)
-                alone = oracle_joint_density(config, dist_a, dist_b, t)
-                assert brute[rows].tobytes() == alone.tobytes(), config
+        assert len(groups) == 3 and all(len(configs) == 6 for configs in groups.values())
+        for configs in groups.values():
+            _assert_rows_alone(configs, t)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_a_cavity_in_an_unequal_and_an_equal_pair_keeps_each_pairs_bits(self, delta):
+        # 0.5 is cavity A of an unequal pair, whose sums are cut at both
+        # cutoffs, and both cavities of an equal pair; 0.1 likewise
+        t = np.linspace(0.0, 25.0, 50)
+        configs = [(SystemParams(p=p, delta=delta), _dist(a), _dist(b))
+                   for p in (1, 4) for a, b in ((0.5, 0.1), (0.5, 0.5), (0.1, 0.1))]
+        _assert_rows_alone(configs, t)
+        _assert_rows_alone(configs[::-1], t)
 
     def test_deviations_are_those_of_each_configuration_alone(self):
         configs, _, t = _validate_grid()
@@ -728,24 +758,24 @@ class TestStackedRoutes:
 
     def test_stacked_configurations_must_share_delta(self):
         dist, t = _dist(0.1), np.linspace(0.0, 2.0, 3)
-        mixed = [SystemParams(delta=0.0), SystemParams(delta=1.0)]
+        mixed = [(SystemParams(delta=0.0), dist, dist), (SystemParams(delta=1.0), dist, dist)]
         for stacked in (dynamics.stacked_states, oracle.stacked_joint_density):
             with pytest.raises(ValueError, match="share one delta"):
-                stacked(mixed, dist, dist, t)
+                stacked(mixed, t)
             with pytest.raises(ValueError, match="share one delta"):
-                stacked([], dist, dist, t)
+                stacked([], t)
 
     def test_the_grid_makes_one_call_per_group_within_the_row_budget(self, monkeypatch, capsys):
         sizes = []
         route_deviations = oracle.route_deviations
 
-        def spy(params, *args):
-            sizes.append(len(params))
-            return route_deviations(params, *args)
+        def spy(configs, *args):
+            sizes.append(len(configs))
+            return route_deviations(configs, *args)
 
         monkeypatch.setattr(oracle, "route_deviations", spy)
         assert cli_main(["validate", "--gt-max", "25"]) == 0
-        assert sizes == [2] * 9
+        assert sizes == [6] * 3
         sizes.clear()
         # two configurations of 513 times pass the 1024-row budget
         assert cli_main(["validate", "--gt-max", "25", "--times", "513"]) == 0
