@@ -17,6 +17,12 @@ whose kernel threads shared one CPU, which the quartiles can hide.
   none, this pass is skipped), then on the full set, and per grid the ratio of
   the two medians follows: the speed-up of the extra threads, whose
   workspaces raise the peak.
+- Threads: the six thermal sums of one ``hot_bath`` factor block (cavity A
+  over its widest slice, 47 times x 1371 sectors), repeated on two
+  workspaces, first by one thread, then by two threads pinned to the first
+  two CPUs of the affinity set, one workspace each, as the kernel pins its
+  workers; the ratio of the two medians follows.  Skipped without
+  ``os.sched_setaffinity`` or with fewer than 2 CPUs.
 - Encoder: ``FloatText.encode`` on the 11 ``timeseries`` columns of the
   ``hot_bath`` call, as the CSV writer calls it (a new encoder, one row of
   every column per block) and as the JSON writer does (one column at a time),
@@ -89,6 +95,57 @@ def kernel(grid: str) -> Callable[[], object]:
     dist_a, dist_b = (ThermalDistribution.from_mean(mean) for mean in means)
     t = params.times(np.linspace(0.0, 25.0, times))
     return lambda: dynamics.states(params, dist_a, dist_b, t)
+
+
+def block_sums() -> Callable[[], np.ndarray]:
+    """The six thermal sums of one full factor block of the ``hot_bath`` call,
+    in a workspace of its own: cavity A over its widest slice of sectors (past
+    cavity B's cutoff), at as many times from gt = 1 on as fill the block."""
+    params, (mean_a, mean_b), times = GRIDS["hot_bath"]
+    probs = ThermalDistribution.from_mean(mean_a).probabilities()
+    lo = ThermalDistribution.from_mean(mean_b).n_max + 1
+    n = np.arange(lo, probs.size + 1.0)
+    first, rows = times // 25, dynamics._BLOCK_ELEMENTS // n.size  # from gt = 1
+    t = params.times(np.linspace(0.0, 25.0, times))[first : first + rows]
+    g_eff = dynamics.effective_coupling(params, t)
+    ws = np.empty((2, t.size, n.size))
+    dynamics._factors(ws, 4.0 * g_eff * g_eff, 0.25 * t, n, params.delta)
+    (v0, v1), (c0, c1) = ((x[:, :-1], x[:, 1:]) for x in ws)
+    pk = probs[lo:]
+    terms = ((v0, v0, pk * n[:-1]), (v1, v1, pk * n[1:]), (c0, c1, pk),
+             (v0, v1, pk), (c0, v1, pk), (v0, c1, pk))
+    sums = np.empty((len(terms), t.size))
+
+    def run() -> np.ndarray:
+        for total, operands in zip(sums, terms):
+            np.einsum(dynamics._SUMS[3], *operands, out=total)
+        return sums
+
+    return run
+
+
+def threads(runs: int, repeats: int = 40) -> float | None:
+    """Time ``repeats`` rounds of :func:`block_sums` on each of two workspaces,
+    by one thread and then by two threads each pinned to its own CPU, print
+    both and their ratio, and return the ratio; None, with a note on stderr,
+    where two CPUs cannot be pinned."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if not hasattr(os, "sched_setaffinity") or len(cpus) < 2:
+        print("threads: needs os.sched_setaffinity and 2 CPUs: skipped", file=sys.stderr)
+        return None
+    blocks = [block_sums() for _ in range(2)]
+
+    def rounds(k: int) -> None:
+        for _ in range(repeats):
+            blocks[k]()
+
+    label = f"threads, {2 * repeats} rounds of one hot_bath block's six sums"
+    one = report(f"{label}, 1 thread", lambda: [rounds(k) for k in range(2)], runs)
+    # the kernel's own spread: two workers, each pinned to one of two CPUs
+    two = report(f"{label}, 2 threads on their own CPUs",
+                 lambda: dynamics._spread(rounds, 2, cpus[:2]), runs)
+    print(f"threads, ratio 1 thread / 2 threads: {one / two:.3f}")
+    return one / two
 
 
 def hot_bath_columns() -> list[np.ndarray]:
@@ -179,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         every = report(f"{grid}, {label}", kernel(grid), args.runs)
         if grid in one:
             print(f"{grid}, ratio 1 CPU / {label}: {one[grid] / every:.3f}")
+    threads(args.runs)
     data = hot_bath_columns()
     values = len(data) * len(data[0])
     csv = [b","] * (len(data) - 1) + [b"\n"]

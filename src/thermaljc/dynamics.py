@@ -19,23 +19,23 @@ import numpy as np
 from .core import SystemParams, ThermalDistribution, XStates, check_times, check_x_states
 
 # Entries of one (times x sectors) factor block.  It bounds the working memory
-# for any grid length and cutoff.  Each numpy call on a block hands the
-# interpreter lock between the workers once, so fewer, longer calls let a
-# second worker earn more; on 2 vCPUs with 2 MB of L2 cache per core, 2^16
-# beat both 2^15 and 2^17.
+# for any grid length and cutoff.  A numpy call runs its loop without the
+# interpreter lock but is set up under it, so fewer, longer calls let a second
+# worker earn more; on 2 vCPUs with 2 MB of L2 cache per core, 2^16 beat
+# both 2^15 (15-20 % slower) and 2^17.
 _BLOCK_ELEMENTS = 1 << 16
 # Whole factor blocks of the grid per worker thread.  A worker beyond the
-# caller costs a thread start, a fresh malloc arena and a 1.5 MiB workspace,
+# caller costs a thread start, a fresh malloc arena and a 1 MiB workspace,
 # which a grid of a few blocks does not earn back: on 2 vCPUs, in a fresh
 # process's first call, a second worker lost time at 2 to 5 blocks, tied at 6
 # and won from 9, and on the figure pipeline's 4.7-block grids (2001 times x
 # 153 sectors) it added about 1.9 MB to the pass's peak RSS (with a 2 MiB
 # workspace).
 _BLOCKS_PER_WORKER = 3
-# Most worker threads, whatever the CPU count.  einsum holds the interpreter
-# lock and takes about half of the one-thread kernel (52 % at hot_bath size);
-# the other calls can overlap it, so no worker count runs more than about
-# twice as fast as one, and more workers would add workspaces but little speed.
+# Most worker threads, whatever the CPU count, so that the workspaces stay
+# bounded on any machine.  The numpy loops, einsum's too, run without the
+# interpreter lock: two threads pinned to their own CPUs ran a hot_bath
+# block's six einsum sums 1.85 times as fast as one (1.0 unpinned on 2 vCPUs).
 _MAX_WORKERS = 4
 # Widest slice of photon numbers in one block.  The slices depend on the cutoffs
 # alone, so a time's sums accumulate in the same order in any grid.
@@ -79,43 +79,51 @@ def _coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
 def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarray,
              delta: float) -> None:
     """Factors of the sectors ``n`` at each row's 4*g'^2 and t/4, written into
-    the workspace ``ws`` = (scratch, v, c), each of shape (rows, n.size).
+    the workspace ``ws`` = (v, c), each of shape (rows, n.size).
 
     With l = sqrt(delta^2 + 4*g'^2*n) and s, c = sin, cos(l*t/2), a sector
     transfers with probability 4*g'^2*n*(s/l)^2 and its other branch has
     amplitude c + i*delta*s/l, exp(i*delta*t/2) at n = 0.  With u = tan(l*t/4),
     one SIMD loop where sin and cos are scalar, and d = 2/(1 + u^2): s = u*d,
     relatively exact near 0, and c = d - 1.  When delta^2 is not 0,
-    v = l1*(s/l), with l1 = sqrt(delta^2 + 4*g'^2) the l of sector 1, and the
+    v = ((l1/l)*u)*d = l1*(s/l), with l1 = sqrt(delta^2 + 4*g'^2) the l of
+    sector 1 (sector 0, whose l1/l can overflow, takes ((u*d)/l)*l1), and the
     factors 4*g'^2/l1^2 and delta/l1 are left to the sums.  v holds no
-    subtraction, is at most 1 from sector 1 on, and its square stays normal
-    wherever the transfer probability does, at any g; s/l alone is about
-    t/2, whose square underflows below t = 1e-154.  Otherwise v is the
-    transfer probability s^2.
+    subtraction, l1/l <= 1 from sector 1 on, and v^2 stays normal wherever the
+    transfer probability does, at any g; s/l alone is about t/2, whose square
+    underflows below t = 1e-154.  Otherwise v is the transfer probability s^2.
     """
-    s, v, c = ws  # v holds l until the last pass
+    v, c = ws
+    detuned = delta * delta > 0.0
+    sector0 = detuned and n[0] == 0.0
+    lam, u = (v, c) if detuned else (c, v)  # l, then the angle and its tangent
     # einsum forms the row-times-column products in about half the time of
     # a broadcasting ufunc, and without its 64 KiB iterator buffer per operand
-    np.einsum("i,j->ij", g4, n, out=v)
-    if delta * delta > 0.0:
-        np.add(v, delta * delta, out=v)
-    np.sqrt(v, out=v)
-    if delta * delta > 0.0 and n[0] == 0.0:
+    np.einsum("i,j->ij", g4, n, out=lam)
+    if detuned:
+        np.add(lam, delta * delta, out=lam)
+    np.sqrt(lam, out=lam)
+    if sector0:
         # sector 0's l is |delta|, which sqrt(delta^2) misses where delta^2
         # is subnormal (by 5.6e-6 relative at delta = 1e-160)
-        v[:, 0] = abs(delta)
-    np.einsum("ij,i->ij", v, quarter_t, out=c)
-    np.tan(c, out=s)
-    np.multiply(s, s, out=c)
+        lam[:, 0] = abs(delta)
+    np.einsum("ij,i->ij", lam, quarter_t, out=u)
+    np.tan(u, out=u)
+    if detuned:
+        l1 = np.sqrt(g4 + delta * delta)
+        if sector0:  # sector 0's u, and a finite l1/l until its own v is formed
+            u0, v[:, 0] = c[:, 0].copy(), l1
+        np.divide(l1[:, None], v, out=v)
+        np.multiply(v, c, out=v)
+    np.multiply(u, u, out=c)
     np.add(c, 1.0, out=c)
     np.divide(2.0, c, out=c)
-    np.multiply(s, c, out=s)
+    np.multiply(v, c, out=v)
+    if sector0:
+        v[:, 0] = u0 * c[:, 0] / abs(delta) * l1
     np.subtract(c, 1.0, out=c)
-    if delta * delta > 0.0:
-        np.divide(s, v, out=s)
-        np.einsum("ij,i->ij", s, np.sqrt(g4 + delta * delta), out=v)
-    else:
-        np.multiply(s, s, out=v)
+    if not detuned:
+        np.multiply(v, v, out=v)
 
 
 def _pin(cpus: set[int]) -> None:
@@ -232,9 +240,11 @@ def stacked_states(
             parts.append(known[key])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    # per pair, the probabilities of each distinct cavity; a band holds the
-    # sums of one cavity per row, or of two when any pair is unequal
-    cavities = [[a.probabilities()] + ([] if b == a else [b.probabilities()]) for a, b in pairs]
+    # per pair, the probabilities of each distinct cavity, formed once per
+    # distribution; a band holds the sums of one cavity per row, or of two
+    # when any pair is unequal
+    vectors = {dist: dist.probabilities() for dist in set().union(*pairs)}
+    cavities = [[vectors[a]] + ([] if b == a else [vectors[b]]) for a, b in pairs]
     slots = max(map(len, cavities))
     count = max(p.size for probs in cavities for p in probs) + 1  # sectors 0..N + 1 of the widest
     affinity = getattr(os, "sched_getaffinity", None)
@@ -265,8 +275,8 @@ def stacked_states(
     x3 = np.empty(t.size, dtype=complex)
 
     def work(worker: int) -> None:
-        # three arrays 64-byte apart, so that SIMD loops see them equally aligned
-        ws = np.empty((3, -(-max(h * n.size for *_, slices in spans for n, h, _ in slices)
+        # two arrays 64-byte apart, so that SIMD loops see them equally aligned
+        ws = np.empty((2, -(-max(h * n.size for *_, slices in spans for n, h, _ in slices)
                              // 8) * 8))
         # per slot (cavity A, then B) and band row, with swap the transfer
         # probability and w = delta*s/l: sum(P*swap) over ground and excited
@@ -287,7 +297,7 @@ def stacked_states(
                 totals[:, lo_row:hi_row] = mass
                 for n, h, reaching in slices:
                     acc = part if n[0] else sums
-                    block = ws[:, : h * n.size].reshape(3, h, n.size)
+                    block = ws[:, : h * n.size].reshape(2, h, n.size)
                     # per cavity: P_n and the weights of the two transfer
                     # sums, P_n*n and P_n*(n + 1) when detuned and P_n
                     # otherwise, formed per slice so that no buffer grows with
@@ -299,7 +309,7 @@ def stacked_states(
                                else (i, pk, pk, pk) for i, pk in reaching]
                     for r0 in range(lo_row, hi_row, h):
                         rows = slice(r0, min(r0 + h, hi_row))
-                        _, v, c = view = block[:, : rows.stop - r0]
+                        v, c = view = block[:, : rows.stop - r0]
                         _factors(view, g4[rows], quarter_t[rows], n, delta)
                         v0, v1, c0, c1 = v[:, :-1], v[:, 1:], c[:, :-1], c[:, 1:]
                         vg = v[:, skip:-1]

@@ -239,7 +239,8 @@ def stacked_joint_density(configs: Sequence[_Config], t: np.ndarray) -> np.ndarr
     holds configuration j at time i, bit-identical to that call.  They must
     share delta, or ValueError is raised.  Per chunk of the times, the
     configurations that share params share one evolution, over the widest of
-    their cutoffs, each distinct cavity's channel and one Bell product."""
+    their cutoffs, each distinct cavity's channel and one Bell product.  Each
+    distinct distribution's probabilities are formed once per call."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
@@ -249,12 +250,14 @@ def stacked_joint_density(configs: Sequence[_Config], t: np.ndarray) -> np.ndarr
     for j, (params, _, _) in enumerate(configs):
         by_params.setdefault(params, []).append(j)
     rho = np.empty((len(configs), grid.size, 4, 4), dtype=complex)
+    distinct = {dist for _, *pair in configs for dist in pair}
+    vectors = {dist: dist.probabilities() for dist in distinct}
     for params, members in by_params.items():
         # widest first, so that no other channel is held while it is traced
         dists = sorted(dict.fromkeys(dist for j in members for dist in configs[j][1:]),
                        key=lambda dist: -dist.n_max)
         sides = [[dists.index(dist) for dist in configs[j][1:]] for j in members]
-        probs = [dist.probabilities() for dist in dists]
+        probs = [vectors[dist] for dist in dists]
         g_eff = _mean_coupling(params, grid)
         width = min(probs[0].size, _SECTOR_BLOCK) + 1  # sectors of one slice
         step = max(1, min(grid.size, _CHUNK_ELEMENTS // (4 * width)))

@@ -668,31 +668,34 @@ class TestWorkers:
             finally:
                 tracemalloc.stop()
         assert workers == {threading.main_thread()}
-        # one workspace of three arrays, 1.86 MB in all (2.38 MB with four); a
-        # second worker's would add 1.5 MiB
+        # one workspace of two arrays, 1.29 MB in all (1.81 MB with three,
+        # 2.38 MB with four); a second worker's would add 1 MiB
         assert max(peaks.values()) - peaks[1] <= 8 * dynamics._BLOCK_ELEMENTS
-        assert max(peaks.values()) <= 2_200_000
+        assert max(peaks.values()) < 1_450_000
 
     def test_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
-        # hot_bath: each worker holds a 1.5 MiB workspace, so one worker per CPU
+        # hot_bath: each worker holds a 1 MiB workspace, so one worker per CPU
         # would grow with the machine (71.2 MB on 64 CPUs with 2 MiB ones).
         # What varies between runs is how the workers' transient numpy buffers
         # overlap, up to 142 KiB over 90 runs at 4 workers; 512 KiB separates
         # that from growth.
         params, a, b = SystemParams(delta=1.0), _dist(50.0), _dist(0.5)
         grid = np.linspace(0.0, 25.0, 20001)
-        peaks = []
-        for cpus in (4, 16, 64):
+        peaks = {}
+        for cpus in (1, 4, 16, 64):
             _set_cpus(monkeypatch, cpus)
             tracemalloc.start()
             try:
                 states(params, a, b, grid)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert max(peaks) - min(peaks) <= 8 * dynamics._BLOCK_ELEMENTS
-        # 8.5-8.7 MB at 4 workers; 10.5-10.7 MB with four-array workspaces
-        assert max(peaks) <= 9_500_000
+        # one worker: 2.49 MB, 3.00 MB with a three-array workspace
+        assert peaks.pop(1) < 2_700_000
+        assert max(peaks.values()) - min(peaks.values()) <= 8 * dynamics._BLOCK_ELEMENTS
+        # 6.6-6.75 MB at 4 workers; 8.6-8.75 MB with three-array workspaces
+        # and 10.5-10.7 MB with four-array ones
+        assert max(peaks.values()) <= 7_500_000
 
     @pytest.mark.skipif(len(_CPUS) < 2, reason="fewer than two CPUs to run on")
     @pytest.mark.parametrize("failing", [None, "caller", "worker"])
@@ -932,32 +935,29 @@ class TestBands:
 
 def _cos_sin_factors(ws, g4, half_t, n, delta):
     """The scalar cos + sin factors the half-angle tangent replaced, kept as the
-    reference: the same workspace (scratch, v, c) at each row's t/2."""
-    s, v, c = ws
+    reference: the same workspace (v, c) at each row's t/2."""
+    v, c = ws
     np.multiply(g4[:, None], n, out=v)
     detuned = delta * delta > 0.0
     if detuned:
         np.add(v, delta * delta, out=v)
     np.sqrt(v, out=v)
     np.multiply(v, half_t[:, None], out=c)
-    np.sin(c, out=s)
-    np.cos(c, out=c)
     if detuned:
-        np.divide(s, v, out=s)
-        np.multiply(s, np.sqrt(g4 + delta * delta)[:, None], out=v)
+        np.multiply(np.sin(c) / v, np.sqrt(g4 + delta * delta)[:, None], out=v)
     else:
-        np.multiply(s, s, out=v)
+        np.square(np.sin(c), out=v)
+    np.cos(c, out=c)
 
 
 def _sin_cos_of(x):
     """(c, s) as ``_factors`` forms them for the angles x = l*t/2: a detuned
     sector 1 with 4*g'^2 = 3/4 and delta = 1/2 has l = l1 = 1, so its t/4 is
-    x/2 and its v = l1*(s/l) is s, as the scratch s/l is."""
+    x/2, its l1/l is 1 and its v = ((l1/l)*u)*d is s = u*d."""
     x = np.asarray(x, dtype=float)
-    ws = np.empty((3, x.size, 1))
+    ws = np.empty((2, x.size, 1))
     dynamics._factors(ws, np.full(x.size, 0.75), 0.5 * x, np.ones(1), 0.5)
-    assert np.array_equal(ws[0], ws[1])
-    return ws[2, :, 0], ws[1, :, 0]
+    return ws[1, :, 0], ws[0, :, 0]
 
 
 _ANGLES = np.concatenate([
@@ -1026,6 +1026,21 @@ class TestHalfAngleFactors:
             want = oracle_density_matrix(params, dist, dist, t)
             for name, exact in want._asdict().items():
                 assert abs(getattr(got, name)[i] - exact) <= 4.5e-16, (name, t)
+
+    @pytest.mark.parametrize("delta", [1e-160, -1e-160, 1e-3])
+    def test_sector_zero_needs_no_l1_over_delta(self, delta):
+        # at g' = 1e150 and delta = 1e-160, sector 0's l1/|delta| is 2e310
+        # and overflows (a RuntimeWarning, an error here); its v is formed
+        # as ((u*d)/|delta|)*l1 = l1*sin(|delta|*t/2)/|delta|, about l1*t/2
+        # (at times whose |delta|*t/4 is normal)
+        t = np.array([1e-140, 1e-130, 1e-120])
+        g4 = np.full(t.size, 4e300)
+        ws = np.empty((2, t.size, 3))
+        dynamics._factors(ws, g4, 0.25 * t, np.arange(3.0), delta)
+        v, c = ws
+        assert np.all(np.isfinite(ws))
+        assert np.all(np.abs(v[:, 0] / (np.sqrt(g4) * 0.5 * t) - 1.0) <= 4e-16)
+        assert np.array_equal(c[:, 0], np.ones(t.size))
 
     def test_sector_zero_frequency_is_sqrt_delta_squared_where_that_is_normal(self):
         # so |delta| moves no bit of a state whose delta^2 is normal

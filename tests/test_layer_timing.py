@@ -1,12 +1,15 @@
 """The layer-timing harness ``scripts/layer_timing.py``, on its small cases."""
 
 import importlib.util
+import os
 import pathlib
 import re
 import time
 
 import numpy as np
 import pytest
+
+from thermaljc import dynamics
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "layer_timing.py"
 
@@ -70,3 +73,33 @@ def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
     _script().report("validate, oracle, stacked per delta", cases["oracle, stacked per delta"],
                      2, rows)
     assert capsys.readouterr().out.startswith("validate, oracle, stacked per delta: median ")
+
+
+def test_the_block_sums_are_one_full_hot_bath_block():
+    sums = _script().block_sums()()
+    # cavity A's sectors 26..1396, past cavity B's cutoff of 25
+    assert sums.shape == (6, dynamics._BLOCK_ELEMENTS // 1371)
+    assert np.all(np.isfinite(sums))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="fewer than two CPUs to pin")
+def test_the_threads_case_prints_one_and_two_pinned_threads_and_their_ratio(capsys):
+    before = os.sched_getaffinity(0)
+    ratio = _script().threads(2, repeats=1)
+    assert os.sched_getaffinity(0) == before  # the caller's mask is back
+    lines = capsys.readouterr().out.splitlines()
+    label = "threads, 2 rounds of one hot_bath block's six sums"
+    assert lines[0].startswith(f"{label}, 1 thread: median ")
+    assert lines[1].startswith(f"{label}, 2 threads on their own CPUs: median ")
+    assert lines[2:] == [f"threads, ratio 1 thread / 2 threads: {ratio:.3f}"]
+
+
+@pytest.mark.parametrize("missing", ["sched_setaffinity", "a second CPU"])
+def test_the_threads_case_is_skipped_without_two_cpus_to_pin(monkeypatch, capsys, missing):
+    if missing == "sched_setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _script().threads(1) is None
+    assert capsys.readouterr() == ("", "threads: needs os.sched_setaffinity and 2 CPUs: skipped\n")

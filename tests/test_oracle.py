@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -755,6 +756,30 @@ class TestStackedRoutes:
         alone = [max_route_deviation(params, dist_a, dist_b, t)
                  for params, dist_a, dist_b in configs]
         assert oracle.config_deviations(configs, t) == alone
+
+    def test_each_distribution_forms_its_probabilities_once_per_route_call(self, monkeypatch):
+        # a distribution shared by pairs, or by p-values, is formed once per
+        # call of each route, not once per pair or per params
+        calls = []
+        probabilities = ThermalDistribution.probabilities
+
+        def counted(dist):
+            calls.append(dist)
+            return probabilities(dist)
+
+        monkeypatch.setattr(ThermalDistribution, "probabilities", counted)
+        _, groups, t = _validate_grid()
+        mixed = [(SystemParams(p=p, delta=1.0), _dist(a), _dist(b))
+                 for p in (1, 4) for a, b in ((0.5, 0.1), (0.5, 0.5), (0.1, 0.1))]
+        for configs in [*groups.values(), mixed]:
+            distinct = {dist for _, *pair in configs for dist in pair}
+            for stacked in (dynamics.stacked_states, oracle.stacked_joint_density):
+                calls.clear()
+                stacked(configs, t)
+                assert Counter(calls) == dict.fromkeys(distinct, 1)
+        calls.clear()
+        assert cli_main(["validate", "--gt-max", "25"]) == 0
+        assert len(calls) == 2 * 3 * 3  # per route and delta, kbar 0, 0.1 and 0.5
 
     def test_stacked_configurations_must_share_delta(self):
         dist, t = _dist(0.1), np.linspace(0.0, 2.0, 3)
