@@ -36,6 +36,10 @@ whose kernel threads shared one CPU, which the quartiles can hide.
   (``dynamics.states``, ``oracle.oracle_joint_density``) and stacked per
   delta, one call per delta (``dynamics.stacked_states``,
   ``oracle.stacked_joint_density``).
+- Argv: the 18 command lines of ``scripts/reproduce_figures.py`` and
+  ``validate --gt-max 25``, read by ``cli._plain_args`` and then by a freshly
+  built argparse parser (``cli._build_parser``, built once per run), in us
+  per command line.
 
 Run it from the repository root:
 
@@ -43,9 +47,14 @@ Run it from the repository root:
 """
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import os
+import pathlib
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from typing import Callable
@@ -65,10 +74,11 @@ GRIDS = {
 }
 
 
-def report(label: str, work: Callable[[], object], runs: int, values: int = 0) -> float:
-    """Time ``work`` and print one line: the median, quartiles and slowest, in
-    ns per value when ``values`` is given and in s otherwise, and the traced
-    peak.  Returns the median in s."""
+def report(label: str, work: Callable[[], object], runs: int, values: int = 0,
+           unit: str = "ns/value") -> float:
+    """Time ``work`` and print one line: the median, quartiles and slowest, per
+    value in ``unit`` (ns/value or us/argv) when ``values`` is given and in s
+    otherwise, and the traced peak.  Returns the median in s."""
     work()  # warm caches and lazy tables
     seconds = []
     for _ in range(runs):
@@ -82,7 +92,8 @@ def report(label: str, work: Callable[[], object], runs: int, values: int = 0) -
     finally:
         tracemalloc.stop()
     q1, median, q3 = statistics.quantiles(seconds, n=4) if runs > 1 else seconds * 3
-    scale, unit, digits = (1e9 / values, " ns/value", 1) if values else (1.0, " s", 4)
+    per_second = {"ns": 1e9, "us": 1e6}[unit[:2]]
+    scale, unit, digits = (per_second / values, f" {unit}", 1) if values else (1.0, " s", 4)
     print(f"{label}: median {median * scale:.{digits}f}{unit}, quartiles"
           f" {q1 * scale:.{digits}f}-{q3 * scale:.{digits}f}{unit}, slowest"
           f" {max(seconds) * scale:.{digits}f}{unit}, {runs} runs;"
@@ -214,6 +225,36 @@ def validate_cases() -> tuple[int, dict[str, Callable[[], list]]]:
     }
 
 
+def figure_argv() -> list[list[str]]:
+    """The command lines ``scripts/reproduce_figures.py`` passes to the CLI,
+    recorded in place of running them."""
+    path = pathlib.Path(__file__).with_name("reproduce_figures.py")
+    spec = importlib.util.spec_from_file_location("reproduce_figures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls: list[list[str]] = []
+    script.cli_main = lambda argv: calls.append(argv) or 0
+    with tempfile.TemporaryDirectory() as outdir, contextlib.redirect_stdout(io.StringIO()):
+        script.main(["--outdir", outdir])
+    return calls
+
+
+def argv_cases() -> tuple[list[list[str]], dict[str, Callable[[], list]]]:
+    """The figure and validate command lines, and per case a call that reads
+    them all and returns the namespaces as dicts."""
+    argvs = [*figure_argv(), ["validate", "--gt-max", "25"]]
+
+    def argparse_fresh() -> list:
+        cli._build_parser.cache_clear()
+        parser = cli._build_parser()
+        return [vars(parser.parse_args(argv)) for argv in argvs]
+
+    return argvs, {
+        "plain reader": lambda: [cli._plain_args(argv) for argv in argvs],
+        "argparse, freshly built": argparse_fresh,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=9, help="timed calls per case (default 9)")
@@ -251,6 +292,10 @@ def main(argv: list[str] | None = None) -> int:
     rows, cases = validate_cases()
     for label, work in cases.items():
         report(f"validate, {label} ({rows} rows)", work, args.runs, rows)
+    argvs, cases = argv_cases()
+    for label, work in cases.items():
+        report(f"argv, {label} ({len(argvs)} command lines)", work, args.runs, len(argvs),
+               "us/argv")
     return 0
 
 

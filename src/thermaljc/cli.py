@@ -8,15 +8,15 @@ Exit codes: 0 success, 1 usage error, 2 I/O or input-format error,
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import functools
 import json
 import math
 import os
 import sys
+import zlib
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .svgplot import render_plot
 from .sweep import TimeSeries, scan, time_series
 
 if TYPE_CHECKING:
+    import argparse
+
     from .floattext import FloatText
 
 EXIT_OK = 0
@@ -59,13 +61,6 @@ class UsageError(Exception):
 
 class CsvFormatError(Exception):
     """An input CSV does not parse; the message names file and line."""
-
-
-class _Parser(argparse.ArgumentParser):
-    commands: _LazyFlags  # the subcommand action of the top-level parser
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
 
 
 def _parse_bool(text: str) -> bool:
@@ -221,8 +216,22 @@ _PLOT_KEYS: KeyTable = {
 }
 
 
+def _flags(keys: KeyTable) -> Iterator[tuple[str, str, Callable[[str], object] | None, str]]:
+    """The flags of a subcommand, ``--config`` last, as (dest, flag, parser of
+    its value, help).  A switch has no parser: ``--no-timestamp`` stores False,
+    and a boolean key's ``--key`` stores True and ``--no-key`` False."""
+    for key, (parse, _, help_text) in keys.items():
+        if key == "timestamp":
+            yield key, "--no-timestamp", None, help_text
+        else:
+            flag = f"--{key.replace('_', '-')}"
+            yield key, flag, None if parse is _parse_bool else parse, help_text
+    yield "config", "--config", str, "key=value file supplying any flag of this subcommand"
+
+
 def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
     """Let a flag report the same reason a config-file value gets."""
+    import argparse  # only the argparse path calls it
 
     def flag_type(text: str) -> object:
         try:
@@ -234,31 +243,28 @@ def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
 
 
 def _add_flags(parser: argparse.ArgumentParser, keys: KeyTable) -> None:
-    for key, (parse, _, help_text) in keys.items():
-        if key == "timestamp":
-            parser.add_argument("--no-timestamp", action="store_const", const=False,
-                                dest=key, help=help_text)
-        elif parse is _parse_bool:
-            parser.add_argument(f"--{key}", action=argparse.BooleanOptionalAction,
+    import argparse
+
+    for dest, flag, parse, help_text in _flags(keys):
+        if parse is not None:
+            parser.add_argument(flag, dest=dest, type=_flag_type(parse), help=help_text,
+                                metavar="FILE" if dest == "config" else None)
+        elif flag.startswith("--no-"):
+            parser.add_argument(flag, action="store_const", const=False, dest=dest,
                                 help=help_text)
         else:
-            parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                                type=_flag_type(parse), help=help_text)
-    parser.add_argument(
-        "--config", metavar="FILE",
-        help="key=value file supplying any flag of this subcommand",
-    )
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
 
 
-def _resolve(args: argparse.Namespace, keys: KeyTable) -> dict[str, object]:
+def _resolve(args: dict[str, object], keys: KeyTable) -> dict[str, object]:
     """Merge flag > config-file > default (env feeds the epsilon default)."""
-    config = _parse_config_file(args.config) if args.config else {}
+    config = _parse_config_file(args["config"]) if args["config"] else {}
     unknown = sorted(set(config) - set(keys))
     if unknown:
         raise UsageError(f"config keys not accepted here: {', '.join(unknown)}")
     resolved: dict[str, object] = {}
     for key, (parse, default, _) in keys.items():
-        flag_value = getattr(args, key)
+        flag_value = args[key]
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
@@ -309,18 +315,15 @@ _READ_ROWS = 512
 # What follows each item of a JSON list, as indent=2 joins them 3 deep.
 _JSON_ITEM_END = b",\n      "
 
-# The CSV this process wrote last, as (real path, SHA-256 of its bytes, its
-# columns by reference), kept only when parsing those bytes gives the columns
-# back.  _read_csv returns the columns for a file of the same path and digest,
-# so a script that writes and then plots through main parses nothing twice;
-# main empties the slot before every subcommand but plot.
-_written: tuple[str, bytes, dict[str, np.ndarray]] | None = None
-
-
-def _sha256(data: bytes = b""):
-    import hashlib  # on first use: most commands never hash, and start-up counts
-
-    return hashlib.sha256(data)
+# The CSV this process wrote last, as (real path, byte count, CRC-32 of its
+# bytes, its columns by reference), kept only when parsing those bytes gives
+# the columns back.  _read_csv returns the columns for a file of the same path,
+# length and CRC, so a script that writes and then plots through main parses
+# nothing twice; main empties the slot before every subcommand but plot.  The
+# CRC catches any change confined to 4 consecutive bytes and misses another
+# with probability 2**-32: it guards against a file changed between write and
+# plot, not against an adversary, who can write any CSV anyway.
+_written: tuple[str, int, int, dict[str, np.ndarray]] | None = None
 
 
 def _write_columns(
@@ -368,19 +371,21 @@ def _write_csv(
     reusable = header.split(",") == list(columns) and all(
         np.isfinite(column).all() for column in columns.values()
     )
-    digest = _sha256() if reusable else None
+    crc = 0
     with open(output, "wb") as handle:
 
         def put(data: bytes | bytearray) -> None:
+            nonlocal crc
             handle.write(data)
-            if digest is not None:
-                digest.update(data)
+            if reusable:
+                crc = zlib.crc32(data, crc)
 
         put((header + "\n").encode("utf-8"))
         for lo in range(0, len(columns["gt"]), text.rows):
             put(text.encode(columns.values(), lo))
-    if digest is not None:
-        _written = (os.path.realpath(output), digest.digest(), dict(columns))
+        size = handle.tell()
+    if reusable:
+        _written = (os.path.realpath(output), size, crc, dict(columns))
 
 
 def _require_output(resolved: dict[str, object]) -> str:
@@ -488,7 +493,7 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
 
 
 def _read_csv(path: str) -> dict[str, np.ndarray]:
-    """The columns of a CSV file.  A file of the path and the bytes this
+    """The columns of a CSV file.  A file of the path, length and CRC-32 this
     process wrote last gives back the written columns (contiguous, as parsed
     ones are, since a reduction over a strided view may pick the other sign
     of a zero); any other file is parsed by ``_parse_csv``."""
@@ -496,9 +501,9 @@ def _read_csv(path: str) -> dict[str, np.ndarray]:
     if (
         _written is not None
         and _written[0] == os.path.realpath(path)
-        and _sha256(data).digest() == _written[1]
+        and (len(data), zlib.crc32(data)) == _written[1:3]
     ):
-        return {name: np.ascontiguousarray(c) for name, c in _written[2].items()}
+        return {name: np.ascontiguousarray(c) for name, c in _written[3].items()}
     return _parse_csv(path, _utf8_text(path, data, CsvFormatError))
 
 
@@ -601,39 +606,65 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[str, dict], int], KeyTable, str]] = {
 }
 
 
-class _LazyFlags(argparse._SubParsersAction):
-    """The subcommand action.  It lists each subcommand by its name and help
-    alone; argparse calls it with the name it chose, and that subcommand's
-    parser and flags are built then, so a run pays for its own only."""
+@functools.cache
+def _plain_flags(command: str) -> dict[str, tuple[str, Callable[[str], object] | None, bool]]:
+    """The flags ``_plain_args`` reads after ``command``: flag -> (dest, parser
+    of its value or None for a switch, the value a switch stores)."""
+    table = {}
+    for dest, flag, parse, _ in _flags(_SUBCOMMANDS[command][1]):
+        on = not flag.startswith("--no-")
+        table[flag] = (dest, parse, on)
+        if parse is None and on:  # the --no- half of argparse's BooleanOptionalAction
+            table[f"--no-{flag[2:]}"] = (dest, None, False)
+    return table
 
-    def add_subcommand(self, name: str, help_text: str) -> None:
-        """List ``name`` as ``add_parser(name, help=help_text)`` does, with its
-        parser left to be built."""
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_text))
-        self._name_parser_map[name] = None
 
-    def build(self, name: str) -> None:
-        """Build the parser of the listed ``name`` with its flags, once.  It
-        takes the name's place in the map, which keeps the listing's order."""
-        if self._name_parser_map[name] is None:
-            sub = self._name_parser_map[name] = self._parser_class(
-                prog=f"{self._prog_prefix} {name}", allow_abbrev=False)
-            _add_flags(sub, _SUBCOMMANDS[name][1])
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        self.build(values[0])  # a name argparse has checked against the listing
-        super().__call__(parser, namespace, values, option_string)
+def _plain_args(argv: Sequence[str]) -> dict[str, object] | None:
+    """The namespace argparse reads from a plain command line, as a dict, or
+    None for any other.  Plain is a subcommand name, then its exact long flags,
+    each valued one followed by one value that does not start with "-" and that
+    its parser takes; the last of a repeated flag wins.  Help, "--",
+    "--flag=value", an unknown flag, a stray token, a missing or refused value
+    and a "-"-prefixed value (argparse's negative-number rule) all give None,
+    and argparse, the only judge of a command line, reads them."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    flags = _plain_flags(argv[0])
+    args: dict[str, object] = {dest: None for dest, _, _ in flags.values()}
+    args["command"] = argv[0]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        dest, parse, const = flags[token]
+        if parse is None:
+            args[dest] = const
+            continue
+        value = next(tokens, "-")  # a missing value is refused as "-" is
+        if value.startswith("-"):
+            return None
+        try:
+            args[dest] = parse(value)
+        except ValueError:
+            return None
+    return args
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of the process: it holds no defaults, so calls share it.
-    Its subcommands start without parsers; see ``_LazyFlags``."""
-    parser = _Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True, action=_LazyFlags)
-    for name, (_, _, help_text) in _SUBCOMMANDS.items():
-        commands.add_subcommand(name, help_text)
-    parser.commands = commands
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, for the command lines ``_plain_args`` does not read:
+    built once per process, with every subcommand's flags.  It holds no
+    defaults, so calls share it; a usage error raises ``UsageError``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            raise UsageError(message)
+
+    parser = Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, keys, help_text) in _SUBCOMMANDS.items():
+        _add_flags(commands.add_parser(name, allow_abbrev=False, help=help_text), keys)
     return parser
 
 
@@ -641,11 +672,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     global _written
     kept, _written = _written, None
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "plot":
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = vars(_build_parser().parse_args(argv))
+        command = args["command"]
+        if command == "plot":
             _written = kept
-        runner, keys, _ = _SUBCOMMANDS[args.command]
-        return runner(args.command, _resolve(args, keys))
+        runner, keys, _ = _SUBCOMMANDS[command]
+        return runner(command, _resolve(args, keys))
     except (UsageError, ValueError) as exc:  # a library ValueError is a bad input
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,6 +38,17 @@ TS_FLAGS = [
 ]
 
 
+def _perfbench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, read without writing bytecode next to it."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def _read_columns(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -274,14 +285,8 @@ class TestValidate:
         assert capsys.readouterr().out.startswith("p=1 kbar=-0.0 lbar=0.0 delta=0.0 ")
 
     def test_the_benchmark_checks_the_cli_grid(self, monkeypatch):
-        # perfbench/check.py requires exactly the lines of this grid; the file is
-        # read without writing bytecode next to it
-        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-        spec.loader.exec_module(workloads)
+        # perfbench/check.py requires exactly the lines of this grid
+        workloads = _perfbench_workloads(monkeypatch)
         grid = cli._VALIDATE_GRID
         assert grid["lbar"] is None  # each kbar mirrored, as the benchmark expects
         assert (workloads.VALIDATE_GRID_P, workloads.VALIDATE_GRID_MEANS,
@@ -776,6 +781,39 @@ class TestWrittenColumns:
         subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
         assert (tmp_path / "fresh.svg").read_bytes() == svg
 
+    @pytest.mark.parametrize("rows", [[21], [3, 17, 40]], ids=["one-byte", "multi-byte"])
+    def test_a_same_length_rewrite_is_parsed_not_reused(self, tmp_path, monkeypatch, rows):
+        # the kept file is known by its length and CRC-32: a rewrite of the same
+        # length, one digit or digits far apart, must still be parsed
+        path = self._written_csv(tmp_path)
+        written = path.read_bytes()
+        lines = written.split(b"\n")
+        col = TIMESERIES_HEADER.split(",").index("purity")
+        for row in rows:
+            fields = lines[row].split(b",")
+            digit = fields[col][2:3]  # the first digit after "0." or "1."
+            fields[col] = fields[col][:2] + str((int(digit) + 5) % 10).encode() + fields[col][3:]
+            lines[row] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        assert len(path.read_bytes()) == len(written)
+        assert sum(a != b for a, b in zip(path.read_bytes(), written)) == len(rows)
+        parsed = []
+        parse = cli._parse_csv
+
+        def counted_parse(name, text):
+            parsed.append(name)
+            return parse(name, text)
+
+        monkeypatch.setattr(cli, "_parse_csv", counted_parse)
+        svg = _plot(path, tmp_path / "changed.svg")
+        assert parsed == [str(path)]
+        kept = cli._written[3]["purity"]  # the slot stays, for the bytes it names
+        changed = np.flatnonzero(_parsed(path)["purity"] != kept)
+        assert changed.tolist() == [row - 1 for row in rows]
+        kept_slot, cli._written = cli._written, None
+        assert _plot(path, tmp_path / "parsed.svg") == svg
+        cli._written = kept_slot
+
     def test_a_non_finite_column_is_not_kept(self, tmp_path, capsys):
         columns = {"gt": np.arange(4.0), "concurrence": np.array([0.0, 1.0, np.nan, 1.0])}
         path = _write(tmp_path, "csv", True, columns, header="gt,concurrence")
@@ -933,11 +971,6 @@ class TestBlockReader:
         }
 
 
-def _unbuilt(parser) -> set[str]:
-    """The subcommands whose parsers are not built yet."""
-    return {name for name, sub in parser.commands.choices.items() if sub is None}
-
-
 class TestParserReuse:
     """One parser serves every call of a process; it keeps nothing between them."""
 
@@ -988,26 +1021,10 @@ class TestParserReuse:
             texts[argv[0]] = capsys.readouterr().out
         return texts
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_help_does_not_depend_on_when_flags_are_added(self, capsys, seed):
-        names = list(cli._SUBCOMMANDS)
-        _build_parser.cache_clear()
-        parser = _build_parser()
-        for name in names:  # every subcommand's flags at once, before any call
-            parser.commands.build(name)
-        at_once = self._helps(capsys, names)
-        np.random.default_rng(seed).shuffle(names)
-        _build_parser.cache_clear()
-        try:
-            assert self._helps(capsys, names) == at_once  # each added lazily
-        finally:
-            _build_parser.cache_clear()
-        assert all(f"thermaljc {name} [-h]" in at_once[name] for name in names)
-        assert "--config FILE" in at_once["plot"] and "--times" in at_once["validate"]
-
     def test_help_and_an_unknown_name_read_as_with_every_parser_built(self, capsys):
         # argparse's own way: every subparser made up front by add_parser
-        eager = cli._Parser(prog="thermaljc", allow_abbrev=False, description=cli.__doc__)
+        eager = type(_build_parser())(prog="thermaljc", allow_abbrev=False,
+                                      description=cli.__doc__)
         commands = eager.add_subparsers(dest="command", required=True)
         subs = {name: commands.add_parser(name, allow_abbrev=False, help=help_text)
                 for name, (_, _, help_text) in cli._SUBCOMMANDS.items()}
@@ -1026,38 +1043,144 @@ class TestParserReuse:
         finally:
             _build_parser.cache_clear()
 
-    @pytest.mark.parametrize(
-        "argv, flagged",
-        [
-            (["validate", "--times", "2"], {"validate"}),
-            (["--", "validate"], set()),
-            (["-h"], set()),
-            (["--bogus", "epe", "--title", "scan"], {"epe"}),
-            (["transmogrify", "validate"], set()),
-        ],
-    )
-    def test_only_the_named_subcommand_gets_its_flags(self, capsys, argv, flagged):
-        _build_parser.cache_clear()
-        try:
-            try:
-                main(argv)
-            except SystemExit:
-                pass
-            assert set(cli._SUBCOMMANDS) - _unbuilt(_build_parser()) == flagged
-        finally:
-            _build_parser.cache_clear()
-
     def test_a_leading_double_dash_is_a_usage_error(self, capsys):
-        # argparse (Python 3.11) reads "--" as the subcommand's name, so no
-        # subcommand is chosen and none gets its flags
-        _build_parser.cache_clear()
-        try:
-            assert main(["--", "validate", "--times", "2"]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("usage error: ") and err.count("\n") == 1
-            assert _unbuilt(_build_parser()) == set(cli._SUBCOMMANDS)
-        finally:
-            _build_parser.cache_clear()
+        # argparse (Python 3.11) reads "--" as the subcommand's name
+        assert cli._plain_args(["--", "validate", "--times", "2"]) is None
+        assert main(["--", "validate", "--times", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+_VALUES = ["1", "0", "0.5", "1e3", "1,4", "0.1,0.5", "csv", "JSON", "c-vs-u", "c-vs-p",
+           "t i t", "a=b", "\u0661", "x", "nan", "inf", "", " ", ",", "1,,2", "yes",
+           os.fsdecode(b"a\xffb"), "-1", "-0.5", "-1,2", "-", "-x", "-h", "--h"]
+
+
+def _taken(parse, value):
+    try:
+        parse(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _argv_parts(command):
+    """Strategies for argv after ``command``: its flags, each valued one with a
+    value its parser mostly takes, and a token of any kind, plain or for
+    argparse only."""
+    flags = cli._plain_flags(command)
+    valued = {flag: parse for flag, (_, parse, _) in flags.items() if parse is not None}
+    switches = [[flag] for flag, (_, parse, _) in flags.items() if parse is None]
+    values = st.one_of(st.sampled_from(_VALUES), st.text(max_size=4))
+
+    def pair(flag):
+        taken = st.sampled_from([value for value in _VALUES if _taken(valued[flag], value)])
+        return st.tuples(st.just(flag), st.one_of(taken, taken, taken, values)).map(list)
+
+    other = ["-h", "--help", "--", "--bogus", "--gt_max", "--epsilon_tail", "--window_lo",
+             "--no-config", "--time", *(f"{flag}={value}" for flag in list(valued)[:3]
+                                        for value in ("1", "-1"))]
+    items = st.one_of(st.sampled_from(list(valued)).flatmap(pair), st.sampled_from(switches)
+                      if switches else st.nothing())
+    return items, st.one_of(st.sampled_from([*flags, *other]), values)
+
+
+def _golden_and_benchmark_argv(monkeypatch, tmp_path):
+    """Every argv of tests/test_golden.py and of the three benchmark workloads
+    at seeds 0 and 3, in call order per run; outputs go under ``tmp_path``."""
+    import test_golden
+
+    runs = [[[*argv, "--output", str(tmp_path / name)]] for name, argv in test_golden.RUNS.items()]
+    runs += [[argv] for argv in test_golden.VALIDATE_RUNS.values()]
+    workloads = _perfbench_workloads(monkeypatch)
+    for seed in (0, 3):
+        for workload in workloads.WORKLOADS:
+            outdir = tmp_path / f"{workload}-{seed}"
+            outdir.mkdir()
+            runs.append([list(call.argv) for call in workloads.commands(workload, seed, outdir)])
+    return runs
+
+
+class TestPlainArgs:
+    """``_plain_args`` reads a plain command line as argparse does, and leaves
+    every other to argparse."""
+
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_reader_gives_what_argparse_gives(self, command, data):
+        items, token = _argv_parts(command)
+        head = data.draw(st.sampled_from([[command]] * 9 + [[], ["-h"], ["--"], ["bogus"]]))
+        argv = head + sum(data.draw(st.lists(items, max_size=6)), [])
+        for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):  # a flag alone, ...
+            argv.insert(data.draw(st.integers(0, len(argv))), data.draw(token))
+        got = cli._plain_args(argv)
+        if got is not None:
+            assert got == vars(_build_parser().parse_args(argv))
+
+    def test_a_plain_line_reads_its_flags_the_last_winning(self):
+        argv = ["scan", "--p", "1,4", "--motion", "--no-motion", "--no-timestamp",
+                "--kbar", "0.1", "--kbar", "0.5,5", "--title", "x"]
+        assert cli._plain_args(argv) is None  # --title is plot's
+        got = cli._plain_args(argv[:-2])
+        assert got == vars(_build_parser().parse_args(argv[:-2]))
+        assert (got["p"], got["kbar"], got["motion"], got["timestamp"], got["lbar"]) == (
+            (1, 4), (0.5, 5.0), False, False, None)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "--delta", "-1"], ["validate", "--times=3"], ["validate", "--times"],
+         ["validate", "--times", "x"], ["validate", "--gt_max", "3"], ["validate", "3"],
+         ["validate", "-h"], ["validate", "--", "--times", "3"], ["plot", "--title", "-"],
+         ["--help"], []],
+    )
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_every_golden_and_benchmark_call_is_plain(self, monkeypatch, tmp_path):
+        runs = _golden_and_benchmark_argv(monkeypatch, tmp_path)
+        calls = [argv for run in runs for argv in run]
+        assert len(calls) == 8 + 2 * 20  # the golden calls, then 20 per seed
+        assert [argv for argv in calls if cli._plain_args(argv) is None] == []
+
+    def test_argparse_alone_gives_the_same_calls(self, monkeypatch, tmp_path, capsys):
+        # each call twice, the second with the reader out of the way: the same
+        # exit code, output and file bytes
+        monkeypatch.delenv("THERMALJC_EPSILON_TAIL", raising=False)
+        for run in _golden_and_benchmark_argv(monkeypatch, tmp_path):
+            for argv in run:
+                output = argv[argv.index("--output") + 1] if "--output" in argv else None
+                results = []
+                for reader in (cli._plain_args, lambda argv: None):
+                    monkeypatch.setattr(cli, "_plain_args", reader)
+                    rc = main(argv)
+                    written = cli._read_bytes(output) if output else None
+                    results.append((rc, *capsys.readouterr(), written))
+                assert results[0] == results[1], argv
+                assert results[0][0] == 0
+
+
+def test_plain_calls_import_no_argparse(monkeypatch):
+    # a plain command line never reaches argparse, so neither it nor gettext
+    # and locale load; help still comes from argparse
+    monkeypatch.setenv("COLUMNS", "80")  # one help width here and in the child
+    code = (
+        "import contextlib, io, sys, tempfile\n"
+        "from thermaljc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as d:\n"
+        "    assert main(['validate', '--gt-max', '25']) == 0\n"
+        "    assert main(['timeseries', '--steps', '50', '--output', d + '/ts.csv']) == 0\n"
+        "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+        "main(['--help'])\n"
+    )
+    path = [os.path.dirname(os.path.dirname(thermaljc.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    first, rest = result.stdout.split("\n", 1)
+    assert first == "[]"
+    assert rest == _build_parser().format_help()
 
 
 class TestExitCodes:

@@ -28,7 +28,7 @@ def test_a_run_count_below_one_is_a_usage_error(capsys):
     assert capsys.readouterr().err.endswith("error: --runs must be >= 1, got 0\n")
 
 
-@pytest.mark.parametrize("values, unit", [(0, "s"), (1000, "ns/value")])
+@pytest.mark.parametrize("values, unit", [(0, "s"), (1000, "ns/value"), (19, "us/argv")])
 def test_report_prints_the_median_quartiles_slowest_and_traced_peak(capsys, values, unit):
     calls = []
 
@@ -37,7 +37,7 @@ def test_report_prints_the_median_quartiles_slowest_and_traced_peak(capsys, valu
         if len(calls) == 3:  # the second timed call
             time.sleep(0.05)
 
-    median = _script().report("case", work, 4, values)
+    median = _script().report("case", work, 4, values, *([unit] if values else []))
     assert len(calls) == 1 + 4 + 1  # untimed, timed, traced
     number = r"\d+\.\d+"
     line = (rf"case: median ({number}) {unit}, quartiles ({number})-({number}) {unit},"
@@ -46,7 +46,7 @@ def test_report_prints_the_median_quartiles_slowest_and_traced_peak(capsys, valu
     assert match
     q1, shown, q3, slowest = (float(match[i]) for i in (2, 1, 3, 4))
     assert q1 <= shown <= q3 <= slowest
-    assert slowest >= 0.05 * (1e9 / values if values else 1.0)
+    assert slowest >= 0.05 * ({"ns": 1e9, "us": 1e6}[unit[:2]] / values if values else 1.0)
     assert median > 0.0
     assert float(match[5]) >= 1.0  # the megabyte each call allocates
 
@@ -73,6 +73,18 @@ def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
     _script().report("validate, oracle, stacked per delta", cases["oracle, stacked per delta"],
                      2, rows)
     assert capsys.readouterr().out.startswith("validate, oracle, stacked per delta: median ")
+
+
+def test_the_argv_cases_read_the_figure_and_validate_lines_alike(capsys):
+    argvs, cases = _script().argv_cases()
+    assert len(argvs) == 19 and argvs[-1] == ["validate", "--gt-max", "25"]
+    assert [argv[0] for argv in argvs[:-1]].count("plot") == 9
+    plain, fresh = (work() for work in cases.values())
+    assert list(cases) == ["plain reader", "argparse, freshly built"]
+    assert None not in plain and plain == fresh
+    _script().report("argv, plain reader", cases["plain reader"], 2, len(argvs), "us/argv")
+    assert re.fullmatch(r"argv, plain reader: median \d+\.\d us/argv, .*\n",
+                        capsys.readouterr().out)
 
 
 def test_the_block_sums_are_one_full_hot_bath_block():
