@@ -33,9 +33,8 @@ whose kernel threads shared one CPU, which the quartiles can hide.
 - Validate: both routes over the default ``validate`` grid (18
   configurations) at 50 times, as ``validate --gt-max 25`` runs them, in ns
   per (configuration, time) row.  Each route is timed by configuration
-  (``dynamics.states``, ``oracle.oracle_joint_density``) and stacked per
-  delta, one call per delta (``dynamics.stacked_states``,
-  ``oracle.stacked_joint_density``).
+  (``dynamics.states``, ``oracle.oracle_joint_density``) and stacked, all 18
+  in one call (``dynamics.stacked_states``, ``oracle.stacked_joint_density``).
 - Argv: the 18 command lines of ``scripts/reproduce_figures.py`` and
   ``validate --gt-max 25``, read by ``cli._plain_args`` and then by a freshly
   built argparse parser (``cli._build_parser``, built once per run), in us
@@ -207,21 +206,18 @@ def validate_cases() -> tuple[int, dict[str, Callable[[], list]]]:
                 **cli._VALIDATE_GRID}
     configs = cli._scan_configs(resolved)
     t = oracle.validation_times(configs[0][0], 25.0, 50)
-    groups: dict[float, list[tuple]] = {}
-    for config in configs:
-        groups.setdefault(config[0].delta, []).append(config)
 
     def alone(route: Callable) -> Callable[[], list]:
         return lambda: [route(*config, t) for config in configs]
 
     def stacked(route: Callable) -> Callable[[], list]:
-        return lambda: [route(group, t) for group in groups.values()]
+        return lambda: [route(configs, t)]
 
     return len(configs) * t.size, {
         "closed form, by configuration": alone(dynamics.states),
-        "closed form, stacked per delta": stacked(dynamics.stacked_states),
+        "closed form, stacked, one call": stacked(dynamics.stacked_states),
         "oracle, by configuration": alone(oracle.oracle_joint_density),
-        "oracle, stacked per delta": stacked(oracle.stacked_joint_density),
+        "oracle, stacked, one call": stacked(oracle.stacked_joint_density),
     }
 
 

@@ -211,23 +211,24 @@ def stacked_states(
     """:func:`states` of every configuration (params, dist_a, dist_b) of
     ``configs`` at every time of t, in one call: row j*t.size + i holds
     configuration j at time i, and its elements are bit-identical to that
-    call of :func:`states`.  The configurations must share delta, or
-    ValueError is raised.  A band forms g'(t) over each configuration's rows
-    in it.  The rows of one cavity pair run together and sum over the slices
-    of that pair's own call, cut at its two cutoffs alone.  Raises what
-    :func:`states` raises for any row."""
+    call of :func:`states`; they may differ in any parameter, delta too.  A
+    band forms g'(t) over each configuration's rows in it.  The rows of one
+    cavity pair and delta run together as one span, which sums over the
+    slices of that pair's own call, cut at its two cutoffs alone, and scales
+    its sums by its own delta.  Raises ValueError for an empty ``configs``
+    and what :func:`states` raises for any row."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
     check_times(grid)
-    if len({params.delta for params, _, _ in configs}) != 1:
-        raise ValueError("stacked configurations must share one delta")
+    if not configs:
+        raise ValueError("stacked routes need at least one configuration")
     pairs: dict[tuple, list[int]] = {}
-    for j, (_, dist_a, dist_b) in enumerate(configs):
-        pairs.setdefault((dist_a, dist_b), []).append(j)
+    for j, (params, dist_a, dist_b) in enumerate(configs):
+        pairs.setdefault((dist_a, dist_b, params.delta), []).append(j)
     order = [j for members in pairs.values() for j in members]  # configurations by row
     params = [configs[j][0] for j in order]
-    delta, size = params[0].delta, grid.size
+    size = grid.size
     t = grid if len(params) == 1 else np.tile(grid, len(params))  # the rows
 
     def coupling(first: int, last: int) -> np.ndarray:
@@ -243,8 +244,8 @@ def stacked_states(
     # per pair, the probabilities of each distinct cavity, formed once per
     # distribution; a band holds the sums of one cavity per row, or of two
     # when any pair is unequal
-    vectors = {dist: dist.probabilities() for dist in set().union(*pairs)}
-    cavities = [[vectors[a]] + ([] if b == a else [vectors[b]]) for a, b in pairs]
+    vectors = {dist: dist.probabilities() for dist in {d for a, b, _ in pairs for d in (a, b)}}
+    cavities = [[vectors[a]] + ([] if b == a else [vectors[b]]) for a, b, _ in pairs]
     slots = max(map(len, cavities))
     count = max(p.size for probs in cavities for p in probs) + 1  # sectors 0..N + 1 of the widest
     affinity = getattr(os, "sched_getaffinity", None)
@@ -254,13 +255,12 @@ def stacked_states(
     band_rows = max(_BAND_ROWS, _BLOCK_ELEMENTS // count)  # most rows in one band
     bands = min(t.size, workers * -(-t.size // (workers * band_rows)))
     tall = -(-t.size // max(bands, 1))
-    detuned = delta * delta > 0.0
-    # per pair: its rows [first, last), its cavity count, sum(P) per slot, and
-    # per slice [lo, hi) of photon numbers (cut at every _SECTOR_BLOCK and at
-    # the pair's cutoffs) its sectors n = lo..hi, rows per block and cavities
-    # reaching lo
+    # per pair and delta: its rows [first, last), its cavity count, sum(P) per
+    # slot, its delta, and per slice [lo, hi) of photon numbers (cut at every
+    # _SECTOR_BLOCK and at the pair's cutoffs) its sectors n = lo..hi, rows per
+    # block and cavities reaching lo
     spans = []
-    for probs, members in zip(cavities, pairs.values()):
+    for probs, ((_, _, delta), members) in zip(cavities, pairs.items()):
         first = spans[-1][1] if spans else 0
         last = first + len(members) * size
         mass = [[float(np.sum(p))] for p in (probs[0], probs[-1])[:slots]]
@@ -270,7 +270,7 @@ def stacked_states(
                    max(1, min(tall, last - first, _BLOCK_ELEMENTS // (hi - lo + 1))),
                    [(i, p[lo:hi]) for i, p in enumerate(probs) if p.size > lo])
                   for lo, hi in zip(ends, ends[1:])]
-        spans.append((first, last, len(probs), mass, slices))
+        spans.append((first, last, len(probs), mass, delta, slices))
     x1, x2, x5, x6 = (np.empty(t.size) for _ in range(4))
     x3 = np.empty(t.size, dtype=complex)
 
@@ -282,7 +282,7 @@ def stacked_states(
         # probability and w = delta*s/l: sum(P*swap) over ground and excited
         # sectors, then sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over
         # sectors n, n + 1, when detuned without their factors 4*g'^2/l1^2,
-        # (delta/l1)^2 or delta/l1 until the band's slices are summed
+        # (delta/l1)^2 or delta/l1 until the span's slices are summed
         sums = np.zeros((slots, 6, tall))
         part = np.zeros_like(sums) if max(len(slices) for *_, slices in spans) > 1 else None
         totals = np.empty((slots, tall if len(spans) > 1 else 1))  # one column broadcasts
@@ -290,11 +290,12 @@ def stacked_states(
             first, last = k * t.size // bands, (k + 1) * t.size // bands
             g_eff = coupling(first, last)
             g4, quarter_t = 4.0 * g_eff * g_eff, 0.25 * t[first:last]
-            for start, stop, kinds, mass, slices in spans:
+            for start, stop, kinds, mass, delta, slices in spans:
                 lo_row, hi_row = max(start, first) - first, min(stop, last) - first
                 if lo_row >= hi_row:
                     continue
                 totals[:, lo_row:hi_row] = mass
+                detuned = delta * delta > 0.0
                 for n, h, reaching in slices:
                     acc = part if n[0] else sums
                     block = ws[:, : h * n.size].reshape(2, h, n.size)
@@ -324,12 +325,16 @@ def stacked_states(
                             sums[i, :, lo_row:hi_row] += part[i, :, lo_row:hi_row]
                 if kinds < slots:  # equal cavities among unequal: B's sums are A's
                     sums[1, :, lo_row:hi_row] = sums[0, :, lo_row:hi_row]
+                span = sums[:, :, lo_row:hi_row]
+                if detuned:
+                    g4_span = g4[lo_row:hi_row]
+                    l1 = np.sqrt(g4_span + delta * delta)
+                    span[:, :2] *= g4_span / (l1 * l1)
+                    span[:, 3:] *= delta / l1
+                    span[:, 3] *= delta / l1  # twice: (delta/l1)^2 alone can underflow
+                else:  # an earlier band's detuned rows may have left w-sums here
+                    span[:, 3:] = 0.0
             band = sums[:, :, : last - first]
-            if detuned:
-                l1 = np.sqrt(g4 + delta * delta)
-                band[:, :2] *= g4 / (l1 * l1)
-                band[:, 3:] *= delta / l1
-                band[:, 3] *= delta / l1  # twice: (delta/l1)^2 alone can underflow
             sides = [
                 (total - sg, sg, total - se, se, cc - ww, cw + wc)
                 for total, (sg, se, cc, ww, cw, wc) in zip(totals[:, : last - first], band)

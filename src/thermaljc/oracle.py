@@ -59,9 +59,10 @@ _CHUNK_ELEMENTS = 1 << 15
 _SECTOR_BLOCK = 1 << 12
 # photon number of level l in the evolved |a, n>, less n, at [a, l]
 _PHOTON_SHIFT = np.array([[0, -1], [1, 0]])
-# Most rows of one stacked call of each route in config_deviations.  Stacking
-# saves the fixed cost of a call (about 0.1 ms per route at 50 times); a
-# budget keeps the stacked arrays small and lets a long grid run one
+# Most rows of one stacked call of each route; config_deviations cuts its list,
+# in order, into such calls.  Stacking saves the fixed cost of a call (about
+# 0.1 ms per route at 50 times): the default validate grid, 900 rows, is one
+# call.  The budget keeps the stacked arrays small and lets a long grid run one
 # configuration at a time, as without stacking.
 _STACK_ROWS = 1 << 10
 
@@ -236,16 +237,16 @@ def oracle_joint_density(
 def stacked_joint_density(configs: Sequence[_Config], t: np.ndarray) -> np.ndarray:
     """:func:`oracle_joint_density` of every configuration (params, dist_a,
     dist_b) of ``configs`` at every time of t, in one call: row j*t.size + i
-    holds configuration j at time i, bit-identical to that call.  They must
-    share delta, or ValueError is raised.  Per chunk of the times, the
-    configurations that share params share one evolution, over the widest of
-    their cutoffs, each distinct cavity's channel and one Bell product.  Each
-    distinct distribution's probabilities are formed once per call."""
+    holds configuration j at time i, bit-identical to that call.  Per chunk
+    of the times, the configurations that share params, delta included, share
+    one evolution, over the widest of their cutoffs, each distinct cavity's
+    channel and one Bell product.  Each distinct distribution's probabilities
+    are formed once per call.  Raises ValueError for an empty ``configs``."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
-    if len({params.delta for params, _, _ in configs}) != 1:
-        raise ValueError("stacked configurations must share one delta")
+    if not configs:
+        raise ValueError("stacked routes need at least one configuration")
     by_params: dict[SystemParams, list[int]] = {}
     for j, (params, _, _) in enumerate(configs):
         by_params.setdefault(params, []).append(j)
@@ -308,8 +309,7 @@ def max_route_deviation(
 
 def route_deviations(configs: Sequence[_Config], times: Iterable[float]) -> np.ndarray:
     """:func:`max_route_deviation` of every configuration (params, dist_a,
-    dist_b), which share delta, from one stacked call of each route over all
-    their rows."""
+    dist_b), from one stacked call of each route over all their rows."""
     times = np.fromiter(times, dtype=float)
     closed = stacked_states(configs, times)
     gap = stacked_joint_density(configs, times)
@@ -323,26 +323,17 @@ def config_deviations(configs: Sequence[_Config], times: np.ndarray) -> list[flo
     """:func:`max_route_deviation` of each configuration (params, dist_a,
     dist_b), in order, or the TruncationError or ValueError its routes raise.
 
-    Configurations that share delta are stacked by :func:`route_deviations`,
-    as many as fit in ``_STACK_ROWS`` rows per call: a grid longer than half
-    of that runs one configuration at a time.  A stacked call that raises is
-    re-run one configuration at a time, so a failure is reported, with its
-    own text, by the configurations that raise it."""
+    The list is cut, in order, into stacked calls of :func:`route_deviations`
+    of as many configurations as fit in ``_STACK_ROWS`` rows: a grid longer
+    than half of that runs one configuration at a time.  A stacked call that
+    raises is re-run one configuration at a time, so a failure is reported,
+    with its own text, by the configurations that raise it."""
     per_call = max(1, _STACK_ROWS // max(len(times), 1))
-    groups: dict[float, list[int]] = {}
-    for index, (params, _, _) in enumerate(configs):
-        groups.setdefault(params.delta, []).append(index)
-    results: list[float | Exception] = [0.0] * len(configs)
-    for members in groups.values():
-        for lo in range(0, len(members), per_call):
-            chunk = members[lo : lo + per_call]
-            deviations = _deviations([configs[index] for index in chunk], times)
-            for index, result in zip(chunk, deviations):
-                results[index] = result
-    return results
+    return [result for lo in range(0, len(configs), per_call)
+            for result in _deviations(configs[lo : lo + per_call], times)]
 
 
-def _deviations(configs: list[_Config], times: np.ndarray) -> list[float | Exception]:
+def _deviations(configs: Sequence[_Config], times: np.ndarray) -> list[float | Exception]:
     try:
         return route_deviations(configs, times).tolist()
     except (TruncationError, ValueError) as exc:

@@ -54,25 +54,21 @@ def test_report_prints_the_median_quartiles_slowest_and_traced_peak(capsys, valu
 def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
     rows, cases = _script().validate_cases()
     assert rows == 18 * 50
-    assert list(cases) == ["closed form, by configuration", "closed form, stacked per delta",
-                           "oracle, by configuration", "oracle, stacked per delta"]
+    assert list(cases) == ["closed form, by configuration", "closed form, stacked, one call",
+                           "oracle, by configuration", "oracle, stacked, one call"]
     results = {label: work() for label, work in cases.items()}
     assert len(results["closed form, by configuration"]) == 18
-    assert len(results["closed form, stacked per delta"]) == 3  # one call per delta
-    # the grid runs delta fastest, so configuration 3*k + d has delta number d
-    # and is number k of that delta's call
-    order = [3 * k + d for d in range(3) for k in range(6)]
-    alone = results["oracle, by configuration"]
-    stacked = np.concatenate(results["oracle, stacked per delta"])
-    assert stacked.tobytes() == np.concatenate([alone[i] for i in order]).tobytes()
-    closed = [np.concatenate(fields) for fields in zip(*results["closed form, stacked per delta"])]
-    by_configuration = results["closed form, by configuration"]
+    assert len(results["closed form, stacked, one call"]) == 1
+    # the stacked rows keep the grid's order of configurations
+    [stacked] = results["oracle, stacked, one call"]
+    assert stacked.tobytes() == np.concatenate(results["oracle, by configuration"]).tobytes()
+    [closed] = results["closed form, stacked, one call"]
     for field, got in enumerate(closed):
-        want = np.concatenate([by_configuration[i][field] for i in order])
+        want = np.concatenate([x[field] for x in results["closed form, by configuration"]])
         assert got.tobytes() == want.tobytes()
-    _script().report("validate, oracle, stacked per delta", cases["oracle, stacked per delta"],
+    _script().report("validate, oracle, stacked, one call", cases["oracle, stacked, one call"],
                      2, rows)
-    assert capsys.readouterr().out.startswith("validate, oracle, stacked per delta: median ")
+    assert capsys.readouterr().out.startswith("validate, oracle, stacked, one call: median ")
 
 
 def test_the_argv_cases_read_the_figure_and_validate_lines_alike(capsys):

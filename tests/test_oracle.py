@@ -708,15 +708,11 @@ class TestRouteAgreement:
 
 
 def _validate_grid(times=50):
-    """The configurations and times of ``validate --gt-max 25``, with the
-    configurations by delta."""
+    """The configurations and times of ``validate --gt-max 25``."""
     resolved = {"g": 1.0, "motion": True, "epsilon_tail": DEFAULT_EPSILON_TAIL,
                 **cli._VALIDATE_GRID}
     configs = cli._scan_configs(resolved)
-    groups = {}
-    for config in configs:
-        groups.setdefault(config[0].delta, []).append(config)
-    return configs, groups, validation_times(configs[0][0], 25.0, times)
+    return configs, validation_times(configs[0][0], 25.0, times)
 
 
 def _assert_rows_alone(configs, t):
@@ -732,14 +728,13 @@ def _assert_rows_alone(configs, t):
 
 
 class TestStackedRoutes:
-    """validate stacks the configurations that share delta into one call of
-    each route, up to oracle._STACK_ROWS rows."""
+    """validate stacks its configurations, whatever their delta, into calls of
+    each route of up to oracle._STACK_ROWS rows."""
 
     def test_stacked_rows_are_each_configuration_alone_bit_for_bit(self):
-        _, groups, t = _validate_grid()
-        assert len(groups) == 3 and all(len(configs) == 6 for configs in groups.values())
-        for configs in groups.values():
-            _assert_rows_alone(configs, t)
+        configs, t = _validate_grid()
+        assert len(configs) == 18 and len({params.delta for params, _, _ in configs}) == 3
+        _assert_rows_alone(configs, t)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0])
     def test_a_cavity_in_an_unequal_and_an_equal_pair_keeps_each_pairs_bits(self, delta):
@@ -752,7 +747,7 @@ class TestStackedRoutes:
         _assert_rows_alone(configs[::-1], t)
 
     def test_deviations_are_those_of_each_configuration_alone(self):
-        configs, _, t = _validate_grid()
+        configs, t = _validate_grid()
         alone = [max_route_deviation(params, dist_a, dist_b, t)
                  for params, dist_a, dist_b in configs]
         assert oracle.config_deviations(configs, t) == alone
@@ -768,10 +763,10 @@ class TestStackedRoutes:
             return probabilities(dist)
 
         monkeypatch.setattr(ThermalDistribution, "probabilities", counted)
-        _, groups, t = _validate_grid()
+        grid, t = _validate_grid()
         mixed = [(SystemParams(p=p, delta=1.0), _dist(a), _dist(b))
                  for p in (1, 4) for a, b in ((0.5, 0.1), (0.5, 0.5), (0.1, 0.1))]
-        for configs in [*groups.values(), mixed]:
+        for configs in (grid, mixed):
             distinct = {dist for _, *pair in configs for dist in pair}
             for stacked in (dynamics.stacked_states, oracle.stacked_joint_density):
                 calls.clear()
@@ -779,18 +774,25 @@ class TestStackedRoutes:
                 assert Counter(calls) == dict.fromkeys(distinct, 1)
         calls.clear()
         assert cli_main(["validate", "--gt-max", "25"]) == 0
-        assert len(calls) == 2 * 3 * 3  # per route and delta, kbar 0, 0.1 and 0.5
+        assert len(calls) == 2 * 3  # per route, kbar 0, 0.1 and 0.5
 
-    def test_stacked_configurations_must_share_delta(self):
-        dist, t = _dist(0.1), np.linspace(0.0, 2.0, 3)
-        mixed = [(SystemParams(delta=0.0), dist, dist), (SystemParams(delta=1.0), dist, dist)]
+    def test_any_mix_of_delta_keeps_each_configurations_bits(self):
+        # resonant, detuned and subnormal-squared delta, motion on and off,
+        # equal and unequal pairs: 3000 rows in two bands of one worker, so
+        # that, in the reversed order, resonant rows reuse detuned rows' sums
+        t = np.linspace(0.0, 25.0, 100)
+        configs = [(SystemParams(p=4, delta=delta, motion_enabled=motion), _dist(a), _dist(b))
+                   for delta in (0.0, 1.0, 5.0, -2.0, 1e-160) for motion in (True, False)
+                   for a, b in ((0.5, 0.1), (0.1, 0.1), (0.1, 0.5))]
+        _assert_rows_alone(configs, t)
+        _assert_rows_alone(configs[::-1], t)
+
+    def test_an_empty_list_is_refused_alike_by_both_routes(self):
         for stacked in (dynamics.stacked_states, oracle.stacked_joint_density):
-            with pytest.raises(ValueError, match="share one delta"):
-                stacked(mixed, t)
-            with pytest.raises(ValueError, match="share one delta"):
-                stacked([], t)
+            with pytest.raises(ValueError, match="^stacked routes need at least one configuration$"):
+                stacked([], np.linspace(0.0, 2.0, 3))
 
-    def test_the_grid_makes_one_call_per_group_within_the_row_budget(self, monkeypatch, capsys):
+    def test_the_grid_makes_one_call_within_the_row_budget(self, monkeypatch, capsys):
         sizes = []
         route_deviations = oracle.route_deviations
 
@@ -800,7 +802,7 @@ class TestStackedRoutes:
 
         monkeypatch.setattr(oracle, "route_deviations", spy)
         assert cli_main(["validate", "--gt-max", "25"]) == 0
-        assert sizes == [6] * 3
+        assert sizes == [18]
         sizes.clear()
         # two configurations of 513 times pass the 1024-row budget
         assert cli_main(["validate", "--gt-max", "25", "--times", "513"]) == 0
