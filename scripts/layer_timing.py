@@ -33,8 +33,9 @@ whose kernel threads shared one CPU, which the quartiles can hide.
 - Validate: both routes over the default ``validate`` grid (18
   configurations) at 50 times, as ``validate --gt-max 25`` runs them, in ns
   per (configuration, time) row.  Each route is timed by configuration
-  (``dynamics.states``, ``oracle.oracle_joint_density``) and stacked, all 18
-  in one call (``dynamics.stacked_states``, ``oracle.stacked_joint_density``).
+  (``dynamics.states``, ``oracle.stacked_joint_density([config], t)``) and
+  stacked, all 18 in one call (``dynamics.stacked_states``,
+  ``oracle.stacked_joint_density``).
 - Argv: the 18 command lines of ``scripts/reproduce_figures.py`` and
   ``validate --gt-max 25``, read by ``cli._plain_args`` and then by a freshly
   built argparse parser (``cli._build_parser``, built once per run), in us
@@ -216,7 +217,8 @@ def validate_cases() -> tuple[int, dict[str, Callable[[], list]]]:
     return len(configs) * t.size, {
         "closed form, by configuration": alone(dynamics.states),
         "closed form, stacked, one call": stacked(dynamics.stacked_states),
-        "oracle, by configuration": alone(oracle.oracle_joint_density),
+        "oracle, by configuration":
+            lambda: [oracle.stacked_joint_density([config], t) for config in configs],
         "oracle, stacked, one call": stacked(oracle.stacked_joint_density),
     }
 

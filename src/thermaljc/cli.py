@@ -26,7 +26,7 @@ from .core import (
     ThermalDistribution,
     TruncationError,
 )
-from .oracle import ORACLE_TOL, config_deviations, validation_times
+from .oracle import ORACLE_TOL, route_deviations, validation_times
 from .svgplot import render_plot
 from .sweep import TimeSeries, scan, time_series
 
@@ -475,7 +475,7 @@ def _run_validate(command: str, resolved: dict[str, object]) -> int:
     # every configuration shares g and motion, hence the times
     times = validation_times(configs[0][0], resolved["gt_max"], resolved["times"])
     all_ok = True
-    for (params, dist_a, dist_b), deviation in zip(configs, config_deviations(configs, times)):
+    for (params, dist_a, dist_b), deviation in zip(configs, route_deviations(configs, times)):
         if isinstance(deviation, Exception):
             if single:
                 raise deviation

@@ -59,7 +59,7 @@ _CHUNK_ELEMENTS = 1 << 15
 _SECTOR_BLOCK = 1 << 12
 # photon number of level l in the evolved |a, n>, less n, at [a, l]
 _PHOTON_SHIFT = np.array([[0, -1], [1, 0]])
-# Most rows of one stacked call of each route; config_deviations cuts its list,
+# Most rows of one stacked call of each route; route_deviations cuts its list,
 # in order, into such calls.  Stacking saves the fixed cost of a call (about
 # 0.1 ms per route at 50 times): the default validate grid, 900 rows, is one
 # call.  The budget keeps the stacked arrays small and lets a long grid run one
@@ -215,33 +215,22 @@ def joint_x_states(m: np.ndarray) -> XStates:
     return x
 
 
-def oracle_joint_density(
-    params: SystemParams,
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
-    t: np.ndarray,
-) -> np.ndarray:
-    """Brute-force two-atom state at every time of the one-dimensional array t.
-
-    Both pairs share one stack of sector propagators; a cavity whose
-    distribution equals the other's reuses its channel.  Photon numbers are
-    cut into slices at every ``_SECTOR_BLOCK``, and each cavity's channel
-    accumulates over its slices.  The grid is evaluated in chunks of at most
-    ``_CHUNK_ELEMENTS`` propagator entries of one slice, or of one time when
-    a single time needs more.  A time's state is bit-identical in any grid.
-    Returns the (times, 4, 4) stack in the basis (|gg>, |ge>, |eg>, |ee>), not
-    validated; see :func:`joint_x_states`."""
-    return stacked_joint_density([(params, dist_a, dist_b)], t)
-
-
 def stacked_joint_density(configs: Sequence[_Config], t: np.ndarray) -> np.ndarray:
-    """:func:`oracle_joint_density` of every configuration (params, dist_a,
-    dist_b) of ``configs`` at every time of t, in one call: row j*t.size + i
-    holds configuration j at time i, bit-identical to that call.  Per chunk
-    of the times, the configurations that share params, delta included, share
-    one evolution, over the widest of their cutoffs, each distinct cavity's
-    channel and one Bell product.  Each distinct distribution's probabilities
-    are formed once per call.  Raises ValueError for an empty ``configs``."""
+    """Brute-force two-atom state of every configuration (params, dist_a,
+    dist_b) of ``configs`` at every time of the one-dimensional array t, in
+    one call: row j*t.size + i holds configuration j at time i.
+
+    Photon numbers are cut into slices at every ``_SECTOR_BLOCK``, and each
+    cavity's channel accumulates over its slices.  The grid is evaluated in
+    chunks of at most ``_CHUNK_ELEMENTS`` propagator entries of one slice, or
+    of one time when a single time needs more.  A row is bit-identical in any
+    grid and in any list of configurations.  Per chunk, the configurations
+    that share params, delta included, share one evolution, over the widest
+    of their cutoffs, each distinct cavity's channel and one Bell product.
+    Each distinct distribution's probabilities are formed once per call.
+    Returns the (rows, 4, 4) stack in the basis (|gg>, |ge>, |eg>, |ee>), not
+    validated; see :func:`joint_x_states`.  Raises ValueError for an empty
+    ``configs``."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
@@ -291,55 +280,42 @@ def oracle_density_matrix(
     t: float,
 ) -> XStates:
     """Brute-force reduced state at time t, validated, as Python scalars: the
-    one-point view of :func:`oracle_joint_density`."""
-    joint = oracle_joint_density(params, dist_a, dist_b, np.array([t], dtype=float))
+    one-point view of :func:`stacked_joint_density`."""
+    joint = stacked_joint_density([(params, dist_a, dist_b)], np.array([t], dtype=float))
     return XStates._make(v.item() for v in joint_x_states(joint))
 
 
-def max_route_deviation(
-    params: SystemParams,
-    dist_a: ThermalDistribution,
-    dist_b: ThermalDistribution,
-    times: Iterable[float],
-) -> float:
-    """Largest elementwise gap between the closed form and the brute force,
-    each evaluated over all times in one grid call."""
-    return float(route_deviations([(params, dist_a, dist_b)], times)[0])
+def route_deviations(configs: Sequence[_Config], times: Iterable[float]) -> list[float | Exception]:
+    """Largest elementwise gap between the closed form and the brute force of
+    each configuration (params, dist_a, dist_b), in order, or the
+    TruncationError or ValueError its routes raise.
 
-
-def route_deviations(configs: Sequence[_Config], times: Iterable[float]) -> np.ndarray:
-    """:func:`max_route_deviation` of every configuration (params, dist_a,
-    dist_b), from one stacked call of each route over all their rows."""
+    The list is cut, in order, into cuts of as many configurations as fit in
+    ``_STACK_ROWS`` rows, with one call of each route per cut: a grid longer
+    than half of that runs one configuration at a time.  A cut that raises
+    is re-run one configuration at a time, so a failure is reported, with its
+    own text, by the configurations that raise it."""
     times = np.fromiter(times, dtype=float)
-    closed = stacked_states(configs, times)
-    gap = stacked_joint_density(configs, times)
-    for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
-                      ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
-        gap[:, i, j] -= x
-    return np.max(np.abs(gap).reshape(len(configs), -1), axis=1, initial=0.0)
-
-
-def config_deviations(configs: Sequence[_Config], times: np.ndarray) -> list[float | Exception]:
-    """:func:`max_route_deviation` of each configuration (params, dist_a,
-    dist_b), in order, or the TruncationError or ValueError its routes raise.
-
-    The list is cut, in order, into stacked calls of :func:`route_deviations`
-    of as many configurations as fit in ``_STACK_ROWS`` rows: a grid longer
-    than half of that runs one configuration at a time.  A stacked call that
-    raises is re-run one configuration at a time, so a failure is reported,
-    with its own text, by the configurations that raise it."""
-    per_call = max(1, _STACK_ROWS // max(len(times), 1))
-    return [result for lo in range(0, len(configs), per_call)
-            for result in _deviations(configs[lo : lo + per_call], times)]
-
-
-def _deviations(configs: Sequence[_Config], times: np.ndarray) -> list[float | Exception]:
-    try:
-        return route_deviations(configs, times).tolist()
-    except (TruncationError, ValueError) as exc:
-        if len(configs) == 1:
-            return [exc]
-        return [result for config in configs for result in _deviations([config], times)]
+    per_call = max(1, _STACK_ROWS // max(times.size, 1))
+    cuts = [configs[lo : lo + per_call] for lo in range(0, len(configs), per_call)]
+    results: list[float | Exception] = []
+    while cuts:
+        cut = cuts.pop(0)
+        try:
+            closed = stacked_states(cut, times)
+            gap = stacked_joint_density(cut, times)
+        except (TruncationError, ValueError) as exc:
+            if len(cut) == 1:
+                results.append(exc)
+            else:
+                cuts[:0] = [[config] for config in cut]
+            continue
+        for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
+                          ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
+            gap[:, i, j] -= x
+        results += np.max(np.abs(gap).reshape(len(cut), -1), axis=1, initial=0.0).tolist()
+        del closed, gap, x  # no array of this cut is alive during the next cut's calls
+    return results
 
 
 def validation_times(params: SystemParams, gt_max: float, times: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from thermaljc.dynamics import effective_coupling
 from thermaljc.oracle import (
     joint_x_states,
     oracle_density_matrix,
-    oracle_joint_density,
+    stacked_joint_density,
 )
 from thermaljc.sweep import dead_intervals, verified_period
 
@@ -291,7 +291,7 @@ def test_criterion_09_x_structure_and_general_concurrence(announce):
             dist = _dist(mean)
             for delta in (0.0, 5.0):
                 params = SystemParams(p=p, delta=delta)
-                joint = oracle_joint_density(params, dist, dist, times)
+                joint = stacked_joint_density([(params, dist, dist)], times)
                 worst_off_x = max(worst_off_x, max_off_x_magnitude(joint))
                 for matrix, shortcut in zip(joint, concurrence(joint_x_states(joint))):
                     general = wootters_concurrence_general(matrix)

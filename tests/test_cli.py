@@ -221,7 +221,7 @@ class TestValidate:
         def broken(*args):
             raise ValueError("populations outside [0, 1]")
 
-        monkeypatch.setattr(oracle, "route_deviations", broken)
+        monkeypatch.setattr(oracle, "stacked_joint_density", broken)
         assert main(["validate", "--kbar", "0.1", "--times", "2"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "usage error: populations outside [0, 1]\n")

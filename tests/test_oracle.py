@@ -33,10 +33,10 @@ from thermaljc.oracle import (
     evolve_basis,
     field_traced_channel,
     joint_x_states,
-    max_route_deviation,
     oracle_density_matrix,
-    oracle_joint_density,
+    route_deviations,
     sector_hamiltonians,
+    stacked_joint_density,
     validation_times,
 )
 from thermaljc import cli, dynamics, oracle
@@ -52,6 +52,16 @@ from helpers import (
 
 def _dist(mean, epsilon_tail=1e-12):
     return ThermalDistribution.from_mean(mean, epsilon_tail)
+
+
+def _joint(params, dist_a, dist_b, t):
+    """The brute-force state of one configuration at every time of t."""
+    return stacked_joint_density([(params, dist_a, dist_b)], t)
+
+
+def _gap(params, dist_a, dist_b, times):
+    """The route gap of one configuration over the times, or its exception."""
+    return route_deviations([(params, dist_a, dist_b)], times)[0]
 
 
 BELL_MATRIX = np.zeros((4, 4), dtype=complex)
@@ -232,7 +242,7 @@ class TestEvolvedAmplitudes:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="one-dimensional"):
-            oracle_joint_density(SystemParams(), _dist(0.1), _dist(0.1), np.zeros((2, 2)))
+            _joint(SystemParams(), _dist(0.1), _dist(0.1), np.zeros((2, 2)))
 
     @given(
         re0=st.floats(min_value=-1.0, max_value=1.0),
@@ -340,7 +350,7 @@ class TestThermalBranches:
     def test_factorized_trace_matches_the_branch_loop(self, params, dist_a, dist_b):
         assert max(dist_a.n_max, dist_b.n_max) <= 11
         t = np.linspace(0.0, 25.0, 9) / params.g
-        factorized = oracle_joint_density(params, dist_a, dist_b, t)
+        factorized = _joint(params, dist_a, dist_b, t)
         assert np.max(np.abs(factorized - _reference_joint(params, dist_a, dist_b, t))) <= 1e-14
 
 
@@ -381,7 +391,7 @@ class TestJointXStates:
     the closed form runs too."""
 
     def test_oracle_output_is_x_structured(self):
-        rho = oracle_joint_density(
+        rho = _joint(
             SystemParams(delta=1.0), _dist(0.1), _dist(0.1), np.array([1.7, 4.2])
         )
         joint_x_states(rho)
@@ -433,7 +443,7 @@ class TestJointXStates:
             joint_x_states(BELL_MATRIX)
 
     def test_joint_x_states_round_trips_the_elements(self):
-        joint = oracle_joint_density(
+        joint = _joint(
             SystemParams(delta=1.0), _dist(0.1), _dist(0.1), np.array([1.7, 4.2])
         )
         grid = joint_x_states(joint)
@@ -444,7 +454,7 @@ class TestJointXStates:
 
     def test_one_point_view_is_the_grid_entry(self):
         params, dist = SystemParams(delta=1.0), _dist(0.1)
-        grid = oracle_joint_density(params, dist, dist, np.array([0.4, 1.7]))
+        grid = _joint(params, dist, dist, np.array([0.4, 1.7]))
         point = oracle_density_matrix(params, dist, dist, 1.7)
         np.testing.assert_allclose(x_matrix(point), grid[1], atol=1e-15)
 
@@ -478,7 +488,7 @@ def test_both_routes_refuse_a_bad_time_with_one_text(bad):
     with pytest.raises(ValueError) as closed:
         states(params, dist, dist, t)
     with pytest.raises(ValueError) as oracle:
-        oracle_joint_density(params, dist, dist, t)
+        _joint(params, dist, dist, t)
     assert str(oracle.value) == str(closed.value) == f"time must be finite and >= 0, got {bad!r}"
 
 
@@ -488,7 +498,7 @@ def oracle_grid():
     # grid lives in the acceptance suite
     params = SystemParams(delta=1.0)
     dist = _dist(0.1)
-    return oracle_joint_density(params, dist, dist, np.arange(0.0, 25.5, 0.5))
+    return _joint(params, dist, dist, np.arange(0.0, 25.5, 0.5))
 
 
 class TestOracleInvariants:
@@ -509,7 +519,7 @@ class TestOracleInvariants:
         assert max_off_x_magnitude(oracle_grid) <= 1e-12
 
     def test_empty_grid(self):
-        joint = oracle_joint_density(SystemParams(), _dist(0.1), _dist(0.1), np.array([]))
+        joint = _joint(SystemParams(), _dist(0.1), _dist(0.1), np.array([]))
         assert joint.shape == (0, 4, 4)
         joint_x_states(joint)
 
@@ -519,10 +529,10 @@ class TestChunking:
     def test_chunk_size_does_not_change_the_grid(self, monkeypatch, chunk):
         params, dist_a, dist_b = SystemParams(delta=1.0), _dist(0.1), _dist(0.5)
         t = np.linspace(0.0, 25.0, 23)
-        whole = oracle_joint_density(params, dist_a, dist_b, t)
+        whole = _joint(params, dist_a, dist_b, t)
         # the budget is counted in propagator entries, 4 per sector and time
         monkeypatch.setattr("thermaljc.oracle._CHUNK_ELEMENTS", chunk * 4 * 26)
-        chunked = oracle_joint_density(params, dist_a, dist_b, t)
+        chunked = _joint(params, dist_a, dist_b, t)
         np.testing.assert_array_equal(chunked, whole)
 
     @pytest.mark.parametrize("times", [1, 120])
@@ -535,7 +545,7 @@ class TestChunking:
         t = np.linspace(0.0, 25.0, times)
         tracemalloc.start()
         try:
-            oracle_joint_density(params, dist, dist, t)
+            _joint(params, dist, dist, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -547,13 +557,13 @@ class TestChunking:
         # so that the narrower one skips the last slices
         params, dist_a, dist_b = SystemParams(delta=1.0), _dist(0.1), _dist(0.5)
         t = np.linspace(0.0, 25.0, 23)
-        whole = oracle_joint_density(params, dist_a, dist_b, t)
+        whole = _joint(params, dist_a, dist_b, t)
         monkeypatch.setattr("thermaljc.oracle._SECTOR_BLOCK", block)
-        blocked = oracle_joint_density(params, dist_a, dist_b, t)
-        alone = [oracle_joint_density(params, dist_a, dist_b, t[i : i + 1]) for i in range(t.size)]
+        blocked = _joint(params, dist_a, dist_b, t)
+        alone = [_joint(params, dist_a, dist_b, t[i : i + 1]) for i in range(t.size)]
         np.testing.assert_array_equal(np.concatenate(alone), blocked)
         monkeypatch.setattr("thermaljc.oracle._CHUNK_ELEMENTS", 7 * 4 * (min(block, 26) + 1))
-        np.testing.assert_array_equal(oracle_joint_density(params, dist_a, dist_b, t), blocked)
+        np.testing.assert_array_equal(_joint(params, dist_a, dist_b, t), blocked)
         # the slices reorder the thermal sums, which moves the state by rounding only
         assert np.max(np.abs(blocked - whole)) <= 1e-15
 
@@ -565,7 +575,7 @@ class TestChunking:
             dist = _dist(mean)
             tracemalloc.start()
             try:
-                oracle_joint_density(params, dist, dist, t)
+                _joint(params, dist, dist, t)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -579,7 +589,7 @@ class TestChunking:
     def test_many_slices_match_the_closed_form(self):
         # seven slices at kbar 1e3 (N = 27 644)
         params, dist = SystemParams(delta=1.0), _dist(1e3)
-        assert max_route_deviation(params, dist, dist, [0.9, 3.7]) <= ORACLE_TOL
+        assert _gap(params, dist, dist, [0.9, 3.7]) <= ORACLE_TOL
 
 
 class TestBlasThreads:
@@ -590,10 +600,10 @@ class TestBlasThreads:
         script = (
             "import hashlib, numpy as np\n"
             "from thermaljc import SystemParams, ThermalDistribution\n"
-            "from thermaljc.oracle import oracle_joint_density, stacked_joint_density\n"
+            "from thermaljc.oracle import stacked_joint_density\n"
             "hot, warm = ThermalDistribution.from_mean(50.0), ThermalDistribution.from_mean(0.5)\n"
             "t = np.linspace(0.0, 25.0, 200)\n"
-            "rho = oracle_joint_density(SystemParams(delta=1.0), hot, warm, t)\n"
+            "rho = stacked_joint_density([(SystemParams(delta=1.0), hot, warm)], t)\n"
             "configs = [(SystemParams(p=p, delta=1.0), a, b)\n"
             "           for p in (1, 4) for a, b in ((hot, warm), (warm, warm))]\n"
             "digest = hashlib.sha256(rho.tobytes())\n"
@@ -627,24 +637,24 @@ class TestRouteAgreement:
     def test_thermal_reference_point(self):
         params = SystemParams()
         dist = _dist(0.1)
-        gap = max_route_deviation(params, dist, dist, [1.0])
+        gap = _gap(params, dist, dist, [1.0])
         assert gap <= 1e-9
 
     def test_vacuum_matches_to_closed_form_accuracy(self):
         params = SystemParams()
         dist = _dist(0.0)
-        gap = max_route_deviation(params, dist, dist, np.linspace(0.0, 6.0, 13))
+        gap = _gap(params, dist, dist, np.linspace(0.0, 6.0, 13))
         assert gap <= 1e-12
 
     def test_empty_time_list_has_no_gap(self):
-        assert max_route_deviation(SystemParams(), _dist(0.1), _dist(0.1), []) == 0.0
+        assert route_deviations([(SystemParams(), _dist(0.1), _dist(0.1))], []) == [0.0]
 
     @pytest.mark.parametrize("case", WIDER_CASES)
     def test_states_match_the_oracle_across_the_input_space(self, case):
         params, kbar, lbar = WIDER_CASES[case]
         dist_a, dist_b = _dist(kbar), _dist(lbar)
         t = np.linspace(0.0, 25.0, 50) / params.g
-        assert max_route_deviation(params, dist_a, dist_b, t) <= ORACLE_TOL
+        assert _gap(params, dist_a, dist_b, t) <= ORACLE_TOL
 
     @pytest.mark.parametrize("delta", [0.0, 1.0])
     def test_early_populations_agree_relatively_with_motion_on(self, delta):
@@ -653,7 +663,7 @@ class TestRouteAgreement:
         params, t = SystemParams(delta=delta), np.array([1e-12, 1e-8, 1e-6, 1e-3])
         dist_a, dist_b = _dist(0.5), _dist(2.0)
         closed = states(params, dist_a, dist_b, t).x1
-        brute = oracle_joint_density(params, dist_a, dist_b, t)[:, 0, 0].real
+        brute = _joint(params, dist_a, dist_b, t)[:, 0, 0].real
         assert closed[0] == pytest.approx(5.625e-49, rel=1e-12)
         assert np.all(np.abs(brute / closed - 1.0) <= 2e-15), brute / closed - 1.0
 
@@ -685,8 +695,8 @@ class TestRouteAgreement:
     def test_validation_result_failure_handling(self, monkeypatch, capsys):
         for deviation, verdict in ((1e-12, "ok"), (1e-6, "FAILED"),
                                    (math.nan, "FAILED"), (math.inf, "FAILED")):
-            monkeypatch.setattr(oracle, "route_deviations",
-                                lambda configs, *args: np.full(len(configs), deviation))
+            monkeypatch.setattr(cli, "route_deviations",
+                                lambda configs, times: [deviation] * len(configs))
             rc = cli_main(["validate", "--kbar", "0.1", "--times", "2"])
             assert capsys.readouterr().out == (
                 f"p=1 kbar=0.1 lbar=0.1 delta=0.0 max_deviation={deviation:.3e} {verdict}\n"
@@ -696,7 +706,8 @@ class TestRouteAgreement:
         def broken(*args):
             raise TruncationError("tail")
 
-        monkeypatch.setattr(oracle, "route_deviations", broken)
+        monkeypatch.undo()
+        monkeypatch.setattr(oracle, "stacked_joint_density", broken)
         assert cli_main(["validate", "--times", "2"]) == 3  # grid mode: every line FAILED
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 19
@@ -724,7 +735,7 @@ def _assert_rows_alone(configs, t):
         rows = slice(j * t.size, (j + 1) * t.size)
         for name, stacked, x in zip(XStates._fields, closed, states(*config, t)):
             assert stacked[rows].tobytes() == x.tobytes(), (config, name)
-        assert brute[rows].tobytes() == oracle_joint_density(*config, t).tobytes(), config
+        assert brute[rows].tobytes() == stacked_joint_density([config], t).tobytes(), config
 
 
 class TestStackedRoutes:
@@ -748,9 +759,8 @@ class TestStackedRoutes:
 
     def test_deviations_are_those_of_each_configuration_alone(self):
         configs, t = _validate_grid()
-        alone = [max_route_deviation(params, dist_a, dist_b, t)
-                 for params, dist_a, dist_b in configs]
-        assert oracle.config_deviations(configs, t) == alone
+        alone = [route_deviations([config], t)[0] for config in configs]
+        assert route_deviations(configs, t) == alone
 
     def test_each_distribution_forms_its_probabilities_once_per_route_call(self, monkeypatch):
         # a distribution shared by pairs, or by p-values, is formed once per
@@ -793,30 +803,30 @@ class TestStackedRoutes:
                 stacked([], np.linspace(0.0, 2.0, 3))
 
     def test_the_grid_makes_one_call_within_the_row_budget(self, monkeypatch, capsys):
-        sizes = []
-        route_deviations = oracle.route_deviations
+        sizes = {"stacked_states": [], "stacked_joint_density": []}
+        for name, calls in sizes.items():
+            def spy(configs, t, route=getattr(oracle, name), calls=calls):
+                calls.append(len(configs))
+                return route(configs, t)
 
-        def spy(configs, *args):
-            sizes.append(len(configs))
-            return route_deviations(configs, *args)
-
-        monkeypatch.setattr(oracle, "route_deviations", spy)
+            monkeypatch.setattr(oracle, name, spy)
         assert cli_main(["validate", "--gt-max", "25"]) == 0
-        assert sizes == [18]
-        sizes.clear()
+        assert sizes == {"stacked_states": [18], "stacked_joint_density": [18]}
+        for calls in sizes.values():
+            calls.clear()
         # two configurations of 513 times pass the 1024-row budget
         assert cli_main(["validate", "--gt-max", "25", "--times", "513"]) == 0
-        assert sizes == [1] * 18
+        assert sizes == {"stacked_states": [1] * 18, "stacked_joint_density": [1] * 18}
         assert capsys.readouterr().out.count(" ok\n") == 36
 
     def test_past_the_row_budget_the_peak_does_not_grow_with_the_p_values(self):
         dist, t, peaks = _dist(0.5), np.linspace(0.0, 25.0, 1025), []
         for count in (1, 2, 4, 8):
             configs = [(SystemParams(p=p, delta=1.0), dist, dist) for p in range(1, count + 1)]
-            oracle.config_deviations(configs, t)  # warm caches
+            route_deviations(configs, t)  # warm caches
             tracemalloc.start()
             try:
-                oracle.config_deviations(configs, t)
+                route_deviations(configs, t)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -871,7 +881,7 @@ class TestIndependence:
         monkeypatch.setattr(dynamics, "_coupling", mutated)
         dist = _dist(0.1)
         t = np.linspace(0.0, 25.0, 50)
-        assert max_route_deviation(SystemParams(), dist, dist, t) > ORACLE_TOL
+        assert _gap(SystemParams(), dist, dist, t) > ORACLE_TOL
         assert cli_main(["validate", "--gt-max", "25"]) == 3
         assert capsys.readouterr().out.endswith(
             f"validate: FAILURES above (tolerance {ORACLE_TOL:g})\n"
@@ -888,7 +898,7 @@ class TestIndependence:
         monkeypatch.setattr(dynamics, "_factors", mutated)
         dist = _dist(0.1)
         t = np.linspace(0.0, 25.0, 50)
-        assert max_route_deviation(SystemParams(), dist, dist, t) > ORACLE_TOL
+        assert _gap(SystemParams(), dist, dist, t) > ORACLE_TOL
         assert cli_main(["validate", "--gt-max", "25"]) == 3
         assert capsys.readouterr().out.endswith(
             f"validate: FAILURES above (tolerance {ORACLE_TOL:g})\n"

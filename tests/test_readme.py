@@ -1,8 +1,11 @@
 """The README's "Python API" section: its example runs, and it names every
 exported name and every field of `TimeSeries`, so the public surface and its
-documentation move together."""
+documentation move together.  Every name the README qualifies by a module of
+the package exists."""
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -44,3 +47,21 @@ def test_every_time_series_field_is_documented():
     missing = [field.name for field in dataclasses.fields(thermaljc.TimeSeries)
                if field.name not in named]
     assert not missing, f"TimeSeries fields not in the README's Python API section: {missing}"
+
+
+def test_every_module_qualified_name_resolves():
+    # `oracle.x`, `cli._X(args)` or `thermaljc.core.x`, but not a file name
+    # such as `oracle.py`
+    modules = {info.name for info in pkgutil.iter_modules(thermaljc.__path__)}
+    spans = re.findall(r"`((?:\w+\.)+\w+)(?:\([^`]*\))?`", README.read_text(encoding="utf-8"))
+    missing, names = [], sorted({span for span in spans if not span.endswith(".py")})
+    for name in names:
+        parts = name.removeprefix("thermaljc.").split(".")
+        if parts[0] not in modules:
+            continue
+        owner = importlib.import_module(f"thermaljc.{parts[0]}")
+        for part in parts[1:]:
+            owner = getattr(owner, part, missing)
+        if owner is missing:
+            missing.append(name)
+    assert not missing, f"README names that resolve to nothing: {missing}"
