@@ -36,10 +36,12 @@ whose kernel threads shared one CPU, which the quartiles can hide.
   (``dynamics.states``, ``oracle.stacked_joint_density([config], t)``) and
   stacked, all 18 in one call (``dynamics.stacked_states``,
   ``oracle.stacked_joint_density``).
-- Argv: the 18 command lines of ``scripts/reproduce_figures.py`` and
-  ``validate --gt-max 25``, read by ``cli._plain_args`` and then by a freshly
-  built argparse parser (``cli._build_parser``, built once per run), in us
-  per command line.
+- Argv: the 18 command lines of ``scripts/reproduce_figures.py``,
+  ``validate --gt-max 25``, one help line and one refused line, read by
+  ``cli._read_args``, the one reader of every command line, in us per
+  command line.
+- Source: the line count of each ``thermaljc`` module, as ``wc -l
+  src/thermaljc/*.py`` gives it, and their total.
 
 Run it from the repository root:
 
@@ -237,20 +239,29 @@ def figure_argv() -> list[list[str]]:
     return calls
 
 
-def argv_cases() -> tuple[list[list[str]], dict[str, Callable[[], list]]]:
-    """The figure and validate command lines, and per case a call that reads
-    them all and returns the namespaces as dicts."""
-    argvs = [*figure_argv(), ["validate", "--gt-max", "25"]]
+def argv_case() -> tuple[list[list[str]], Callable[[], list]]:
+    """The figure and validate command lines, a help line and a refused line,
+    and a call that reads them all and returns what each reads to: its
+    settings, its help text or its ``UsageError``."""
+    argvs = [*figure_argv(), ["validate", "--gt-max", "25"], ["scan", "--help"],
+             ["validate", "--times", "x"]]
 
-    def argparse_fresh() -> list:
-        cli._build_parser.cache_clear()
-        parser = cli._build_parser()
-        return [vars(parser.parse_args(argv)) for argv in argvs]
+    def read_all() -> list:
+        results = []
+        for argv in argvs:
+            try:
+                results.append(cli._read_args(argv))
+            except cli.UsageError as exc:
+                results.append(exc)
+        return results
 
-    return argvs, {
-        "plain reader": lambda: [cli._plain_args(argv) for argv in argvs],
-        "argparse, freshly built": argparse_fresh,
-    }
+    return argvs, read_all
+
+
+def source_lines() -> dict[str, int]:
+    """Newlines per module of the imported ``thermaljc``, by file name."""
+    package = pathlib.Path(cli.__file__).parent
+    return {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,10 +301,13 @@ def main(argv: list[str] | None = None) -> int:
     rows, cases = validate_cases()
     for label, work in cases.items():
         report(f"validate, {label} ({rows} rows)", work, args.runs, rows)
-    argvs, cases = argv_cases()
-    for label, work in cases.items():
-        report(f"argv, {label} ({len(argvs)} command lines)", work, args.runs, len(argvs),
-               "us/argv")
+    argvs, work = argv_case()
+    report(f"argv, one reader ({len(argvs)} command lines)", work, args.runs, len(argvs),
+           "us/argv")
+    lines = source_lines()
+    modules = sorted(lines.items(), key=lambda item: -item[1])
+    print(f"source: {sum(lines.values())} lines in src/thermaljc"
+          f" ({', '.join(f'{name} {count}' for name, count in modules)})")
     return 0
 
 

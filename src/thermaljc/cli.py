@@ -16,7 +16,7 @@ import os
 import sys
 import zlib
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .svgplot import render_plot
 from .sweep import TimeSeries, scan, time_series
 
 if TYPE_CHECKING:
-    import argparse
-
     from .floattext import FloatText
 
 EXIT_OK = 0
@@ -140,9 +138,11 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _utf8_text(path: str, data: bytes, error: type[Exception]) -> str:
-    """``data`` decoded; ``error`` names the line of the first byte that is not
-    UTF-8 (newlines before it, plus one).  ``str.splitlines`` on the result
-    splits where text-mode reading followed by it did."""
+    """``data`` decoded, less one leading byte-order mark; ``error`` names the
+    line of the first byte that is not UTF-8 (newlines before it, plus one).
+    ``str.splitlines`` on the result splits where text-mode reading followed
+    by it did."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -214,46 +214,6 @@ _PLOT_KEYS: KeyTable = {
                    f"projection instead: {' or '.join(sorted(PROJECTIONS))}"),
     "title": (_parse_utf8, "", "plot title"),
 }
-
-
-def _flags(keys: KeyTable) -> Iterator[tuple[str, str, Callable[[str], object] | None, str]]:
-    """The flags of a subcommand, ``--config`` last, as (dest, flag, parser of
-    its value, help).  A switch has no parser: ``--no-timestamp`` stores False,
-    and a boolean key's ``--key`` stores True and ``--no-key`` False."""
-    for key, (parse, _, help_text) in keys.items():
-        if key == "timestamp":
-            yield key, "--no-timestamp", None, help_text
-        else:
-            flag = f"--{key.replace('_', '-')}"
-            yield key, flag, None if parse is _parse_bool else parse, help_text
-    yield "config", "--config", str, "key=value file supplying any flag of this subcommand"
-
-
-def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
-    """Let a flag report the same reason a config-file value gets."""
-    import argparse  # only the argparse path calls it
-
-    def flag_type(text: str) -> object:
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return flag_type
-
-
-def _add_flags(parser: argparse.ArgumentParser, keys: KeyTable) -> None:
-    import argparse
-
-    for dest, flag, parse, help_text in _flags(keys):
-        if parse is not None:
-            parser.add_argument(flag, dest=dest, type=_flag_type(parse), help=help_text,
-                                metavar="FILE" if dest == "config" else None)
-        elif flag.startswith("--no-"):
-            parser.add_argument(flag, action="store_const", const=False, dest=dest,
-                                help=help_text)
-        else:
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
 
 
 def _resolve(args: dict[str, object], keys: KeyTable) -> dict[str, object]:
@@ -606,75 +566,97 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[str, dict], int], KeyTable, str]] = {
 }
 
 
+_HELP_FLAGS = ("-h", "--help")
+
+
 @functools.cache
-def _plain_flags(command: str) -> dict[str, tuple[str, Callable[[str], object] | None, bool]]:
-    """The flags ``_plain_args`` reads after ``command``: flag -> (dest, parser
-    of its value or None for a switch, the value a switch stores)."""
+def _flag_table(command: str) -> dict[str, tuple[str, Callable[[str], object] | None, str]]:
+    """Every flag spelling of ``command``, ``--config`` last, as flag -> (key,
+    parser of its value or None for a switch, help).  A boolean key's switch
+    ``--key`` stores True and ``--no-key`` False; the timestamp has
+    ``--no-timestamp`` alone."""
     table = {}
-    for dest, flag, parse, _ in _flags(_SUBCOMMANDS[command][1]):
-        on = not flag.startswith("--no-")
-        table[flag] = (dest, parse, on)
-        if parse is None and on:  # the --no- half of argparse's BooleanOptionalAction
-            table[f"--no-{flag[2:]}"] = (dest, None, False)
+    for key, (parse, _, help_text) in _SUBCOMMANDS[command][1].items():
+        flag = f"--{key.replace('_', '-')}"
+        if parse is not _parse_bool:
+            table[flag] = (key, parse, help_text)
+            continue
+        if key != "timestamp":
+            table[flag] = (key, None, help_text)
+        table[f"--no-{flag[2:]}"] = (key, None, help_text)
+    table["--config"] = ("config", str, "key=value file supplying any flag of this subcommand")
     return table
 
 
-def _plain_args(argv: Sequence[str]) -> dict[str, object] | None:
-    """The namespace argparse reads from a plain command line, as a dict, or
-    None for any other.  Plain is a subcommand name, then its exact long flags,
-    each valued one followed by one value that does not start with "-" and that
-    its parser takes; the last of a repeated flag wins.  Help, "--",
-    "--flag=value", an unknown flag, a stray token, a missing or refused value
-    and a "-"-prefixed value (argparse's negative-number rule) all give None,
-    and argparse, the only judge of a command line, reads them."""
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return None
-    flags = _plain_flags(argv[0])
-    args: dict[str, object] = {dest: None for dest, _, _ in flags.values()}
-    args["command"] = argv[0]
+def _help(command: str | None = None) -> str:
+    """The help text of ``command``, or of the program, from the key tables."""
+    if command is None:
+        usage, about, title = f"{{{','.join(_SUBCOMMANDS)}}}", __doc__.strip(), "commands:"
+        rows = [(name, text) for name, (_, _, text) in _SUBCOMMANDS.items()]
+    else:
+        usage, about, title = command, _SUBCOMMANDS[command][2], "flags:"
+        rows = [(flag if parse is None else f"{flag} {key.upper()}", text)
+                for flag, (key, parse, text) in _flag_table(command).items()]
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(spelling) for spelling, _ in rows) + 2
+    lines = [f"usage: thermaljc {usage} [--flag value | --flag=value ...]", "", about, "", title]
+    return "\n".join(lines + [f"  {spelling:<{width}}{text}" for spelling, text in rows]) + "\n"
+
+
+def _read_args(argv: Sequence[str]) -> dict[str, object] | str:
+    """The settings a command line gives, as a dict of "command" and every key
+    of its flags (None where no flag gives it), or the help text it asks for.
+    A line is a subcommand name, then its flags as ``--flag value`` or
+    ``--flag=value``; a value is any token but a flag of that subcommand or a
+    help flag.  The last repeat of a flag wins.  A missing or refused value or
+    a valued switch raises ``UsageError`` where it stands, any other token at
+    the end, all at once, in argparse's words."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command in _HELP_FLAGS:
+        return _help()
+    if command not in _SUBCOMMANDS:
+        choices = ", ".join(map(repr, _SUBCOMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags = _flag_table(command)
+    args = {**dict.fromkeys(key for key, *_ in flags.values()), "command": command}
+    stray = []
     tokens = iter(argv[1:])
     for token in tokens:
-        if token not in flags:
-            return None
-        dest, parse, const = flags[token]
-        if parse is None:
-            args[dest] = const
+        if token in _HELP_FLAGS:
+            return _help(command)
+        flag, equals, value = token.partition("=")
+        if flag not in flags:
+            stray.append(token)
             continue
-        value = next(tokens, "-")  # a missing value is refused as "-" is
-        if value.startswith("-"):
-            return None
+        key, parse, _ = flags[flag]
+        if parse is None:
+            if equals:
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            args[key] = not flag.startswith("--no-")
+            continue
+        if not equals:
+            value = next(tokens, None)
+            if value is None or value in _HELP_FLAGS or value.partition("=")[0] in flags:
+                raise UsageError(f"argument {flag}: expected one argument")
         try:
-            args[dest] = parse(value)
-        except ValueError:
-            return None
+            args[key] = parse(value)
+        except ValueError as exc:
+            raise UsageError(f"argument {flag}: {exc}") from None
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
     return args
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser, for the command lines ``_plain_args`` does not read:
-    built once per process, with every subcommand's flags.  It holds no
-    defaults, so calls share it; a usage error raises ``UsageError``."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message: str) -> NoReturn:
-            raise UsageError(message)
-
-    parser = Parser(prog="thermaljc", allow_abbrev=False, description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys, help_text) in _SUBCOMMANDS.items():
-        _add_flags(commands.add_parser(name, allow_abbrev=False, help=help_text), keys)
-    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     global _written
     kept, _written = _written, None
     try:
-        args = _plain_args(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            args = vars(_build_parser().parse_args(argv))
+        args = _read_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args, end="")
+            return EXIT_OK
         command = args["command"]
         if command == "plot":
             _written = kept

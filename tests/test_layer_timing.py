@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from thermaljc import dynamics
+from thermaljc import cli, dynamics
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "layer_timing.py"
 
@@ -71,16 +71,27 @@ def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
     assert capsys.readouterr().out.startswith("validate, oracle, stacked, one call: median ")
 
 
-def test_the_argv_cases_read_the_figure_and_validate_lines_alike(capsys):
-    argvs, cases = _script().argv_cases()
-    assert len(argvs) == 19 and argvs[-1] == ["validate", "--gt-max", "25"]
-    assert [argv[0] for argv in argvs[:-1]].count("plot") == 9
-    plain, fresh = (work() for work in cases.values())
-    assert list(cases) == ["plain reader", "argparse, freshly built"]
-    assert None not in plain and plain == fresh
-    _script().report("argv, plain reader", cases["plain reader"], 2, len(argvs), "us/argv")
-    assert re.fullmatch(r"argv, plain reader: median \d+\.\d us/argv, .*\n",
+def test_the_argv_case_reads_the_figure_validate_help_and_refused_lines(capsys):
+    argvs, work = _script().argv_case()
+    assert len(argvs) == 21 and argvs[18:] == [["validate", "--gt-max", "25"],
+                                               ["scan", "--help"], ["validate", "--times", "x"]]
+    assert [argv[0] for argv in argvs[:18]].count("plot") == 9
+    results = work()
+    assert all(isinstance(settings, dict) for settings in results[:19])
+    assert results[19] == cli._help("scan")
+    assert str(results[20]) == "argument --times: expected an integer, got 'x'"
+    _script().report("argv, one reader", work, 2, len(argvs), "us/argv")
+    assert re.fullmatch(r"argv, one reader: median \d+\.\d us/argv, .*\n",
                         capsys.readouterr().out)
+
+
+def test_the_source_lines_are_what_wc_counts():
+    lines = _script().source_lines()
+    package = pathlib.Path(cli.__file__).parent
+    assert list(lines) == sorted(path.name for path in package.glob("*.py"))
+    assert "cli.py" in lines and "oracle.py" in lines
+    for name, count in lines.items():
+        assert count == len((package / name).read_text(encoding="utf-8").splitlines())
 
 
 def test_the_block_sums_are_one_full_hot_bath_block():

@@ -833,6 +833,69 @@ class TestStackedRoutes:
         # 2.02 MB at each count: the kernel's workspace and one configuration
         assert max(peaks) - min(peaks) <= 4096, peaks
 
+    _LONG = np.linspace(0.0, 25.0, 2 * oracle._STACK_ROWS + 5)
+    _CONFIG = (SystemParams(p=4, delta=1.0), _dist(0.5), _dist(0.1))
+
+    def test_a_grid_past_the_row_budget_runs_in_pieces_of_it(self, monkeypatch):
+        sizes, joint = [], oracle.stacked_joint_density
+
+        def spy(configs, t):
+            sizes.append(t.size)
+            return joint(configs, t)
+
+        monkeypatch.setattr(oracle, "stacked_joint_density", spy)
+        [gap] = route_deviations([self._CONFIG], self._LONG)
+        assert sizes == [oracle._STACK_ROWS] * 2 + [5]
+        # the largest gap over every row, as one call of each route gives it
+        closed = dynamics.stacked_states([self._CONFIG], self._LONG)
+        rho = joint([self._CONFIG], self._LONG)
+        whole = max(np.abs(rho[:, 0, 0] - closed.x1).max(), np.abs(rho[:, 1, 2] - closed.x3).max(),
+                    np.abs(rho[:, 3, 3] - closed.x6).max(), np.abs(rho[:, 2, 2] - closed.x5).max(),
+                    np.abs(rho[:, 1, 1] - closed.x2).max())
+        assert gap == whole > 0.0
+
+    @pytest.mark.parametrize("piece", [0, 2])
+    def test_a_nan_in_any_piece_is_the_configurations_gap(self, monkeypatch, piece):
+        joint = oracle.stacked_joint_density
+
+        def spoiled(configs, t):
+            rho = joint(configs, t)
+            if t[0] == self._LONG[piece * oracle._STACK_ROWS]:
+                rho[-1, 0, 0] = math.nan
+            return rho
+
+        monkeypatch.setattr(oracle, "stacked_joint_density", spoiled)
+        [gap] = route_deviations([self._CONFIG], self._LONG)
+        assert math.isnan(gap)
+
+    def test_the_first_piece_that_raises_gives_the_exception(self, monkeypatch):
+        calls, joint = [], oracle.stacked_joint_density
+
+        def failing(configs, t):
+            calls.append(t.size)
+            if len(calls) > 1:
+                raise ValueError(f"piece {len(calls)}")
+            return joint(configs, t)
+
+        monkeypatch.setattr(oracle, "stacked_joint_density", failing)
+        [gap] = route_deviations([self._CONFIG], self._LONG)
+        assert isinstance(gap, ValueError) and str(gap) == "piece 2"
+        assert calls == [oracle._STACK_ROWS] * 2  # no piece runs after it
+
+    def test_past_the_row_budget_the_peak_does_not_grow_with_the_times(self):
+        peaks = []
+        for size in (3000, 30000):
+            t = np.linspace(0.0, 25.0, size)
+            route_deviations([self._CONFIG], t[:3000])  # warm caches
+            tracemalloc.start()
+            try:
+                route_deviations([self._CONFIG], t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the parent's one call over every time held about 0.5 KB per time
+        assert abs(peaks[1] - peaks[0]) <= 4096, peaks
+
     @pytest.mark.parametrize("failure", ["nan-coupling", "truncation", "wrong-coupling"])
     def test_a_failing_configuration_reads_as_it_does_alone(self, monkeypatch, capsys, failure):
         # p = 4 fails in every group, p = 1 does not; a budget of one row

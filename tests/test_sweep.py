@@ -231,6 +231,15 @@ class TestScan:
         assert amp_p4 < amp_p1
         assert abs(max_p1 - max_p4) <= 2e-3
 
+    def test_fast_motion_ends_sudden_death_only_in_a_cool_bath(self):
+        # the README's bound: at p 4 the entanglement never dies below
+        # kbar ~ 1.33, where p_c(kbar) passes 4, and does die above it
+        configs = [(SystemParams(p=4), _dist(kbar), _dist(kbar)) for kbar in (0.1, 1.0, 5.0)]
+        cool, warm, hot = scan(configs, gt_max=25.0, steps=2000)
+        assert cool.dead_intervals == warm.dead_intervals == ()
+        assert cool.min_concurrence > 0.6 and warm.min_concurrence > 0.1
+        assert len(hot.dead_intervals) == 16
+
     def test_extrema_stable_under_grid_refinement(self):
         dist = _dist(0.1)
         config = (SystemParams(p=4), dist, dist)
