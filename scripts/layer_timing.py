@@ -17,12 +17,16 @@ whose kernel threads shared one CPU, which the quartiles can hide.
   none, this pass is skipped), then on the full set, and per grid the ratio of
   the two medians follows: the speed-up of the extra threads, whose
   workspaces raise the peak.
-- Threads: the six thermal sums of one ``hot_bath`` factor block (cavity A
-  over its widest slice, 47 times x 1371 sectors), repeated on two
-  workspaces, first by one thread, then by two threads pinned to the first
-  two CPUs of the affinity set, one workspace each, as the kernel pins its
-  workers; the ratio of the two medians follows.  Skipped without
-  ``os.sched_setaffinity`` or with fewer than 2 CPUs.
+- Threads: cavity A's channel over one full ``hot_bath`` factor block of
+  its widest slice (``dynamics._channel``, 46 times x 1397 sectors from
+  sector 0), repeated on two workspaces, first by one thread, then by two
+  threads pinned to the first two CPUs of the affinity set, one workspace
+  each, as the kernel pins its workers; the ratio of the two medians
+  follows.  Skipped without ``os.sched_setaffinity`` or with fewer than 2
+  CPUs.
+- Assembly: x1..x6 of one ``hot_bath`` band (``dynamics._BAND_ROWS`` times
+  from gt = 1) from the channels of its two cavities
+  (``dynamics._assemble``), in ns per row.
 - Encoder: ``FloatText.encode`` on the 11 ``timeseries`` columns of the
   ``hot_bath`` call, as the CSV writer calls it (a new encoder, one row of
   every column per block) and as the JSON writer does (one column at a time),
@@ -63,7 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from thermaljc import SystemParams, ThermalDistribution, cli, dynamics, oracle, svgplot
+from thermaljc import SystemParams, ThermalDistribution, XStates, cli, dynamics, oracle, svgplot
 from thermaljc.cli import _JSON_ITEM_END, EPE_HEADER, TIMESERIES_HEADER, _series_columns
 from thermaljc.core import DEFAULT_EPSILON_TAIL
 from thermaljc.floattext import FloatText
@@ -110,35 +114,55 @@ def kernel(grid: str) -> Callable[[], object]:
     return lambda: dynamics.states(params, dist_a, dist_b, t)
 
 
-def block_sums() -> Callable[[], np.ndarray]:
-    """The six thermal sums of one full factor block of the ``hot_bath`` call,
-    in a workspace of its own: cavity A over its widest slice of sectors (past
-    cavity B's cutoff), at as many times from gt = 1 on as fill the block."""
-    params, (mean_a, mean_b), times = GRIDS["hot_bath"]
-    probs = ThermalDistribution.from_mean(mean_a).probabilities()
-    lo = ThermalDistribution.from_mean(mean_b).n_max + 1
-    n = np.arange(lo, probs.size + 1.0)
-    first, rows = times // 25, dynamics._BLOCK_ELEMENTS // n.size  # from gt = 1
-    t = params.times(np.linspace(0.0, 25.0, times))[first : first + rows]
+def _sectors(mean: float) -> int:
+    """Sectors in the widest slice of a cavity of ``mean`` photons, from sector 0."""
+    return min(ThermalDistribution.from_mean(mean).n_max + 1, dynamics._SECTOR_BLOCK) + 1
+
+
+def hot_bath_channel(mean: float, rows: int) -> Callable[[], np.ndarray]:
+    """The channel (d, f, a, b, r, i) of the ``hot_bath`` cavity of ``mean``
+    photons at ``rows`` times from gt = 1 on, as the kernel writes it, in a
+    workspace of its own."""
+    params, _, times = GRIDS["hot_bath"]
+    t = params.times(np.linspace(0.0, 25.0, times))[times // 25 :][:rows]  # from gt = 1
     g_eff = dynamics.effective_coupling(params, t)
-    ws = np.empty((2, t.size, n.size))
-    dynamics._factors(ws, 4.0 * g_eff * g_eff, 0.25 * t, n, params.delta)
-    (v0, v1), (c0, c1) = ((x[:, :-1], x[:, 1:]) for x in ws)
-    pk = probs[lo:]
-    terms = ((v0, v0, pk * n[:-1]), (v1, v1, pk * n[1:]), (c0, c1, pk),
-             (v0, v1, pk), (c0, v1, pk), (v0, c1, pk))
-    sums = np.empty((len(terms), t.size))
+    g4, quarter_t = 4.0 * g_eff * g_eff, 0.25 * t
+    cavity = dynamics._cavity(ThermalDistribution.from_mean(mean).probabilities())
+    sectors = _sectors(mean)
+    ws = np.empty((2, sectors * min(rows, max(1, dynamics._BLOCK_ELEMENTS // sectors))))
+    out = np.empty((6, rows))
 
     def run() -> np.ndarray:
-        for total, operands in zip(sums, terms):
-            np.einsum(dynamics._SUMS[3], *operands, out=total)
-        return sums
+        dynamics._channel(out, ws, g4, quarter_t, params.delta, *cavity)
+        return out
 
     return run
 
 
+def block_channel() -> Callable[[], np.ndarray]:
+    """Cavity A's channel over one full factor block of the ``hot_bath`` call:
+    its widest slice, sectors 0..1396, at as many times as fill the block."""
+    mean_a = GRIDS["hot_bath"][1][0]
+    return hot_bath_channel(mean_a, dynamics._BLOCK_ELEMENTS // _sectors(mean_a))
+
+
+def band_assembly() -> tuple[int, Callable[[], object]]:
+    """The rows of one ``hot_bath`` band, and a call that assembles its x1..x6
+    from the channels of its two cavities."""
+    rows = dynamics._BAND_ROWS
+    a, b = (hot_bath_channel(mean, rows)() for mean in GRIDS["hot_bath"][1])
+    state = XStates(*(np.empty(rows, complex if name == "x3" else float)
+                      for name in XStates._fields))
+
+    def run() -> XStates:
+        dynamics._assemble(state, slice(None), a, b)
+        return state
+
+    return rows, run
+
+
 def threads(runs: int, repeats: int = 40) -> float | None:
-    """Time ``repeats`` rounds of :func:`block_sums` on each of two workspaces,
+    """Time ``repeats`` rounds of :func:`block_channel` on each of two workspaces,
     by one thread and then by two threads each pinned to its own CPU, print
     both and their ratio, and return the ratio; None, with a note on stderr,
     where two CPUs cannot be pinned."""
@@ -146,13 +170,13 @@ def threads(runs: int, repeats: int = 40) -> float | None:
     if not hasattr(os, "sched_setaffinity") or len(cpus) < 2:
         print("threads: needs os.sched_setaffinity and 2 CPUs: skipped", file=sys.stderr)
         return None
-    blocks = [block_sums() for _ in range(2)]
+    blocks = [block_channel() for _ in range(2)]
 
     def rounds(k: int) -> None:
         for _ in range(repeats):
             blocks[k]()
 
-    label = f"threads, {2 * repeats} rounds of one hot_bath block's six sums"
+    label = f"threads, {2 * repeats} rounds of one hot_bath block's channel"
     one = report(f"{label}, 1 thread", lambda: [rounds(k) for k in range(2)], runs)
     # the kernel's own spread: two workers, each pinned to one of two CPUs
     two = report(f"{label}, 2 threads on their own CPUs",
@@ -287,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         if grid in one:
             print(f"{grid}, ratio 1 CPU / {label}: {one[grid] / every:.3f}")
     threads(args.runs)
+    rows, work = band_assembly()
+    report(f"assembly, one hot_bath band from two channels ({rows} rows)", work, args.runs, rows)
     data = hot_bath_columns()
     values = len(data) * len(data[0])
     csv = [b","] * (len(data) - 1) + [b"\n"]

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import textwrap
 import zlib
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
@@ -594,13 +595,16 @@ def _help(command: str | None = None) -> str:
         usage, about, title = f"{{{','.join(_SUBCOMMANDS)}}}", __doc__.strip(), "commands:"
         rows = [(name, text) for name, (_, _, text) in _SUBCOMMANDS.items()]
     else:
-        usage, about, title = command, _SUBCOMMANDS[command][2], "flags:"
+        usage, about, title = command, textwrap.fill(_SUBCOMMANDS[command][2], 79), "flags:"
         rows = [(flag if parse is None else f"{flag} {key.upper()}", text)
                 for flag, (key, parse, text) in _flag_table(command).items()]
     rows.append(("-h, --help", "print this help and exit"))
     width = max(len(spelling) for spelling, _ in rows) + 2
-    lines = [f"usage: thermaljc {usage} [--flag value | --flag=value ...]", "", about, "", title]
-    return "\n".join(lines + [f"  {spelling:<{width}}{text}" for spelling, text in rows]) + "\n"
+    usage = f"usage: thermaljc {usage} [--flag value | --flag=value ...]"
+    lines = [textwrap.fill(usage, 79, subsequent_indent=" " * 17), "", about, "", title]
+    lines += [textwrap.fill(text, 79, initial_indent=f"  {spelling:<{width}}",
+                            subsequent_indent=" " * (width + 2)) for spelling, text in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _read_args(argv: Sequence[str]) -> dict[str, object] | str:

@@ -1,9 +1,9 @@
 """Closed-form reduced dynamics: motion-averaged coupling, dressed sector
 factors, and factorized Fock sums for the two-atom X state.
 
-Each matrix element of the reduced state is a double thermal sum that
-factorizes into a product of one sum per cavity, so the cost per time point is
-linear in the Fock cutoff instead of quadratic.  A whole time grid is
+Each cavity acts on its atom as a channel, one thermal sum per element, and
+the reduced state is assembled from the two channels, so the cost per time
+point is linear in the Fock cutoff instead of quadratic.  A whole time grid is
 evaluated at once, as (times x sectors) blocks spread over a few CPU threads.
 """
 
@@ -37,11 +37,11 @@ _BLOCKS_PER_WORKER = 3
 # interpreter lock: two threads pinned to their own CPUs ran a hot_bath
 # block's six einsum sums 1.85 times as fast as one (1.0 unpinned on 2 vCPUs).
 _MAX_WORKERS = 4
-# Widest slice of photon numbers in one block.  The slices depend on the cutoffs
-# alone, so a time's sums accumulate in the same order in any grid.
+# Widest slice of photon numbers in one block.  A cavity's slices depend on its
+# cutoff alone, so a time's sums accumulate in the same order in any grid.
 _SECTOR_BLOCK = 1 << 12
 # Rows in one band, a thread's unit of work, unless one full-width block holds
-# more.  A band's sums fill one buffer per worker and become x1..x6 at once.
+# more.  A band's channels fill one buffer per worker and become x1..x6 at once.
 _BAND_ROWS = 1 << 10
 # A thermal sum over a block's rows: with one factor array (a transfer
 # probability at delta = 0) or with two, always weighted per sector.
@@ -88,7 +88,7 @@ def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarra
     relatively exact near 0, and c = d - 1.  When delta^2 is not 0,
     v = ((l1/l)*u)*d = l1*(s/l), with l1 = sqrt(delta^2 + 4*g'^2) the l of
     sector 1 (sector 0, whose l1/l can overflow, takes ((u*d)/l)*l1), and the
-    factors 4*g'^2/l1^2 and delta/l1 are left to the sums.  v holds no
+    factors 4*g'^2/l1^2 and delta/l1 are left to :func:`_channel`.  v holds no
     subtraction, l1/l <= 1 from sector 1 on, and v^2 stays normal wherever the
     transfer probability does, at any g; s/l alone is about t/2, whose square
     underflows below t = 1e-154.  Otherwise v is the transfer probability s^2.
@@ -124,6 +124,74 @@ def _factors(ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray, n: np.ndarra
     np.subtract(c, 1.0, out=c)
     if not detuned:
         np.multiply(v, v, out=v)
+
+
+def _cavity(probs: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """sum(P) of one cavity's weights P, and its photon numbers in slices [lo,
+    hi), cut at every ``_SECTOR_BLOCK`` and at its own cutoff: per slice, its
+    sectors n = lo..hi and its P_n."""
+    ends = [*range(0, probs.size, _SECTOR_BLOCK), probs.size]
+    return float(np.sum(probs)), [(np.arange(lo, hi + 1.0), probs[lo:hi])
+                                  for lo, hi in zip(ends, ends[1:])]
+
+
+def _channel(out: np.ndarray, ws: np.ndarray, g4: np.ndarray, quarter_t: np.ndarray,
+             delta: float, mass: float, slices: list) -> None:
+    """One cavity's channel at each row's 4*g'^2 and t/4, written into ``out``
+    = (d, f, a, b, r, i), each of shape (rows,): the transfer matrix D, rows
+    (d, f) and (b, a) from g and e, columns to g and e, and the coherence
+    factor m = r + i*i; the oracle's M[a, a, l, l] and conj(M[e, g, e, g]).
+    ``mass`` and ``slices`` are what :func:`_cavity` gives, each slice summed
+    in blocks of at most ``_BLOCK_ELEMENTS`` factors in the workspace ``ws``.
+    With swap the transfer probability and w = delta*s/l: f, b = sum(P*swap)
+    over ground and excited sectors, d, a = sum(P) less them, and r, i =
+    sum(P*(c*c - w*w)), sum(P*(c*w + w*c)) over sectors n, n + 1."""
+    detuned = delta * delta > 0.0
+    out[::2] = 0.0  # the w-sums, which resonance leaves at 0: r = sum(P*c*c), i = 0
+    for n, pk in slices:
+        acc = np.zeros_like(out) if n[0] else out  # a later slice adds its own sums
+        h = max(1, min(g4.size, _BLOCK_ELEMENTS // n.size))
+        block = ws[:, : h * n.size].reshape(2, h, n.size)
+        # the transfer sums' weights, P_n*n and P_n*(n + 1) when detuned and
+        # P_n otherwise, formed per slice so that no buffer grows with the
+        # cutoff.  Detuned, the ground sum leaves out sector 0: its weight is
+        # 0, but its v = l1*t/2 near 0 can square to infinity
+        skip = int(detuned and n[0] == 0.0)
+        ground, excited = (pk[skip:] * n[skip:-1], pk * n[1:]) if detuned else (pk, pk)
+        for r0 in range(0, g4.size, h):
+            rows = slice(r0, r0 + h)
+            v, c = view = block[:, : g4[rows].size]
+            _factors(view, g4[rows], quarter_t[rows], n, delta)
+            v0, v1, c0, c1, vg = v[:, :-1], v[:, 1:], c[:, :-1], c[:, 1:], v[:, skip:-1]
+            # (c*w, swap, w*c, swap, w*w, c*c), made (d, f, a, b, r, i) in place
+            terms = ({0: (c0, v1, pk), 1: (vg, vg, ground), 2: (v0, c1, pk),
+                      3: (v1, v1, excited), 4: (v0, v1, pk), 5: (c0, c1, pk)} if detuned
+                     else {1: (v0, ground), 3: (v1, excited), 5: (c0, c1, pk)})
+            for k, operands in terms.items():
+                np.einsum(_SUMS[len(operands)], *operands, out=acc[k, rows])
+        if n[0]:
+            out += acc
+    if detuned:
+        l1 = np.sqrt(g4 + delta * delta)
+        out[1:4:2] *= g4 / (l1 * l1)
+        out[::2] *= delta / l1
+        out[4] *= delta / l1  # twice: (delta/l1)^2 alone can underflow
+    np.subtract(out[5], out[4], out=out[4])
+    np.add(out[0], out[2], out=out[5])
+    np.subtract(mass, out[1:4:2], out=out[:3:2])
+
+
+def _assemble(state: XStates, rows: slice, a: np.ndarray, b: np.ndarray) -> None:
+    """The ``rows`` of ``state`` from the channels a, b of cavities A, B (:func:`_channel`)."""
+    (ad, af, aa, ab, ar, ai), (bd, bf, ba, bb, br, bi) = a, b
+    state.x1[rows] = 0.5 * (ab * bd + ad * bb)
+    state.x2[rows] = 0.5 * (ab * bf + ad * ba)
+    # x3 = m_a * conj(m_b) / 2 in real arithmetic, so that it is exactly real
+    # for equal cavities and exactly conjugated when the cavities swap
+    state.x3.real[rows] = 0.5 * (ar * br + ai * bi)
+    state.x3.imag[rows] = 0.5 * (ai * br - ar * bi)
+    state.x5[rows] = 0.5 * (aa * bd + af * bb)
+    state.x6[rows] = 0.5 * (aa * bf + af * ba)
 
 
 def _pin(cpus: set[int]) -> None:
@@ -181,21 +249,16 @@ def states(
     at its running average g'(t).  ``t`` holds times, not gt: divide gt by
     ``params.g``.
 
-    Only v and c of :func:`_factors` are formed per sector, and the thermal
-    sums are ``np.einsum`` reductions (survival = sum(P) - sum(P*swap)).
-    Photon numbers are cut into slices at every ``_SECTOR_BLOCK`` and at each
-    cavity's cutoff, so each cavity sums over its own slices only.  The grid
-    goes to one worker per ``_BLOCKS_PER_WORKER`` whole blocks of
-    ``_BLOCK_ELEMENTS`` factors, at least one, up to the CPUs in the
-    affinity set and at most ``_MAX_WORKERS`` (``taskset -c 0`` gives one
-    thread; as many as the set each run on their own CPU of it, see
-    :func:`_spread`), in bands of ``_BAND_ROWS`` rows or one
-    full-width block; band k goes to worker k mod W.  A worker forms g'(t) of
-    a band, sums each slice over it in blocks of at most ``_BLOCK_ELEMENTS``
-    factors, reusing one workspace, and forms the band's x1..x6 at once, so a
-    narrow slice costs a few numpy calls per band, not per block.  The working
-    memory beyond the outputs is thus bounded by a constant.  A time's elements
-    are bit-identical in any grid, block, band or worker.
+    Each cavity acts on its atom as a channel (:func:`_channel`), formed once
+    when the cavities are equal, and one assembly forms the X state from the
+    two (:func:`_assemble`).  The grid goes in bands of ``_BAND_ROWS`` rows,
+    or one full-width block, to one worker per ``_BLOCKS_PER_WORKER`` whole
+    blocks of ``_BLOCK_ELEMENTS`` factors, at most ``_MAX_WORKERS`` and the
+    CPUs of the affinity set (``taskset -c 0`` gives one; see :func:`_spread`).
+    Band k goes to worker k mod W, which writes each channel over the band in
+    one workspace and assembles the band at once.  The working memory beyond
+    the outputs is bounded by a constant, and a time's elements are
+    bit-identical in any grid, block, band or worker.
 
     Raises what :func:`~thermaljc.core.check_x_states` raises for a row that
     is not a valid X state: TruncationError for a trace off 1 (the Fock
@@ -213,10 +276,10 @@ def stacked_states(
     configuration j at time i, and its elements are bit-identical to that
     call of :func:`states`; they may differ in any parameter, delta too.  A
     band forms g'(t) over each configuration's rows in it.  The rows of one
-    cavity pair and delta run together as one span, which sums over the
-    slices of that pair's own call, cut at its two cutoffs alone, and scales
-    its sums by its own delta.  Raises ValueError for an empty ``configs``
-    and what :func:`states` raises for any row."""
+    cavity pair and delta form a span, which writes the channel of each
+    distinct cavity of the pair; the spans of equal cavities come first, so a
+    band assembles at most two runs.  Raises ValueError for an empty
+    ``configs`` and what :func:`states` raises for any row."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"times must be a one-dimensional array, got shape {grid.shape}")
@@ -226,10 +289,12 @@ def stacked_states(
     pairs: dict[tuple, list[int]] = {}
     for j, (params, dist_a, dist_b) in enumerate(configs):
         pairs.setdefault((dist_a, dist_b, params.delta), []).append(j)
+    pairs = dict(sorted(pairs.items(), key=lambda pair: pair[0][0] != pair[0][1]))
     order = [j for members in pairs.values() for j in members]  # configurations by row
     params = [configs[j][0] for j in order]
     size = grid.size
     t = grid if len(params) == 1 else np.tile(grid, len(params))  # the rows
+    shared = size * sum(len(members) for (a, b, _), members in pairs.items() if a == b)
 
     def coupling(first: int, last: int) -> np.ndarray:
         """g'(t) of the rows [first, last), formed once per params and times."""
@@ -241,13 +306,9 @@ def stacked_states(
             parts.append(known[key])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    # per pair, the probabilities of each distinct cavity, formed once per
-    # distribution; a band holds the sums of one cavity per row, or of two
-    # when any pair is unequal
-    vectors = {dist: dist.probabilities() for dist in {d for a, b, _ in pairs for d in (a, b)}}
-    cavities = [[vectors[a]] + ([] if b == a else [vectors[b]]) for a, b, _ in pairs]
-    slots = max(map(len, cavities))
-    count = max(p.size for probs in cavities for p in probs) + 1  # sectors 0..N + 1 of the widest
+    # sum(P) and the slices of each distinct cavity, formed once per distribution
+    cavities = {d: _cavity(d.probabilities()) for d in {x for _, *pair in configs for x in pair}}
+    count = max(dist.n_max for dist in cavities) + 2  # sectors 0..N + 1 of the widest
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = sorted(affinity(0)) if affinity else list(range(os.cpu_count() or 1))
     workers = max(1, min(len(cpus), _MAX_WORKERS, t.size,
@@ -255,103 +316,37 @@ def stacked_states(
     band_rows = max(_BAND_ROWS, _BLOCK_ELEMENTS // count)  # most rows in one band
     bands = min(t.size, workers * -(-t.size // (workers * band_rows)))
     tall = -(-t.size // max(bands, 1))
-    # per pair and delta: its rows [first, last), its cavity count, sum(P) per
-    # slot, its delta, and per slice [lo, hi) of photon numbers (cut at every
-    # _SECTOR_BLOCK and at the pair's cutoffs) its sectors n = lo..hi, rows per
-    # block and cavities reaching lo
-    spans = []
-    for probs, ((_, _, delta), members) in zip(cavities, pairs.items()):
-        first = spans[-1][1] if spans else 0
-        last = first + len(members) * size
-        mass = [[float(np.sum(p))] for p in (probs[0], probs[-1])[:slots]]
-        ends = sorted({*range(0, max(p.size for p in probs), _SECTOR_BLOCK),
-                       *(p.size for p in probs)})
-        slices = [(np.arange(lo, hi + 1.0),
-                   max(1, min(tall, last - first, _BLOCK_ELEMENTS // (hi - lo + 1))),
-                   [(i, p[lo:hi]) for i, p in enumerate(probs) if p.size > lo])
-                  for lo, hi in zip(ends, ends[1:])]
-        spans.append((first, last, len(probs), mass, delta, slices))
-    x1, x2, x5, x6 = (np.empty(t.size) for _ in range(4))
-    x3 = np.empty(t.size, dtype=complex)
+    # per pair and delta: its rows [first, last), delta and distinct cavities
+    spans, last = [], 0
+    for (a, b, delta), members in pairs.items():
+        first, last = last, last + len(members) * size
+        spans.append((first, last, delta, [cavities[dist] for dist in dict.fromkeys((a, b))]))
+    # factors in the largest block of any channel's call
+    width = max(n.size * max(1, min(tall, last - first, _BLOCK_ELEMENTS // n.size))
+                for first, last, _, sides in spans for _, slices in sides for n, _ in slices)
+    state = XStates(*(np.empty(t.size, complex if f == "x3" else float) for f in XStates._fields))
 
     def work(worker: int) -> None:
         # two arrays 64-byte apart, so that SIMD loops see them equally aligned
-        ws = np.empty((2, -(-max(h * n.size for *_, slices in spans for n, h, _ in slices)
-                             // 8) * 8))
-        # per slot (cavity A, then B) and band row, with swap the transfer
-        # probability and w = delta*s/l: sum(P*swap) over ground and excited
-        # sectors, then sum(P*c*c), sum(P*w*w), sum(P*c*w), sum(P*w*c) over
-        # sectors n, n + 1, when detuned without their factors 4*g'^2/l1^2,
-        # (delta/l1)^2 or delta/l1 until the span's slices are summed
-        sums = np.zeros((slots, 6, tall))
-        part = np.zeros_like(sums) if max(len(slices) for *_, slices in spans) > 1 else None
-        totals = np.empty((slots, tall if len(spans) > 1 else 1))  # one column broadcasts
+        ws = np.empty((2, -(-width // 8) * 8))
+        # per band row, channel A, then B where it differs (from row ``shared`` on)
+        channels = np.empty((1 + (shared < t.size), 6, tall))
         for k in range(worker, bands, workers):
             first, last = k * t.size // bands, (k + 1) * t.size // bands
             g_eff = coupling(first, last)
             g4, quarter_t = 4.0 * g_eff * g_eff, 0.25 * t[first:last]
-            for start, stop, kinds, mass, delta, slices in spans:
-                lo_row, hi_row = max(start, first) - first, min(stop, last) - first
-                if lo_row >= hi_row:
-                    continue
-                totals[:, lo_row:hi_row] = mass
-                detuned = delta * delta > 0.0
-                for n, h, reaching in slices:
-                    acc = part if n[0] else sums
-                    block = ws[:, : h * n.size].reshape(2, h, n.size)
-                    # per cavity: P_n and the weights of the two transfer
-                    # sums, P_n*n and P_n*(n + 1) when detuned and P_n
-                    # otherwise, formed per slice so that no buffer grows with
-                    # the cutoff.  Detuned, the ground sum leaves out sector 0:
-                    # its weight is 0, but its v = l1*t/2 near 0 can square to
-                    # infinity
-                    skip = int(detuned and n[0] == 0.0)
-                    weights = [(i, pk, pk[skip:] * n[skip:-1], pk * n[1:]) if detuned
-                               else (i, pk, pk, pk) for i, pk in reaching]
-                    for r0 in range(lo_row, hi_row, h):
-                        rows = slice(r0, min(r0 + h, hi_row))
-                        v, c = view = block[:, : rows.stop - r0]
-                        _factors(view, g4[rows], quarter_t[rows], n, delta)
-                        v0, v1, c0, c1 = v[:, :-1], v[:, 1:], c[:, :-1], c[:, 1:]
-                        vg = v[:, skip:-1]
-                        for i, pk, ground, excited in weights:
-                            terms = (((vg, vg, ground), (v1, v1, excited), (c0, c1, pk),
-                                      (v0, v1, pk), (c0, v1, pk), (v0, c1, pk))
-                                     if detuned else ((v0, ground), (v1, excited), (c0, c1, pk)))
-                            for total, operands in zip(acc[i, :, rows], terms):
-                                np.einsum(_SUMS[len(operands)], *operands, out=total)
-                    if n[0]:
-                        for i, _ in reaching:
-                            sums[i, :, lo_row:hi_row] += part[i, :, lo_row:hi_row]
-                if kinds < slots:  # equal cavities among unequal: B's sums are A's
-                    sums[1, :, lo_row:hi_row] = sums[0, :, lo_row:hi_row]
-                span = sums[:, :, lo_row:hi_row]
-                if detuned:
-                    g4_span = g4[lo_row:hi_row]
-                    l1 = np.sqrt(g4_span + delta * delta)
-                    span[:, :2] *= g4_span / (l1 * l1)
-                    span[:, 3:] *= delta / l1
-                    span[:, 3] *= delta / l1  # twice: (delta/l1)^2 alone can underflow
-                else:  # an earlier band's detuned rows may have left w-sums here
-                    span[:, 3:] = 0.0
-            band = sums[:, :, : last - first]
-            sides = [
-                (total - sg, sg, total - se, se, cc - ww, cw + wc)
-                for total, (sg, se, cc, ww, cw, wc) in zip(totals[:, : last - first], band)
-            ]
-            (ad, af, aa, ab, ar, ai), (bd, bf, ba, bb, br, bi) = sides[0], sides[-1]
-            rows = slice(first, last)
-            x1[rows] = 0.5 * (ab * bd + ad * bb)
-            x2[rows] = 0.5 * (ab * bf + ad * ba)
-            # x3 = coh_a * conj(coh_b) / 2 in real arithmetic, so that it is exactly
-            # real for equal cavities and exactly conjugated when the cavities swap
-            x3.real[rows] = 0.5 * (ar * br + ai * bi)
-            x3.imag[rows] = 0.5 * (ai * br - ar * bi)
-            x5[rows] = 0.5 * (aa * bd + af * bb)
-            x6[rows] = 0.5 * (aa * bf + af * ba)
+            for start, stop, delta, sides in spans:
+                rows = slice(max(start, first) - first, min(stop, last) - first)
+                if rows.start < rows.stop:
+                    for out, cavity in zip(channels, sides):
+                        _channel(out[:, rows], ws, g4[rows], quarter_t[rows], delta, *cavity)
+            split = min(max(shared - first, 0), last - first)
+            for lo, hi, b in ((0, split, channels[0]), (split, last - first, channels[-1])):
+                if lo < hi:
+                    _assemble(state, slice(first + lo, first + hi), channels[0, :, lo:hi],
+                              b[:, lo:hi])
 
     _spread(work, workers, cpus)
-    state = XStates(x1, x2, x3, x5, x6)
     if order != sorted(order):  # back to the order of configs
         back = np.argsort(order)
         for x in state:

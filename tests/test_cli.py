@@ -1193,20 +1193,42 @@ class TestReadArgs:
 
     @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
     def test_help_names_every_flag_spelling_with_its_help(self, command):
-        rows = [line for line in cli._help(command).splitlines() if line.startswith("  -")]
+        rows = _help_rows(cli._help(command))
         flags = cli._flag_table(command)
         assert [row.split()[0] for row in rows] == [*flags, "-h,"]
         assert all(row.endswith(f"  {text}") for row, (*_, text) in zip(rows, flags.values()))
         assert command == "plot" or {"--motion", "--no-motion"} <= set(flags)
-        top = cli._help()
-        assert all(f"\n  {name}  " in top and text in top
-                   for name, (_, _, text) in cli._SUBCOMMANDS.items())
+        assert " ".join(cli._help(command).split()).count(cli._SUBCOMMANDS[command][2]) == 1
+        pad = max(map(len, [*cli._SUBCOMMANDS, "-h, --help"])) + 2
+        assert _help_rows(cli._help())[:-1] == [
+            f"  {name:<{pad}}{text}" for name, (_, _, text) in cli._SUBCOMMANDS.items()]
+
+    @pytest.mark.parametrize("command", [None, *cli._SUBCOMMANDS])
+    def test_help_lines_fit_in_79_columns(self, command):
+        text = cli._help(command)
+        assert max(map(len, text.splitlines())) <= 79
+        # every flag spelling and subcommand name still stands whole
+        names = cli._flag_table(command) if command else cli._SUBCOMMANDS
+        words = set(text.split())
+        assert all(name in words for name in [*names, "-h,", "--help"])
 
     def test_every_golden_and_benchmark_call_reads(self, monkeypatch, tmp_path):
         runs = _golden_and_benchmark_argv(monkeypatch, tmp_path)
         calls = [argv for run in runs for argv in run]
         assert len(calls) == 8 + 2 * 20  # the golden calls, then 20 per seed
         assert [argv for argv in calls if not isinstance(cli._read_args(argv), dict)] == []
+
+
+def _help_rows(text):
+    """The rows of a help text's table, each with its continuation lines
+    joined to it by one space."""
+    rows = []
+    for line in text.split("\n\n")[-1].splitlines()[1:]:
+        if line.startswith("   "):
+            rows[-1] += " " + line.strip()
+        else:
+            rows.append(line)
+    return rows
 
 
 def test_plain_calls_import_no_argparse():

@@ -887,8 +887,9 @@ class TestBands:
                 assert abs(field[i] - want) < 1e-12
 
     def test_the_narrow_cavity_sums_once_per_band(self, monkeypatch):
-        # hot_bath: cutoffs 1395 and 25.  The slice below the narrow cutoff is
-        # one tall block per band; only the wide cavity runs in short blocks
+        # hot_bath: cutoffs 1395 and 25.  Each cavity sums over its own slice
+        # from sector 0: the narrow one in one tall block per band, the wide
+        # one in short blocks
         params, a, b = SystemParams(delta=1.0), _dist(50.0), _dist(0.5)
         grid = np.linspace(0.0, 25.0, 20001)
         _set_cpus(monkeypatch, 2)
@@ -902,17 +903,41 @@ class TestBands:
         monkeypatch.setattr(dynamics.np, "einsum", counting)
         states(params, a, b, grid)
         bands = 2 * -(-grid.size // (2 * dynamics._BAND_ROWS))
-        narrow, wide = b.n_max + 1, a.n_max - b.n_max
-        # detuned, the ground transfer sum of the slice from sector 0 leaves it out
-        assert set(sizes) == {narrow - 1, narrow, wide}
-        assert sizes.count(narrow - 1) == 2 * bands
-        assert sizes.count(narrow) == 5 * 2 * bands  # both cavities, six sums
-        # the wide slice holds sectors 26..1396, so a block holds this many rows
+        narrow, wide = b.n_max + 1, a.n_max + 1
+        # detuned, the ground transfer sum of a slice from sector 0 leaves it out
+        assert set(sizes) == {narrow - 1, narrow, wide - 1, wide}
+        assert sizes.count(narrow - 1) == bands
+        assert sizes.count(narrow) == 5 * bands
+        # the wide slice holds sectors 0..1396, so a block holds this many rows
         rows = dynamics._BLOCK_ELEMENTS // (wide + 1)
         edges = [k * grid.size // bands for k in range(bands + 1)]
         row_blocks = sum(-(-(hi - lo) // rows) for lo, hi in zip(edges, edges[1:]))
         assert row_blocks > 10 * bands
-        assert sizes.count(wide) == 6 * row_blocks
+        assert sizes.count(wide - 1) == row_blocks
+        assert sizes.count(wide) == 5 * row_blocks
+
+    @pytest.mark.parametrize("delta", [0.0, 0.8])
+    def test_a_cavitys_channel_does_not_depend_on_its_partner(self, monkeypatch, delta):
+        # with 7-wide slices, each cutoff (19, 69 or 290 photon numbers) ends
+        # inside a slice; the middle cavity's channel beside an equal, a
+        # narrower and a wider partner, as cavity A and as cavity B
+        params, middle = SystemParams(p=2, delta=delta), _dist(2.0)
+        monkeypatch.setattr(dynamics, "_SECTOR_BLOCK", 7)
+        _set_cpus(monkeypatch, 1)
+        grid = np.linspace(0.0, 12.0, 40)
+        channel, written = dynamics._channel, []
+
+        def recording(out, ws, g4, quarter_t, delta, mass, slices):
+            channel(out, ws, g4, quarter_t, delta, mass, slices)
+            written.append((slices[-1][0][-1], hash(out.tobytes())))
+
+        monkeypatch.setattr(dynamics, "_channel", recording)
+        for partner in (middle, _dist(0.3), _dist(10.0)):
+            assert (partner.n_max + 1) % 7
+            states(params, middle, partner, grid)
+            states(params, partner, middle, grid)
+        channels = {out for top, out in written if top == middle.n_max + 1}
+        assert len(written) == 10 and len(channels) == 1
 
     def test_memory_grows_with_the_grid_only_through_its_outputs(self, monkeypatch):
         # The band buffers have a fixed size.  What grows with the grid is the

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from thermaljc import cli, dynamics
+from thermaljc import SystemParams, ThermalDistribution, cli, dynamics
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "layer_timing.py"
 
@@ -94,11 +94,33 @@ def test_the_source_lines_are_what_wc_counts():
         assert count == len((package / name).read_text(encoding="utf-8").splitlines())
 
 
-def test_the_block_sums_are_one_full_hot_bath_block():
-    sums = _script().block_sums()()
-    # cavity A's sectors 26..1396, past cavity B's cutoff of 25
-    assert sums.shape == (6, dynamics._BLOCK_ELEMENTS // 1371)
-    assert np.all(np.isfinite(sums))
+def test_the_block_channel_is_one_full_hot_bath_block(monkeypatch):
+    blocks = []
+    factors = dynamics._factors
+
+    def recording(ws, *args):
+        blocks.append(ws.shape)
+        factors(ws, *args)
+
+    monkeypatch.setattr(dynamics, "_factors", recording)
+    channel = _script().block_channel()()
+    # cavity A's one slice, sectors 0..1396, in one block of as many rows as fit
+    rows = dynamics._BLOCK_ELEMENTS // 1397
+    assert blocks == [(2, rows, 1397)]
+    assert channel.shape == (6, rows)
+    d, f, a, b, r, i = channel
+    assert np.allclose(d + f, 1.0) and np.allclose(a + b, 1.0)
+    assert np.all(np.abs(r + 1j * i) <= 1.0)
+
+
+def test_the_band_assembly_is_the_kernels_state_at_those_times():
+    rows, work = _script().band_assembly()
+    assert rows == dynamics._BAND_ROWS
+    params = SystemParams(delta=1.0)
+    t = params.times(np.linspace(0.0, 25.0, 20001))[800 : 800 + rows]  # from gt = 1
+    want = dynamics.states(params, *map(ThermalDistribution.from_mean, (50.0, 0.5)), t)
+    for got, field in zip(work(), want):
+        assert got.tobytes() == field.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -108,7 +130,7 @@ def test_the_threads_case_prints_one_and_two_pinned_threads_and_their_ratio(caps
     ratio = _script().threads(2, repeats=1)
     assert os.sched_getaffinity(0) == before  # the caller's mask is back
     lines = capsys.readouterr().out.splitlines()
-    label = "threads, 2 rounds of one hot_bath block's six sums"
+    label = "threads, 2 rounds of one hot_bath block's channel"
     assert lines[0].startswith(f"{label}, 1 thread: median ")
     assert lines[1].startswith(f"{label}, 2 threads on their own CPUs: median ")
     assert lines[2:] == [f"threads, ratio 1 thread / 2 threads: {ratio:.3f}"]

@@ -738,6 +738,41 @@ def _assert_rows_alone(configs, t):
         assert brute[rows].tobytes() == stacked_joint_density([config], t).tobytes(), config
 
 
+def _closed_channel(params, dist, t):
+    """(D, m) of one cavity as the closed form writes it: D as (times, 2, 2),
+    rows the initial level, columns the final one, and the coherence factor."""
+    g_eff = dynamics._coupling(params, t)
+    out, ws = np.empty((6, t.size)), np.empty((2, t.size * (dist.n_max + 2)))
+    dynamics._channel(out, ws, 4.0 * g_eff * g_eff, 0.25 * t, params.delta,
+                      *dynamics._cavity(dist.probabilities()))
+    d, f, a, b, r, i = out
+    return np.stack([d, f, b, a], axis=1).reshape(-1, 2, 2), r + 1j * i
+
+
+class TestChannels:
+    """Channel against channel: each cavity's transfer matrix D and coherence
+    factor m from the closed form against the oracle's field trace M, whose
+    entries they are: D[a, l] = M[a, a, l, l] and m = conj(M[e, g, e, g]).  A
+    wrong cavity fails here on its own, not only through the Bell assembly."""
+
+    @pytest.mark.parametrize("motion", [True, False], ids=["motion", "no-motion"])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0, -0.7])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_each_validate_cavity_matches_the_oracles_channel(self, p, delta, motion):
+        params = SystemParams(p=p, delta=delta, motion_enabled=motion)
+        t = validation_times(params, 25.0, 50)
+        for mean in cli._VALIDATE_GRID["kbar"]:
+            dist = ThermalDistribution(mean, DEFAULT_EPSILON_TAIL)
+            probs = dist.probabilities()
+            amp, photon = evolve_basis(oracle._mean_coupling(params, t), delta, t, 0, probs.size)
+            m = field_traced_channel(amp, photon, probs)
+            transfer, coherence = _closed_channel(params, dist, t)
+            assert np.max(np.abs(transfer - np.einsum("taall->tal", m))) <= 1e-12, mean
+            assert np.max(np.abs(coherence - m[:, E, G, E, G].conj())) <= 1e-12, mean
+            if delta:  # a detuned coherence factor is complex
+                assert np.max(np.abs(coherence.imag)) > 1e-3
+
+
 class TestStackedRoutes:
     """validate stacks its configurations, whatever their delta, into calls of
     each route of up to oracle._STACK_ROWS rows."""
@@ -749,8 +784,8 @@ class TestStackedRoutes:
 
     @pytest.mark.parametrize("delta", [0.0, 1.0])
     def test_a_cavity_in_an_unequal_and_an_equal_pair_keeps_each_pairs_bits(self, delta):
-        # 0.5 is cavity A of an unequal pair, whose sums are cut at both
-        # cutoffs, and both cavities of an equal pair; 0.1 likewise
+        # 0.5 is cavity A of an unequal pair and both cavities of an equal
+        # pair; 0.1 likewise
         t = np.linspace(0.0, 25.0, 50)
         configs = [(SystemParams(p=p, delta=delta), _dist(a), _dist(b))
                    for p in (1, 4) for a, b in ((0.5, 0.1), (0.5, 0.5), (0.1, 0.1))]
@@ -846,12 +881,14 @@ class TestStackedRoutes:
         monkeypatch.setattr(oracle, "stacked_joint_density", spy)
         [gap] = route_deviations([self._CONFIG], self._LONG)
         assert sizes == [oracle._STACK_ROWS] * 2 + [5]
-        # the largest gap over every row, as one call of each route gives it
+        # the largest gap over every row and all 16 entries, as one call of
+        # each route gives it
         closed = dynamics.stacked_states([self._CONFIG], self._LONG)
-        rho = joint([self._CONFIG], self._LONG)
-        whole = max(np.abs(rho[:, 0, 0] - closed.x1).max(), np.abs(rho[:, 1, 2] - closed.x3).max(),
-                    np.abs(rho[:, 3, 3] - closed.x6).max(), np.abs(rho[:, 2, 2] - closed.x5).max(),
-                    np.abs(rho[:, 1, 1] - closed.x2).max())
+        dense = np.zeros((self._LONG.size, 4, 4), dtype=complex)
+        for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
+                          ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
+            dense[:, i, j] = x
+        whole = np.abs(joint([self._CONFIG], self._LONG) - dense).max()
         assert gap == whole > 0.0
 
     @pytest.mark.parametrize("piece", [0, 2])
