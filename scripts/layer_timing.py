@@ -39,7 +39,9 @@ whose kernel threads shared one CPU, which the quartiles can hide.
   per (configuration, time) row.  Each route is timed by configuration
   (``dynamics.states``, ``oracle.stacked_joint_density([config], t)``) and
   stacked, all 18 in one call (``dynamics.stacked_states``,
-  ``oracle.stacked_joint_density``).
+  ``oracle.stacked_joint_density``).  Next to them, the route comparison as
+  ``validate`` calls it (``oracle.route_deviations``: both stacked calls and
+  the gap loop over their rows), so the loop's own cost shows.
 - Argv: the 18 command lines of ``scripts/reproduce_figures.py``,
   ``validate --gt-max 25``, one help line and one refused line, read by
   ``cli._read_args``, the one reader of every command line, in us per
@@ -246,6 +248,7 @@ def validate_cases() -> tuple[int, dict[str, Callable[[], list]]]:
         "oracle, by configuration":
             lambda: [oracle.stacked_joint_density([config], t) for config in configs],
         "oracle, stacked, one call": stacked(oracle.stacked_joint_density),
+        "route comparison, as validate calls it": lambda: oracle.route_deviations(configs, t),
     }
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_EPSILON_TAIL,
+    Config,
     SystemParams,
     ThermalDistribution,
     TruncationError,
@@ -240,7 +241,7 @@ def _resolve(args: dict[str, object], keys: KeyTable) -> dict[str, object]:
 
 def _build_problem(
     resolved: dict[str, object], p: int, kbar: float, lbar: float, delta: float
-) -> tuple[SystemParams, ThermalDistribution, ThermalDistribution]:
+) -> Config:
     """One configuration; g, motion and the tail tolerance come from ``resolved``."""
     epsilon_tail = resolved["epsilon_tail"]
     params = SystemParams(g=resolved["g"], delta=delta, p=p, motion_enabled=resolved["motion"])
@@ -381,9 +382,7 @@ def _run_series(command: str, resolved: dict[str, object]) -> int:
     return EXIT_OK
 
 
-def _scan_configs(
-    resolved: dict[str, object],
-) -> list[tuple[SystemParams, ThermalDistribution, ThermalDistribution]]:
+def _scan_configs(resolved: dict[str, object]) -> list[Config]:
     kbars = resolved["kbar"]
     lbars = resolved["lbar"]
     if lbars is None:

@@ -157,6 +157,10 @@ class ThermalDistribution:
         return ratio ** np.arange(self.n_max + 1) / (self.mean_photons + 1.0)
 
 
+# one configuration of either route: (params, dist_a, dist_b)
+Config = tuple[SystemParams, ThermalDistribution, ThermalDistribution]
+
+
 def check_x_states(state: XStates) -> None:
     """Raise at the first entry of ``state`` that is not a two-atom X state.
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SystemParams, ThermalDistribution, XStates, check_times, check_x_states
+from .core import Config, SystemParams, ThermalDistribution, XStates, check_times, check_x_states
 
 # Entries of one (times x sectors) factor block.  It bounds the working memory
 # for any grid length and cutoff.  A numpy call runs its loop without the
@@ -267,18 +267,16 @@ def states(
     return stacked_states([(params, dist_a, dist_b)], t)
 
 
-def stacked_states(
-    configs: Sequence[tuple[SystemParams, ThermalDistribution, ThermalDistribution]],
-    t: np.ndarray,
-) -> XStates:
+def stacked_states(configs: Sequence[Config], t: np.ndarray) -> XStates:
     """:func:`states` of every configuration (params, dist_a, dist_b) of
     ``configs`` at every time of t, in one call: row j*t.size + i holds
     configuration j at time i, and its elements are bit-identical to that
     call of :func:`states`; they may differ in any parameter, delta too.  A
     band forms g'(t) over each configuration's rows in it.  The rows of one
-    cavity pair and delta form a span, which writes the channel of each
-    distinct cavity of the pair; the spans of equal cavities come first, so a
-    band assembles at most two runs.  Raises ValueError for an empty
+    cavity pair and delta form a span, in the order its pair first appears,
+    which writes the channel of each distinct cavity of the pair: an equal
+    pair's one channel is A and B, copied to B's buffer where unequal pairs
+    need one.  Each band is assembled once.  Raises ValueError for an empty
     ``configs`` and what :func:`states` raises for any row."""
     grid = np.asarray(t, dtype=float)
     if grid.ndim != 1:
@@ -289,12 +287,10 @@ def stacked_states(
     pairs: dict[tuple, list[int]] = {}
     for j, (params, dist_a, dist_b) in enumerate(configs):
         pairs.setdefault((dist_a, dist_b, params.delta), []).append(j)
-    pairs = dict(sorted(pairs.items(), key=lambda pair: pair[0][0] != pair[0][1]))
     order = [j for members in pairs.values() for j in members]  # configurations by row
     params = [configs[j][0] for j in order]
     size = grid.size
     t = grid if len(params) == 1 else np.tile(grid, len(params))  # the rows
-    shared = size * sum(len(members) for (a, b, _), members in pairs.items() if a == b)
 
     def coupling(first: int, last: int) -> np.ndarray:
         """g'(t) of the rows [first, last), formed once per params and times."""
@@ -329,8 +325,8 @@ def stacked_states(
     def work(worker: int) -> None:
         # two arrays 64-byte apart, so that SIMD loops see them equally aligned
         ws = np.empty((2, -(-width // 8) * 8))
-        # per band row, channel A, then B where it differs (from row ``shared`` on)
-        channels = np.empty((1 + (shared < t.size), 6, tall))
+        # per band row, channel A, then B unless every pair is equal
+        channels = np.empty((max(len(sides) for *_, sides in spans), 6, tall))
         for k in range(worker, bands, workers):
             first, last = k * t.size // bands, (k + 1) * t.size // bands
             g_eff = coupling(first, last)
@@ -340,11 +336,10 @@ def stacked_states(
                 if rows.start < rows.stop:
                     for out, cavity in zip(channels, sides):
                         _channel(out[:, rows], ws, g4[rows], quarter_t[rows], delta, *cavity)
-            split = min(max(shared - first, 0), last - first)
-            for lo, hi, b in ((0, split, channels[0]), (split, last - first, channels[-1])):
-                if lo < hi:
-                    _assemble(state, slice(first + lo, first + hi), channels[0, :, lo:hi],
-                              b[:, lo:hi])
+                    if len(sides) < len(channels):  # an equal pair beside unequal ones
+                        channels[1, :, rows] = channels[0, :, rows]
+            n = last - first
+            _assemble(state, slice(first, last), channels[0, :, :n], channels[-1, :, :n])
 
     _spread(work, workers, cpus)
     if order != sorted(order):  # back to the order of configs

@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     MAX_POINTS,
     TRACE_TOL,
+    Config,
     SystemParams,
     ThermalDistribution,
     TruncationError,
@@ -65,8 +66,6 @@ _PHOTON_SHIFT = np.array([[0, -1], [1, 0]])
 # call.  The budget keeps the stacked arrays small: a long grid runs one
 # configuration at a time, and one longer than the budget in pieces of it.
 _STACK_ROWS = 1 << 10
-
-_Config = tuple[SystemParams, ThermalDistribution, ThermalDistribution]
 
 
 def _mean_coupling(params: SystemParams, t: np.ndarray) -> np.ndarray:
@@ -215,7 +214,7 @@ def joint_x_states(m: np.ndarray) -> XStates:
     return x
 
 
-def stacked_joint_density(configs: Sequence[_Config], t: np.ndarray) -> np.ndarray:
+def stacked_joint_density(configs: Sequence[Config], t: np.ndarray) -> np.ndarray:
     """Brute-force two-atom state of every configuration (params, dist_a,
     dist_b) of ``configs`` at every time of the one-dimensional array t, in
     one call: row j*t.size + i holds configuration j at time i.
@@ -285,48 +284,45 @@ def oracle_density_matrix(
     return XStates._make(v.item() for v in joint_x_states(joint))
 
 
-def route_deviations(configs: Sequence[_Config], times: Sequence[float]) -> list[float | Exception]:
+def route_deviations(configs: Sequence[Config], times: Sequence[float]) -> list[float | Exception]:
     """Largest elementwise gap between the closed form and the brute force of
     each configuration (params, dist_a, dist_b), in order, or the
     TruncationError or ValueError its routes raise.
 
-    The list is cut, in order, into cuts of as many configurations as fit in
-    ``_STACK_ROWS`` rows, with one call of each route per cut: a grid longer
-    than half of that runs one configuration at a time.  A cut that raises
-    is re-run one configuration at a time, so a failure is reported, with its
-    own text, by the configurations that raise it.  A grid longer than
-    ``_STACK_ROWS`` runs in pieces of at most that many times, so memory does
-    not grow with it: a configuration's gap is the largest of its pieces' (a
-    NaN kept), or the exception of the first piece that raises."""
+    The times go in pieces of at most ``_STACK_ROWS``, and the list, in
+    order, in cuts of as many configurations as fit in that many rows with
+    one piece each: a grid longer than half of it runs one configuration at
+    a time.  Each cut walks the pieces with one call of each route per
+    piece, so memory does not grow with the grid, and a configuration's gap
+    is the largest over its pieces (a NaN kept).  A cut that raises is
+    re-run one configuration at a time, so a failure is reported by the
+    configurations that raise it, as the exception of their first piece
+    that raises, with its own text."""
     times = np.asarray(times, dtype=float)
-    results: list[float | Exception] = []
-    if times.size > _STACK_ROWS:
-        for config in configs:
-            gaps: list = []
-            for lo in range(0, times.size, _STACK_ROWS):
-                gaps += route_deviations([config], times[lo : lo + _STACK_ROWS])
-                if isinstance(gaps[-1], Exception):
-                    break
-            results.append(gaps[-1] if isinstance(gaps[-1], Exception) else float(np.max(gaps)))
-        return results
-    per_call = max(1, _STACK_ROWS // max(times.size, 1))
+    piece = max(1, min(times.size, _STACK_ROWS))
+    per_call = _STACK_ROWS // piece
     cuts = [configs[lo : lo + per_call] for lo in range(0, len(configs), per_call)]
+    results: list[float | Exception] = []
     while cuts:
         cut = cuts.pop(0)
+        gaps = np.zeros(len(cut))
         try:
-            closed = stacked_states(cut, times)
-            gap = stacked_joint_density(cut, times)
+            for lo in range(0, times.size, piece):
+                closed = stacked_states(cut, times[lo : lo + piece])
+                gap = stacked_joint_density(cut, times[lo : lo + piece])
+                for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
+                                  ((2, 1), closed.x3.conj()), ((2, 2), closed.x5),
+                                  ((3, 3), closed.x6)):
+                    gap[:, i, j] -= x
+                np.maximum(gaps, np.max(np.abs(gap).reshape(len(cut), -1), axis=1), out=gaps)
+                del closed, gap, x  # no array of this piece is alive during the next calls
         except (TruncationError, ValueError) as exc:
             if len(cut) == 1:
                 results.append(exc)
             else:
                 cuts[:0] = [[config] for config in cut]
-            continue
-        for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
-                          ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
-            gap[:, i, j] -= x
-        results += np.max(np.abs(gap).reshape(len(cut), -1), axis=1, initial=0.0).tolist()
-        del closed, gap, x  # no array of this cut is alive during the next cut's calls
+        else:
+            results += gaps.tolist()
     return results
 
 
@@ -336,16 +332,12 @@ def validation_times(params: SystemParams, gt_max: float, times: int) -> np.ndar
     Raises ValueError unless 2 <= ``times`` <= MAX_POINTS and ``gt_max`` > 0
     (a grid at gt = 0 alone compares the initial state with itself), and when
     gt_max/g overflows."""
-    if times < 1:
-        raise ValueError(f"times must be >= 1, got {times}")
+    if times < 2:
+        raise ValueError(f"times must be >= 2 to compare anything past gt = 0, got {times}")
     if times > MAX_POINTS:
         raise ValueError(
             f"times must be <= {MAX_POINTS}, the limit of grid points, got {times}"
         )
-    if gt_max < 0.0:
-        raise ValueError(f"gt_max must be >= 0, got {gt_max}")
-    if times == 1:
-        raise ValueError("times must be >= 2 to compare anything past gt = 0, got 1")
     if not gt_max > 0.0:
         raise ValueError(f"gt_max must be > 0 to compare anything past gt = 0, got {gt_max}")
     return params.times(np.linspace(0.0, gt_max, times))

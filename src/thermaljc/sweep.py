@@ -10,15 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_POINTS, SystemParams, ThermalDistribution, XStates
+from .core import MAX_POINTS, Config, SystemParams, ThermalDistribution, XStates
 from .dynamics import effective_coupling, states
 from .observables import concurrence, energy, purity
 
 DEAD_THRESHOLD = 1e-6
 PERIOD_TOL = 1e-10
 PERIOD_PROBES = 16
-
-Config = tuple[SystemParams, ThermalDistribution, ThermalDistribution]
 
 
 @dataclass(frozen=True)

@@ -237,12 +237,16 @@ class TestValidate:
     @pytest.mark.parametrize(
         "flags, reason",
         [
-            (["--times", "0"], "times must be >= 1, got 0"),  # compared nothing
-            (["--times", "-5"], "times must be >= 1, got -5"),
-            (["--kbar", "0.1", "--times", "0"], "times must be >= 1, got 0"),
+            (["--times", "0"],  # compared nothing
+             "times must be >= 2 to compare anything past gt = 0, got 0"),
+            (["--times", "-5"], "times must be >= 2 to compare anything past gt = 0, got -5"),
+            (["--kbar", "0.1", "--times", "0"],
+             "times must be >= 2 to compare anything past gt = 0, got 0"),
             (["--g", "0", "--times", "3"], "coupling strength g"),  # grid mode
-            (["--gt-max", "-1", "--times", "3"], "gt_max must be >= 0, got -1.0"),
-            (["--kbar", "0.1", "--gt-max", "-1"], "gt_max must be >= 0, got -1.0"),
+            (["--gt-max", "-1", "--times", "3"],
+             "gt_max must be > 0 to compare anything past gt = 0, got -1.0"),
+            (["--kbar", "0.1", "--gt-max", "-1"],
+             "gt_max must be > 0 to compare anything past gt = 0, got -1.0"),
             # gt = 0 alone compares the initial Bell state with itself
             (["--times", "1"], "times must be >= 2 to compare anything past gt = 0, got 1"),
             (["--kbar", "0.1", "--times", "1"],

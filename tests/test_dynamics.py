@@ -939,6 +939,34 @@ class TestBands:
         channels = {out for top, out in written if top == middle.n_max + 1}
         assert len(written) == 10 and len(channels) == 1
 
+    def test_a_band_assembles_once_from_one_buffer_per_distinct_cavity(self, monkeypatch):
+        # bands of 7 rows hold equal and unequal pairs side by side; a stack of
+        # equal cavities alone assembles each band from one channel buffer
+        t = np.linspace(0.0, 12.0, 10)
+        equal = [(SystemParams(delta=delta), _dist(mean), _dist(mean))
+                 for delta in (0.0, 0.8) for mean in (0.3, 2.0)]
+        mixed = [*equal[:2], (SystemParams(delta=0.8), _dist(0.3), _dist(2.0)), *equal[2:]]
+        monkeypatch.setattr(dynamics, "_BAND_ROWS", 7)
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 7)
+        _set_cpus(monkeypatch, 1)
+        assemble, calls = dynamics._assemble, []
+
+        def recording(state, rows, a, b):
+            calls.append((rows.stop - rows.start, np.shares_memory(a, b)))
+            assemble(state, rows, a, b)
+
+        monkeypatch.setattr(dynamics, "_assemble", recording)
+        for configs, shared in ((equal, True), (mixed, False)):
+            calls.clear()
+            stacked = dynamics.stacked_states(configs, t)
+            total = len(configs) * t.size
+            assert len(calls) == -(-total // 7) and sum(n for n, _ in calls) == total
+            assert {same for _, same in calls} == {shared}
+            for j, config in enumerate(configs):
+                rows = slice(j * t.size, (j + 1) * t.size)
+                for got, want in zip(stacked, states(*config, t)):
+                    assert got[rows].tobytes() == want.tobytes()
+
     def test_memory_grows_with_the_grid_only_through_its_outputs(self, monkeypatch):
         # The band buffers have a fixed size.  What grows with the grid is the
         # output and the checks on it (a stacked copy of the populations and

@@ -55,7 +55,8 @@ def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
     rows, cases = _script().validate_cases()
     assert rows == 18 * 50
     assert list(cases) == ["closed form, by configuration", "closed form, stacked, one call",
-                           "oracle, by configuration", "oracle, stacked, one call"]
+                           "oracle, by configuration", "oracle, stacked, one call",
+                           "route comparison, as validate calls it"]
     results = {label: work() for label, work in cases.items()}
     assert len(results["closed form, by configuration"]) == 18
     assert len(results["closed form, stacked, one call"]) == 1
@@ -66,9 +67,16 @@ def test_the_validate_cases_time_the_same_rows_alone_and_stacked(capsys):
     for field, got in enumerate(closed):
         want = np.concatenate([x[field] for x in results["closed form, by configuration"]])
         assert got.tobytes() == want.tobytes()
-    _script().report("validate, oracle, stacked, one call", cases["oracle, stacked, one call"],
-                     2, rows)
-    assert capsys.readouterr().out.startswith("validate, oracle, stacked, one call: median ")
+    # the comparison's gaps are those of the two stacked calls, per configuration
+    dense = np.zeros_like(stacked)
+    for (i, j), x in (((0, 0), closed.x1), ((1, 1), closed.x2), ((1, 2), closed.x3),
+                      ((2, 1), closed.x3.conj()), ((2, 2), closed.x5), ((3, 3), closed.x6)):
+        dense[:, i, j] = x
+    gaps = np.abs(stacked - dense).reshape(18, -1).max(axis=1)
+    assert results["route comparison, as validate calls it"] == gaps.tolist()
+    for label in ("oracle, stacked, one call", "route comparison, as validate calls it"):
+        _script().report(f"validate, {label}", cases[label], 2, rows)
+        assert capsys.readouterr().out.startswith(f"validate, {label}: median ")
 
 
 def test_the_argv_case_reads_the_figure_validate_help_and_refused_lines(capsys):

@@ -919,6 +919,18 @@ class TestStackedRoutes:
         assert isinstance(gap, ValueError) and str(gap) == "piece 2"
         assert calls == [oracle._STACK_ROWS] * 2  # no piece runs after it
 
+    def test_several_configurations_on_a_long_grid_read_as_each_alone(self):
+        # kbar 5 at a tail of 1e-2 leaves a trace off 1, which the closed
+        # form refuses; the configurations beside it keep their own gaps
+        good = [self._CONFIG, (SystemParams(p=1, delta=0.0), _dist(0.1), _dist(0.5))]
+        bad = (SystemParams(), _dist(5.0, 1e-2), _dist(5.0, 1e-2))
+        first, failed, second = route_deviations([good[0], bad, good[1]], self._LONG)
+        assert [first, second] == [route_deviations([config], self._LONG)[0] for config in good]
+        assert 0.0 < first <= ORACLE_TOL and 0.0 < second <= ORACLE_TOL
+        [alone] = route_deviations([bad], self._LONG)
+        assert isinstance(failed, TruncationError) and type(alone) is type(failed)
+        assert str(failed) == str(alone)
+
     def test_past_the_row_budget_the_peak_does_not_grow_with_the_times(self):
         peaks = []
         for size in (3000, 30000):
